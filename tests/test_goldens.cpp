@@ -5,6 +5,10 @@
  * the hot path — timing, energy, stats, scheduling, serialization —
  * shows up as a diff here instead of sliding silently.
  *
+ * A serve matrix pins every scheduler decision path the same way:
+ * one line per (policy, objective, lookahead, affinity, control,
+ * stats) cell with a hash of its schedule and its stats object.
+ *
  * Regenerate after an intentional change with tests/update_goldens.sh
  * (runs this binary with HYGCN_UPDATE_GOLDENS=1).
  *
@@ -18,15 +22,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/serve_session.hpp"
 #include "api/session.hpp"
+#include "serve/scheduler.hpp"
 #include "sim/json.hpp"
 
 using namespace hygcn;
@@ -151,6 +160,152 @@ compareOrUpdate(const std::string &name, const std::string &json)
         << "intentional, regenerate with tests/update_goldens.sh";
 }
 
+/**
+ * Line-wise compareOrUpdate for a golden holding one keyed entry per
+ * line (`"key":{...},`): each line compares on its own, so a
+ * mismatch names the entry that diverged instead of the whole file.
+ */
+void
+compareLinesOrUpdate(const std::string &name,
+                     const std::vector<std::string> &lines,
+                     const std::string &exact_until)
+{
+    std::string json = "{\n";
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        json += lines[i] + (i + 1 < lines.size() ? ",\n" : "\n");
+    json += "}";
+    if (updating()) {
+        compareOrUpdate(name, json);
+        return;
+    }
+
+    std::ifstream in(goldenPath(name), std::ios::binary);
+    ASSERT_TRUE(in.good())
+        << "missing golden " << goldenPath(name)
+        << "; generate it with tests/update_goldens.sh";
+    std::vector<std::string> expected;
+    for (std::string line; std::getline(in, line);) {
+        if (line == "{" || line == "}")
+            continue;
+        if (!line.empty() && line.back() == ',')
+            line.pop_back();
+        expected.push_back(line);
+    }
+    ASSERT_EQ(expected.size(), lines.size())
+        << "golden " << name << " holds a different entry count; if "
+        << "the change is intentional, regenerate with "
+        << "tests/update_goldens.sh";
+    // HYGCN_GOLDEN_RTOL relaxes only what follows the line's
+    // @p exact_until marker; the key and everything before it (hashes
+    // whose hex digits would otherwise parse as numbers) stay exact.
+    const double rtol = goldenRtol();
+    auto split = [&exact_until](const std::string &line) {
+        const std::size_t at = line.find(exact_until);
+        return at == std::string::npos ? line.size() : at;
+    };
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const std::size_t cut_e = split(expected[i]);
+        const std::size_t cut_a = split(lines[i]);
+        const bool same =
+            rtol > 0.0
+                ? expected[i].compare(0, cut_e, lines[i], 0, cut_a) ==
+                          0 &&
+                      jsonNumericallyEqual(expected[i].substr(cut_e),
+                                           lines[i].substr(cut_a), rtol)
+                : expected[i] == lines[i];
+        EXPECT_TRUE(same) << "golden " << name << " diverged at\n  "
+                          << lines[i] << "\nexpected\n  "
+                          << expected[i];
+    }
+}
+
+/** 64-bit FNV-1a, fed field by field in little-endian byte order. */
+class Fnv1a
+{
+  public:
+    void add(std::uint64_t value)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash_ ^= (value >> (8 * byte)) & 0xff;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+    void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+
+    std::string hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof buf, "%016llx",
+                      static_cast<unsigned long long>(hash_));
+        return buf;
+    }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/** Hash of everything a serving run scheduled: batch and request
+ *  records (empty when streaming) plus the instance records. */
+std::string
+scheduleHash(const serve::ServeResult &result)
+{
+    Fnv1a h;
+    h.add(std::uint64_t{result.batches.size()});
+    for (const serve::BatchRecord &b : result.batches) {
+        h.add(b.id);
+        h.add(std::uint64_t{b.scenario});
+        h.add(std::uint64_t{b.instance});
+        h.add(b.dispatch);
+        h.add(b.completion);
+        h.add(b.joules);
+        h.add(std::uint64_t{b.preempted});
+        h.add(std::uint64_t{b.requestIds.size()});
+        for (std::uint64_t id : b.requestIds)
+            h.add(id);
+    }
+    h.add(std::uint64_t{result.requests.size()});
+    for (const serve::RequestRecord &r : result.requests) {
+        h.add(r.id);
+        h.add(std::uint64_t{r.tenant});
+        h.add(std::uint64_t{r.scenario});
+        h.add(r.arrival);
+        h.add(r.deadline);
+        h.add(r.dispatch);
+        h.add(r.completion);
+        h.add(std::uint64_t{r.instance});
+        h.add(r.batch);
+    }
+    h.add(std::uint64_t{result.instances.size()});
+    for (const serve::InstanceRecord &inst : result.instances) {
+        h.add(std::uint64_t{inst.id});
+        h.add(std::uint64_t{inst.classIndex});
+        h.add(inst.batches);
+        h.add(inst.requests);
+        h.add(inst.busyCycles);
+        h.add(inst.utilization);
+    }
+    return h.hex();
+}
+
+/** The `"stats":{...}` object of a serialized ServeResult. */
+std::string
+statsObject(const std::string &json)
+{
+    const std::string tag = "\"stats\":";
+    const std::size_t start = json.find(tag);
+    if (start == std::string::npos)
+        throw std::runtime_error("serve JSON has no stats object");
+    int depth = 0;
+    for (std::size_t i = start + tag.size(); i < json.size(); ++i) {
+        if (json[i] == '{')
+            ++depth;
+        else if (json[i] == '}' && --depth == 0)
+            return json.substr(start + tag.size(),
+                               i + 1 - start - tag.size());
+    }
+    throw std::runtime_error("serve JSON stats object is unterminated");
+}
+
 } // namespace
 
 TEST(Goldens, NumericComparatorAcceptsWithinTolerance)
@@ -218,4 +373,105 @@ TEST(Goldens, AnalyticServeRunJsonIsByteStable)
             .run();
     ASSERT_EQ(result.requests.size(), result.config.numRequests);
     compareOrUpdate("serve_run_analytic.json", toJson(result));
+}
+
+TEST(Goldens, ServeMatrixSchedulesAndStatsAreStable)
+{
+    // Every scheduler decision path over a small two-class
+    // heterogeneous cluster: policy x routing objective x lookahead x
+    // affinity margin x control plane x stats collection. Each cell
+    // pins a hash of its full schedule and its stats object, so any
+    // change to what the scheduler decides — or to how the stats
+    // fold — names the cell it moved.
+    // The second class is a slower, lower-power HyGCN at its own
+    // clock, close enough in cost that lookahead and affinity
+    // arbitrate real near-ties.
+    HyGCNConfig lite;
+    lite.simdCores = 16;
+    lite.systolicModules = 4;
+    lite.clockHz = 0.8e9;
+    serve::ServeConfig base;
+    base.cluster.classes = {{"hygcn", 2, std::nullopt, "", 1, 3},
+                            {"hygcn", 1, lite, "hygcn-lite", 1, 2}};
+    base.scenarios = {{"cora/gcn", {}}, {"citeseer/gcn", {}}};
+    base.scenarios[0].spec.dataset = DatasetId::CR;
+    base.scenarios[1].spec.dataset = DatasetId::CS;
+    for (serve::ServeScenario &s : base.scenarios) {
+        s.spec.datasetScale = 0.2;
+        s.spec.threads = 1;
+    }
+    // A tight-SLO tenant biased to the cheap scenario beside an
+    // SLO-free bulk tenant biased to the expensive one: what EDF,
+    // fair share, and preemption each act on.
+    base.tenants = {{"interactive", 0.6, {4.0, 1.0}, 80000, 0.0},
+                    {"analytics", 0.4, {1.0, 4.0}, 0, 0.0}};
+    base.numRequests = 160;
+    base.meanInterarrivalCycles = 40000.0;
+    base.batching.maxBatch = 4;
+    base.batching.timeoutCycles = 30000;
+    base.seed = 1;
+
+    const char *const policies[] = {"fifo", "edf", "fair-share"};
+    const char *const objectives[] = {"cycles", "energy", "edp"};
+    const char *const controls[] = {"off", "scale", "cap", "preempt"};
+    // The only combination validate() rejects: preemption with
+    // streaming stats.
+    auto expected_skip = [](const std::string &control, bool streaming) {
+        return control == "preempt" && streaming;
+    };
+
+    std::vector<std::string> lines;
+    std::vector<std::string> skipped;
+    for (const char *policy : policies)
+        for (const char *objective : objectives)
+            for (bool lookahead : {false, true})
+                for (double margin : {0.0, 0.25})
+                    for (const char *control : controls)
+                        for (bool streaming : {false, true}) {
+                            serve::ServeConfig config = base;
+                            config.policy = policy;
+                            config.routing.objective = objective;
+                            config.routing.lookahead = lookahead;
+                            config.routing.affinityMargin = margin;
+                            const std::string ctl = control;
+                            if (ctl == "scale")
+                                config.control.scalingPolicy =
+                                    "queue-depth";
+                            else if (ctl == "cap")
+                                // Two hygcn replicas (~7 W each)
+                                // fit; a third batch on the lite
+                                // class (~3.5 W) does not.
+                                config.control.powerCapWatts = 15.0;
+                            else if (ctl == "preempt")
+                                config.control.preemption = true;
+                            config.stats.streaming = streaming;
+                            const std::string cell =
+                                std::string(policy) + "/" + objective +
+                                (lookahead ? "/la1" : "/la0") +
+                                (margin > 0.0 ? "/am25" : "/am0") +
+                                "/" + ctl +
+                                (streaming ? "/stream" : "/mat");
+                            try {
+                                config.validate();
+                            } catch (const std::invalid_argument &) {
+                                skipped.push_back(cell);
+                                EXPECT_TRUE(
+                                    expected_skip(ctl, streaming))
+                                    << cell << " rejected unexpectedly";
+                                continue;
+                            }
+                            EXPECT_FALSE(expected_skip(ctl, streaming))
+                                << cell << " accepted unexpectedly";
+                            const serve::ServeResult result =
+                                serve::runServe(config);
+                            lines.push_back(
+                                "\"" + cell + "\":{\"schedule\":\"" +
+                                scheduleHash(result) +
+                                "\",\"stats\":" +
+                                statsObject(toJson(result, false)) +
+                                "}");
+                        }
+    EXPECT_EQ(skipped.size(), 3u * 3u * 2u * 2u);
+    EXPECT_EQ(lines.size(), 3u * 3u * 2u * 2u * 4u * 2u - skipped.size());
+    compareLinesOrUpdate("serve_matrix.json", lines, ",\"stats\":");
 }
