@@ -308,6 +308,25 @@ TEST(ControlPlane, PreemptionConservesRequestsAndCausalOrder)
             EXPECT_TRUE(final_ids.count(id));
         }
     }
+
+    // Stats accounting: a preempted batch still counts as a batch
+    // and its truncated joules were really spent, but it charges no
+    // member — its members are charged by the batch that finally
+    // served them.
+    const ServeStats &stats = result.stats;
+    EXPECT_EQ(stats.batches, result.batches.size());
+    double batch_joules = 0.0;
+    for (const BatchRecord &batch : result.batches)
+        batch_joules += batch.joules;
+    EXPECT_DOUBLE_EQ(stats.totalJoules, batch_joules);
+    double class_joules = 0.0;
+    for (const ClassStats &cs : stats.classStats)
+        class_joules += cs.joules;
+    EXPECT_DOUBLE_EQ(class_joules, stats.totalJoules);
+    double share = 0.0;
+    for (const TenantStats &ts : stats.tenantStats)
+        share += ts.servedShare;
+    EXPECT_NEAR(share, 1.0, 1e-12);
 }
 
 TEST(ControlPlane, PreemptionRejectsStreamingStats)
