@@ -8,7 +8,7 @@ namespace hygcn::serve {
 
 void
 PricedScenarioCache::rejectUnresolvable(const std::string &platform,
-                                        const api::RunSpec &spec)
+                                        const api::RunSpec &spec) const
 {
     // batchCopies == 0 must fail before a slot exists: its JSON form
     // would alias the default batchCopies == 1 key (emitted only off
@@ -19,7 +19,10 @@ PricedScenarioCache::rejectUnresolvable(const std::string &platform,
     // platform keys or not-yet-registered custom dataset/model
     // names — fail fast before a slot exists, so registering the
     // name later makes the same price() call succeed. Only failures
-    // deterministic in the spec itself ever reach a slot.
+    // deterministic in the spec itself ever reach a slot. An
+    // injected platform resolves names its own way.
+    if (bound_ != nullptr)
+        return;
     if (!api::Registry::global().hasPlatform(platform))
         api::Registry::global().makePlatform(platform); // throws
     if (!spec.datasetName.empty() &&
@@ -31,22 +34,22 @@ PricedScenarioCache::rejectUnresolvable(const std::string &platform,
 }
 
 std::shared_ptr<PricedScenarioCache::Entry>
-PricedScenarioCache::slot(const std::string &key)
+PricedScenarioCache::slot(const std::string &key, Lookups *lookups)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = cache_.find(key);
-    if (it == cache_.end()) {
+    const bool hit = it != cache_.end();
+    if (!hit)
         it = cache_.emplace(key, std::make_shared<Entry>()).first;
-        ++misses_;
-    } else {
-        ++hits_;
-    }
+    ++(hit ? hits_ : misses_);
+    if (lookups != nullptr)
+        ++(hit ? lookups->hits : lookups->misses);
     return it->second;
 }
 
 PricedScenarioCache::Priced
 PricedScenarioCache::price(const std::string &platform,
-                           const api::RunSpec &spec)
+                           const api::RunSpec &spec, Lookups *lookups)
 {
     // The spec JSON echoes every pricing-relevant field (platform,
     // dataset/model/seeds/scale, the full accelerator config, varied
@@ -58,12 +61,14 @@ PricedScenarioCache::price(const std::string &platform,
 
     rejectUnresolvable(platform, keyed);
 
-    std::shared_ptr<Entry> entry = slot(key);
+    std::shared_ptr<Entry> entry = slot(key, lookups);
     std::call_once(entry->once, [&] {
         try {
             const api::RunResult run =
-                api::Registry::global().makePlatform(platform)->run(
-                    keyed);
+                bound_ != nullptr
+                    ? bound_->run(keyed)
+                    : api::Registry::global().makePlatform(platform)->run(
+                          keyed);
             entry->value.cyclesByBatch = {run.report.cycles};
             entry->value.joulesByBatch = {run.report.joules()};
             entry->value.clockHz = run.report.clockHz;
@@ -83,7 +88,7 @@ PricedScenarioCache::price(const std::string &platform,
 PricedScenarioCache::Priced
 PricedScenarioCache::priceCurve(const std::string &platform,
                                 const api::RunSpec &spec,
-                                const ServeConfig &config)
+                                const ServeConfig &config, Lookups *lookups)
 {
     api::RunSpec keyed = spec;
     keyed.platform = platform;
@@ -101,7 +106,7 @@ PricedScenarioCache::priceCurve(const std::string &platform,
         key += "#" + extra;
     key += "#max_batch=" + std::to_string(config.batching.maxBatch);
 
-    std::shared_ptr<Entry> entry = slot(key);
+    std::shared_ptr<Entry> entry = slot(key, lookups);
     std::call_once(entry->once, [&] {
         try {
             // The unit run is a shared unit entry, so every cost
@@ -109,7 +114,7 @@ PricedScenarioCache::priceCurve(const std::string &platform,
             // it exactly once. Nested price() calls are safe: the
             // map mutex is never held while a slot fills, and unit
             // slots never price curves.
-            const Priced unit = price(platform, keyed);
+            const Priced unit = price(platform, keyed, lookups);
             CostModelInputs in;
             in.unitCycles = unit.unitCycles();
             in.weightLoadCycles = unit.weightLoadCycles;
@@ -120,14 +125,14 @@ PricedScenarioCache::priceCurve(const std::string &platform,
             in.measuredCycles = [&](std::uint32_t copies) {
                 api::RunSpec batched = keyed;
                 batched.batchCopies = copies;
-                return price(platform, batched).unitCycles();
+                return price(platform, batched, lookups).unitCycles();
             };
             // Shares the memoized co-batch unit entry with
             // measuredCycles: asking for both costs one run.
             in.measuredJoules = [&](std::uint32_t copies) {
                 api::RunSpec batched = keyed;
                 batched.batchCopies = copies;
-                return price(platform, batched).unitJoules();
+                return price(platform, batched, lookups).unitJoules();
             };
             entry->value.cyclesByBatch = model->curve(in);
             entry->value.joulesByBatch = model->energyCurve(in);

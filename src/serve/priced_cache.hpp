@@ -14,7 +14,11 @@
  * assembled from shared unit entries). Thread-safe: the map mutex
  * only guards slot lookup, the run itself happens under a per-slot
  * once_flag so concurrent sweeps needing different scenarios never
- * serialize behind one slow pricing run.
+ * serialize behind one slow pricing run. A cache may also be bound to
+ * one injected Platform instead of the registry: a run-local cache
+ * of that kind prices a stub exactly the way the process-wide cache
+ * prices registry platforms, without its results ever entering the
+ * process-wide store.
  */
 
 #ifndef HYGCN_SERVE_PRICED_CACHE_HPP
@@ -39,6 +43,23 @@ class BatchCostModel;
 class PricedScenarioCache
 {
   public:
+    /** Slot lookups one pricing call made: served from the cache, or
+     *  priced fresh. Callers sum them per run. */
+    struct Lookups
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+    };
+
+    /** A cache that runs registry platforms by key. */
+    PricedScenarioCache() = default;
+
+    /** A cache that runs every unit on @p platform (which must
+     *  outlive the cache), whatever platform key a spec names. */
+    explicit PricedScenarioCache(const api::Platform &platform)
+        : bound_(&platform)
+    {}
+
     /**
      * One priced scenario at a clock: the cost curve cycles(B) for
      * B = 1..batching.maxBatch (a unit entry is the length-1 curve), plus the
@@ -77,9 +98,11 @@ class PricedScenarioCache
      * dataset, model, seeds, scale, accelerator config, varied
      * parameters, co-batch copies — so two serve configs differing
      * in any pricing-relevant knob never collide. Safe to call
-     * concurrently.
+     * concurrently. The call's own slot lookup is added to
+     * @p lookups when given.
      */
-    Priced price(const std::string &platform, const api::RunSpec &spec);
+    Priced price(const std::string &platform, const api::RunSpec &spec,
+                 Lookups *lookups = nullptr);
 
     /**
      * Price the full cost curve of @p spec on @p platform under
@@ -89,20 +112,25 @@ class PricedScenarioCache
      * unit entries, so sweeping cost models or batch sizes re-runs
      * no platform work that any earlier pricing already did. The
      * "measured" model's per-batch-size co-batch runs memoize as
-     * unit entries with RunSpec::batchCopies = B.
+     * unit entries with RunSpec::batchCopies = B. Every slot lookup
+     * the call makes — the curve entry's, plus the unit and co-batch
+     * lookups it makes when it prices the curve — is added to
+     * @p lookups when given, so concurrent callers each see exactly
+     * their own.
      */
     Priced priceCurve(const std::string &platform,
-                      const api::RunSpec &spec,
-                      const ServeConfig &config);
+                      const api::RunSpec &spec, const ServeConfig &config,
+                      Lookups *lookups = nullptr);
 
     /** Distinct priced entries (unit + curve) currently held. */
     std::size_t size() const;
 
-    /** Lookups served without pricing work. */
+    /** Lookups served without pricing work, over every caller. */
     std::uint64_t hits() const;
 
     /** Lookups that had to price (unit entries run the Platform
-     *  once; curve entries assemble from unit entries). */
+     *  once; curve entries assemble from unit entries), over every
+     *  caller. */
     std::uint64_t misses() const;
 
     /** Drop every priced entry and reset the hit/miss counters. */
@@ -133,12 +161,16 @@ class PricedScenarioCache
         std::exception_ptr error;
     };
 
-    /** Find-or-create the slot for @p key, counting hit/miss. */
-    std::shared_ptr<Entry> slot(const std::string &key);
+    /** Find-or-create the slot for @p key, counting hit/miss both
+     *  cache-wide and in @p lookups (when given). */
+    std::shared_ptr<Entry> slot(const std::string &key, Lookups *lookups);
 
     /** Reject failures that depend on mutable registry state. */
-    static void rejectUnresolvable(const std::string &platform,
-                                   const api::RunSpec &spec);
+    void rejectUnresolvable(const std::string &platform,
+                            const api::RunSpec &spec) const;
+
+    /** The injected platform, or null to run registry platforms. */
+    const api::Platform *bound_ = nullptr;
 
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<Entry>> cache_;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <functional>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <queue>
 #include <stdexcept>
@@ -14,7 +13,6 @@
 #include "api/registry.hpp"
 #include "serve/control_plane.hpp"
 #include "serve/cost_model.hpp"
-#include "serve/priced_cache.hpp"
 #include "serve/route_objective.hpp"
 #include "serve/stats_sink.hpp"
 
@@ -104,43 +102,14 @@ Scheduler::classSpec(const ClusterSpec::InstanceClass &cls,
 ServeResult
 Scheduler::run() const
 {
-    const std::vector<ClusterSpec::InstanceClass> classes =
-        resolveClasses();
-
-    // Price each (class, scenario) pair once, through the
-    // process-wide cache: runs are deterministic in their spec, so
-    // the cached curve is exactly the time any instance of the class
-    // spends replaying a co-batch of the scenario.
-    CostCurves curves(classes.size());
-    EnergyCurves energy(classes.size());
-    std::vector<std::vector<double>> clock(classes.size());
-    PricedScenarioCache &cache = PricedScenarioCache::global();
-    const std::uint64_t cache_hits = cache.hits();
-    const std::uint64_t cache_misses = cache.misses();
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-        curves[c].reserve(config_.scenarios.size());
-        energy[c].reserve(config_.scenarios.size());
-        clock[c].reserve(config_.scenarios.size());
-        for (const ServeScenario &scenario : config_.scenarios) {
-            const PricedScenarioCache::Priced priced =
-                cache.priceCurve(classes[c].platform,
-                                 classSpec(classes[c], scenario),
-                                 config_);
-            curves[c].push_back(priced.cyclesByBatch);
-            energy[c].push_back(priced.joulesByBatch);
-            clock[c].push_back(priced.clockHz);
-        }
-    }
+    PricedScenarioCache::Lookups lookups;
     ServeResult result =
-        simulate(classes, normalizeClocks(std::move(curves), clock),
-                 energy, clock[0].back());
-    // The pricing phase above is this run's cache traffic; snapshot
-    // deltas make affinity's locality benefit observable per run.
-    // Counters are process-global, so a concurrent sweep's pricing
-    // can bleed into the window — treat these as observability, not
-    // an exact ledger.
-    result.stats.pricedCacheHits = cache.hits() - cache_hits;
-    result.stats.pricedCacheMisses = cache.misses() - cache_misses;
+        priceAndSimulate(PricedScenarioCache::global(), &lookups);
+    // This run's own lookups, nested unit and co-batch ones included,
+    // so affinity's locality benefit is observable per run however
+    // many runs price concurrently.
+    result.stats.pricedCacheHits = lookups.hits;
+    result.stats.pricedCacheMisses = lookups.misses;
     return result;
 }
 
@@ -151,54 +120,39 @@ Scheduler::run(const api::Platform &platform) const
         throw std::invalid_argument(
             "serve: explicit-platform run() supports homogeneous "
             "clusters only (use the registry path for a ClusterSpec)");
+    PricedScenarioCache local(platform);
+    return priceAndSimulate(local, nullptr);
+}
 
-    const std::unique_ptr<BatchCostModel> model =
-        api::Registry::global().makeCostModel(config_.batching.costModel);
+ServeResult
+Scheduler::priceAndSimulate(PricedScenarioCache &cache,
+                            PricedScenarioCache::Lookups *lookups) const
+{
+    const std::vector<ClusterSpec::InstanceClass> classes =
+        resolveClasses();
 
-    CostCurves curves(1);
-    EnergyCurves energy(1);
-    std::vector<std::vector<double>> clock(1);
-    curves[0].reserve(config_.scenarios.size());
-    energy[0].reserve(config_.scenarios.size());
-    clock[0].reserve(config_.scenarios.size());
-    for (const ServeScenario &scenario : config_.scenarios) {
-        api::RunSpec spec = scenario.spec;
-        spec.platform = config_.platform;
-        const api::RunResult run = platform.run(spec);
-        CostModelInputs in;
-        in.unitCycles = run.report.cycles;
-        in.weightLoadCycles = run.report.combWeightLoadCycles;
-        in.unitJoules = run.report.joules();
-        in.weightLoadJoules = run.report.weightLoadJoules();
-        in.maxBatch = config_.batching.maxBatch;
-        in.marginalFraction = config_.batching.marginalFraction;
-        // One co-batch run serves both curves (the registry path gets
-        // the same sharing from the PricedScenarioCache).
-        std::map<std::uint32_t, SimReport> co_batch;
-        auto measure = [&](std::uint32_t copies) -> const SimReport & {
-            auto it = co_batch.find(copies);
-            if (it == co_batch.end()) {
-                api::RunSpec batched = spec;
-                batched.batchCopies = copies;
-                it = co_batch
-                         .emplace(copies, platform.run(batched).report)
-                         .first;
-            }
-            return it->second;
-        };
-        in.measuredCycles = [&](std::uint32_t copies) {
-            return measure(copies).cycles;
-        };
-        in.measuredJoules = [&](std::uint32_t copies) {
-            return measure(copies).joules();
-        };
-        curves[0].push_back(model->curve(in));
-        energy[0].push_back(model->energyCurve(in));
-        clock[0].push_back(run.report.clockHz);
+    // Price each (class, scenario) pair once, through the cache: runs
+    // are deterministic in their spec, so the cached curve is exactly
+    // the time any instance of the class spends replaying a co-batch
+    // of the scenario.
+    CostCurves curves(classes.size());
+    EnergyCurves energy(classes.size());
+    std::vector<std::vector<double>> clock(classes.size());
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        curves[c].reserve(config_.scenarios.size());
+        energy[c].reserve(config_.scenarios.size());
+        clock[c].reserve(config_.scenarios.size());
+        for (const ServeScenario &scenario : config_.scenarios) {
+            const PricedScenarioCache::Priced priced = cache.priceCurve(
+                classes[c].platform, classSpec(classes[c], scenario),
+                config_, lookups);
+            curves[c].push_back(priced.cyclesByBatch);
+            energy[c].push_back(priced.joulesByBatch);
+            clock[c].push_back(priced.clockHz);
+        }
     }
-    return simulate(resolveClasses(),
-                    normalizeClocks(std::move(curves), clock), energy,
-                    clock[0].back());
+    return simulate(classes, normalizeClocks(std::move(curves), clock),
+                    energy, clock[0].back());
 }
 
 ServeResult
@@ -254,14 +208,12 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     const std::size_t max_batch = config_.batching.maxBatch;
     const bool raw_cycles = objective->scoresServiceCycles();
 
-    // Routing-spec switches. With both off the dispatch scan below
-    // runs the legacy free-class-only code path untouched, so
-    // default-config schedules (and the checked-in goldens) stay
-    // byte-identical.
+    // Routing-spec switches. Greedy routing is the candidate scan
+    // below with lookahead off (only free classes are candidates)
+    // and no affinity margin.
     const RoutingSpec &routing = config_.routing;
     const bool lookahead_on = routing.lookahead;
     const bool affinity_on = routing.affinityMargin > 0.0;
-    const bool routing_on = lookahead_on || affinity_on;
 
     // Objective scores depend only on (class, scenario, batch size),
     // so they price once into a flat table here and the hot loop
@@ -336,16 +288,13 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     });
 
     // ---- control plane ---------------------------------------------
-    // All of it compiles down to no-ops when control.enabled() is
-    // false: every branch below is gated, so the default path runs
-    // the exact legacy event sequence (and the checked-in goldens
-    // stay byte-identical).
+    // Scaling, the power cap, and preemption each act only when
+    // configured; with none of them the replica lifecycle below just
+    // alternates Idle/Busy and never invalidates a heap entry.
     const ControlPlaneSpec &control = config_.control;
-    const bool control_on = control.enabled();
-    const bool scaling_on =
-        control_on && control.scalingPolicy != "static";
-    const bool cap_on = control_on && control.powerCapWatts > 0.0;
-    const bool preempt_on = control_on && control.preemption;
+    const bool scaling_on = control.scalingPolicy != "static";
+    const bool cap_on = control.powerCapWatts > 0.0;
+    const bool preempt_on = control.preemption;
     const double cap_watts = control.powerCapWatts;
 
     // Cycle-valued control knobs resolve against the mean
@@ -371,9 +320,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
 
     // Per-class replica bounds. The instance arena is laid out at
     // each class's ceiling so autoscaling never reindexes anything;
-    // replicas beyond the initial count start Parked. With the
-    // control plane off every ceiling equals the configured count
-    // and the layout is exactly the legacy one.
+    // replicas beyond the initial count start Parked. Without
+    // scaling every ceiling equals the configured count.
     std::vector<std::uint32_t> min_rep(num_classes);
     std::vector<std::uint32_t> max_rep(num_classes);
     std::vector<std::uint32_t> init_rep(num_classes);
@@ -397,8 +345,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     std::vector<std::uint32_t> class_of(total_instances, 0);
     result.instances.resize(total_instances);
 
-    /** Replica lifecycle under the control plane. Without it every
-     *  instance just alternates Idle/Busy. */
+    /** Replica lifecycle. Without scaling every instance just
+     *  alternates Idle/Busy. */
     enum class InstState : std::uint8_t {
         Idle,     ///< active, free to dispatch (on its class heap)
         Busy,     ///< active, serving a batch
@@ -408,21 +356,20 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     };
 
     // Per-class ready lists keyed (last-freed cycle, instance id):
-    // each class's top is the instance the legacy linear scan would
-    // have picked within the class (least-recently-freed, then
-    // lowest id), and instance ids are assigned in class blocks, so
-    // comparing class representatives in class order reproduces the
-    // legacy whole-cluster scan byte-for-byte. Busy instances sit in
-    // one completion min-heap, making both "any instance free?" and
-    // "next completion event" O(log instances) instead of scans.
+    // each class's top is its least-recently-freed, then lowest-id,
+    // instance, and instance ids are assigned in class blocks, so
+    // comparing class representatives in class order ranks the
+    // whole cluster. Busy instances sit in one completion min-heap,
+    // making both "any instance free?" and "next completion event"
+    // O(log instances) instead of scans.
     //
     // Replica churn invalidates heap entries lazily: a free entry is
     // live only while its key equals last_freed[id] and the instance
     // is still Idle; a completion entry only while its key equals
     // expected_completion[id] (warm-ups ride the completion heap as
     // pseudo-completions validated against warm_ready[id]). Stale
-    // entries pop and drop. With the control plane off no entry is
-    // ever invalidated, so nothing is ever pruned.
+    // entries pop and drop. Only scaling and preemption invalidate
+    // entries; without them nothing is ever pruned.
     using InstanceKey = std::pair<Cycle, std::uint32_t>;
     using InstanceMinHeap =
         std::priority_queue<InstanceKey, std::vector<InstanceKey>,
@@ -510,7 +457,7 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
         double score = 0.0;
         InstanceKey rep{};
     };
-    std::vector<Candidate> cands(routing_on ? num_classes : 0);
+    std::vector<Candidate> cands(num_classes);
     std::uint64_t preempt_count = 0;
     Cycle preempted_cycles = 0;
     Cycle released_makespan = 0;
@@ -527,20 +474,23 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     std::deque<std::vector<ServeRequest>> deferred;
 
     const std::vector<TenantMix> tenants = resolvedTenants(config_);
-    std::optional<StreamingStatsSink> sink;
-    if (streaming)
-        sink.emplace(tenants.size(), num_classes,
-                     config_.stats.reservoirCapacity, config_.seed,
-                     config_.stats.flushEveryRequests, &std::cerr);
+    // Streaming runs fold each batch at dispatch into bounded
+    // reservoirs; materialized runs fold their records after the
+    // loop, with reservoirs large enough to hold every sample (exact
+    // percentiles) and no progress pulse.
+    StreamingStatsSink sink(
+        tenants.size(), num_classes,
+        streaming ? config_.stats.reservoirCapacity : total_requests,
+        config_.seed, streaming ? config_.stats.flushEveryRequests : 0,
+        &std::cerr);
 
     std::uint64_t served = 0;
     Cycle now = 0;
 
     while (served < total_requests) {
         // Release completions due by now back onto their class's
-        // ready list. The freed key keeps the completion cycle —
-        // exactly the legacy free_at value least-recently-freed ties
-        // compare. Under the control plane each entry is validated
+        // ready list. The freed key keeps the completion cycle, which
+        // least-recently-freed ties compare. Each entry is validated
         // first (stale entries from preemptions and cancelled
         // warm-ups drop), warm-ups come online, and draining
         // replicas park instead of re-listing.
@@ -549,26 +499,18 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
             completions.pop();
             const std::uint32_t inst = done.second;
             const std::uint32_t cls = class_of[inst];
-            if (!control_on) {
-                if (lookahead_on)
-                    expected_completion[inst] = kNeverCycle;
-                free_by_class[cls].push(done);
-                ++free_count;
+            const bool warmed = state[inst] == InstState::Warming &&
+                                done.first == warm_ready[inst];
+            const bool finished = (state[inst] == InstState::Busy ||
+                                   state[inst] == InstState::Draining) &&
+                                  done.first == expected_completion[inst];
+            // Anything else is stale: a cancelled warm-up, or the
+            // original completion of a batch preempted mid-flight.
+            if (!warmed && !finished)
                 continue;
-            }
-            if (state[inst] == InstState::Warming &&
-                done.first == warm_ready[inst]) {
-                state[inst] = InstState::Idle;
+            if (warmed) {
                 warm_ready[inst] = kNeverCycle;
-                free_by_class[cls].push(done);
-                last_freed[inst] = done.first;
-                ++free_count;
-                ++free_in_class[cls];
-                continue;
-            }
-            if ((state[inst] == InstState::Busy ||
-                 state[inst] == InstState::Draining) &&
-                done.first == expected_completion[inst]) {
+            } else {
                 expected_completion[inst] = kNeverCycle;
                 if (cap_on) {
                     current_watts -= busy_watts[inst];
@@ -576,23 +518,18 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                     if (current_watts < 1e-9)
                         current_watts = 0.0;
                 }
-                released_makespan =
-                    std::max(released_makespan, done.first);
+                released_makespan = std::max(released_makespan, done.first);
                 if (state[inst] == InstState::Draining) {
                     state[inst] = InstState::Parked;
-                    park_ready[inst] =
-                        satAddCycles(done.first, drain_cycles);
-                } else {
-                    state[inst] = InstState::Idle;
-                    free_by_class[cls].push(done);
-                    last_freed[inst] = done.first;
-                    ++free_count;
-                    ++free_in_class[cls];
+                    park_ready[inst] = satAddCycles(done.first, drain_cycles);
+                    continue;
                 }
-                continue;
             }
-            // Stale: a cancelled warm-up, or the original completion
-            // of a batch that was preempted mid-flight.
+            state[inst] = InstState::Idle;
+            free_by_class[cls].push(done);
+            last_freed[inst] = done.first;
+            ++free_count;
+            ++free_in_class[cls];
         }
         while (pending && pending->arrival <= now) {
             policy->admit(*pending);
@@ -698,8 +635,7 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
         // that the power cap (the only reason routing can refuse
         // while an instance is free) left it unplaced, and Held
         // reports that lookahead/affinity chose a busy class that
-        // frees soon. Identical to the legacy scan when the routing
-        // spec is default and the control plane is off.
+        // frees soon.
         enum class Placement : std::uint8_t {
             Dispatched,
             Blocked,
@@ -712,134 +648,60 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
             const std::size_t score_idx =
                 std::min(batch_size, max_batch) - 1;
 
-            std::size_t best_class = num_classes;
-            Cycle best = 0;
-            double best_score = 0.0;
-            Cycle best_key = 0;
-            Cycle best_wait = 0;
-            InstanceKey best_rep{};
             bool cap_skipped = false;
             bool affinity_hit = false;
             bool affinity_migrated = false;
 
-            if (!routing_on) {
-                // Among classes with a free instance, the configured
-                // objective scores each candidate on the batch's
-                // priced service cycles and joules — one
-                // precomputed-table lookup, never an objective call;
-                // ties break on service cycles, then the class
-                // representative's (last-freed, id) key — under the
-                // default "cycles" objective exactly the legacy
-                // order.
-                for (std::size_t c = 0; c < num_classes; ++c) {
-                    InstanceMinHeap &heap = free_by_class[c];
-                    if (control_on)
-                        while (!heap.empty() &&
-                               (state[heap.top().second] !=
-                                    InstState::Idle ||
-                                heap.top().first !=
-                                    last_freed[heap.top().second]))
-                            heap.pop();
-                    if (heap.empty())
-                        continue;
-                    const InstanceKey rep = heap.top();
-                    const Cycle cost =
-                        curveAt(curves[c][scenario], batch_size);
+            // One candidate per class: a free class at wait 0 (scored
+            // from the static table), and — under lookahead only — a
+            // busy class at its heap-top busy-until horizon (scored
+            // per dispatch, since the wait term is dynamic). Greedy
+            // routing is this scan with lookahead off: only free
+            // classes are candidates. The power cap filters only
+            // wait-0 candidates: holding for a busy class defers the
+            // draw to a completion that frees budget anyway.
+            //
+            // Candidates rank as they are found, on a deterministic
+            // chain: score (the raw integer completion horizon under
+            // "cycles"), then service cycles, then wait (a free class
+            // beats a busy tie), then the representative key. With
+            // lookahead off every wait is 0, so this ranks on score,
+            // then cost, then key.
+            std::size_t best_class = num_classes;
+            for (std::size_t c = 0; c < num_classes; ++c) {
+                Candidate &cand = cands[c];
+                cand.eligible = false;
+                InstanceMinHeap &heap = free_by_class[c];
+                while (!heap.empty() &&
+                       (state[heap.top().second] != InstState::Idle ||
+                        heap.top().first != last_freed[heap.top().second]))
+                    heap.pop();
+                if (heap.empty() && !lookahead_on)
+                    continue;
+                const Cycle cost = curveAt(curves[c][scenario], batch_size);
+                if (!heap.empty()) {
                     if (cap_on) {
                         const double watts =
-                            energyCurveAt(energy[c][scenario],
-                                          batch_size) *
+                            energyCurveAt(energy[c][scenario], batch_size) *
                             clock_hz / static_cast<double>(cost);
                         if (current_watts + watts > cap_watts) {
                             cap_skipped = true;
                             continue;
                         }
                     }
-                    const double cost_score =
-                        raw_cycles ? 0.0
-                                   : scores[c][scenario][score_idx];
-                    if (best_class == num_classes) {
-                        best_class = c;
-                        best = cost;
-                        best_score = cost_score;
-                        best_rep = rep;
-                        continue;
-                    }
-                    const int order =
-                        raw_cycles
-                            ? 0
-                            : compareScores(cost_score, best_score);
-                    if (order < 0 ||
-                        (order == 0 &&
-                         (cost < best ||
-                          (cost == best && rep < best_rep)))) {
-                        best_class = c;
-                        best = cost;
-                        best_score = cost_score;
-                        best_rep = rep;
-                    }
-                }
-            } else {
-                // Horizon-aware scan: every class is a candidate —
-                // free ones at wait 0 (scored from the static table,
-                // the wait-free case of the split), busy ones at
-                // their heap-top busy-until horizon (scored per
-                // dispatch, since the wait term is dynamic). The
-                // power cap filters only wait-0 candidates: holding
-                // for a busy class defers the draw to a completion
-                // that frees budget anyway.
-                for (std::size_t c = 0; c < num_classes; ++c) {
-                    Candidate &cand = cands[c];
-                    cand.eligible = false;
-                    InstanceMinHeap &heap = free_by_class[c];
-                    if (control_on)
-                        while (!heap.empty() &&
-                               (state[heap.top().second] !=
-                                    InstState::Idle ||
-                                heap.top().first !=
-                                    last_freed[heap.top().second]))
-                            heap.pop();
-                    const Cycle cost =
-                        curveAt(curves[c][scenario], batch_size);
-                    if (!heap.empty()) {
-                        if (cap_on) {
-                            const double watts =
-                                energyCurveAt(energy[c][scenario],
-                                              batch_size) *
-                                clock_hz / static_cast<double>(cost);
-                            if (current_watts + watts > cap_watts) {
-                                cap_skipped = true;
-                                continue;
-                            }
-                        }
-                        cand.eligible = true;
-                        cand.wait = 0;
-                        cand.cost = cost;
-                        cand.completionKey = cost;
-                        cand.rep = heap.top();
-                        cand.score =
-                            raw_cycles
-                                ? 0.0
-                                : scores[c][scenario][score_idx];
-                        continue;
-                    }
-                    if (!lookahead_on)
-                        continue;
+                    cand.wait = 0;
+                    cand.completionKey = cost;
+                    cand.rep = heap.top();
+                    cand.score =
+                        raw_cycles ? 0.0 : scores[c][scenario][score_idx];
+                } else {
                     InstanceMinHeap &busy = horizon_by_class[c];
                     while (!busy.empty()) {
-                        const InstanceKey top = busy.top();
-                        const std::uint32_t inst = top.second;
-                        const bool live =
-                            control_on
-                                ? ((state[inst] == InstState::Busy &&
-                                    top.first ==
-                                        expected_completion[inst]) ||
-                                   (state[inst] ==
-                                        InstState::Warming &&
-                                    top.first == warm_ready[inst]))
-                                : top.first ==
-                                      expected_completion[inst];
-                        if (live)
+                        const auto [until, inst] = busy.top();
+                        if ((state[inst] == InstState::Busy &&
+                             until == expected_completion[inst]) ||
+                            (state[inst] == InstState::Warming &&
+                             until == warm_ready[inst]))
                             break;
                         busy.pop();
                     }
@@ -847,93 +709,64 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                         continue;
                     // Completions due by now were already released,
                     // so a live horizon is strictly in the future.
-                    const Cycle wait = busy.top().first - now;
-                    cand.eligible = true;
-                    cand.wait = wait;
-                    cand.cost = cost;
-                    cand.completionKey = satAddCycles(wait, cost);
                     cand.rep = busy.top();
+                    cand.wait = cand.rep.first - now;
+                    cand.completionKey = satAddCycles(cand.wait, cost);
                     if (raw_cycles) {
                         cand.score = 0.0;
                     } else {
                         RouteCandidate rc;
                         rc.classIndex = c;
-                        rc.waitCycles = wait;
+                        rc.waitCycles = cand.wait;
                         rc.serviceCycles = cost;
-                        rc.joules = energyCurveAt(
-                            energy[c][scenario], batch_size);
+                        rc.joules =
+                            energyCurveAt(energy[c][scenario], batch_size);
                         rc.batchSize = batch_size;
                         cand.score = objective->score(rc, clock_hz);
                     }
                 }
-                // Deterministic chain: score (raw integer completion
-                // horizon under "cycles"), then service cycles, then
-                // wait (a free class beats a busy tie), then the
-                // representative key. With lookahead off every wait
-                // is 0 and this is exactly the legacy chain.
-                for (std::size_t c = 0; c < num_classes; ++c) {
-                    const Candidate &cand = cands[c];
-                    if (!cand.eligible)
-                        continue;
-                    if (best_class == num_classes) {
-                        best_class = c;
-                        best = cand.cost;
-                        best_score = cand.score;
-                        best_key = cand.completionKey;
-                        best_wait = cand.wait;
-                        best_rep = cand.rep;
-                        continue;
-                    }
-                    const int order =
-                        raw_cycles
-                            ? (cand.completionKey < best_key   ? -1
-                               : cand.completionKey > best_key ? 1
-                                                               : 0)
-                            : compareScores(cand.score, best_score);
-                    if (order < 0 ||
-                        (order == 0 &&
-                         (cand.cost < best ||
-                          (cand.cost == best &&
-                           (cand.wait < best_wait ||
-                            (cand.wait == best_wait &&
-                             cand.rep < best_rep)))))) {
-                        best_class = c;
-                        best = cand.cost;
-                        best_score = cand.score;
-                        best_key = cand.completionKey;
-                        best_wait = cand.wait;
-                        best_rep = cand.rep;
-                    }
+                cand.eligible = true;
+                cand.cost = cost;
+                if (best_class == num_classes) {
+                    best_class = c;
+                    continue;
                 }
-                // Affinity retention: stay on the scenario's
-                // last-served class unless the winner's score beats
-                // it by more than the configured relative margin.
-                // Without lookahead a busy incumbent is not a
-                // candidate, so retention only arbitrates among free
-                // classes.
-                if (affinity_on && best_class != num_classes) {
-                    const std::size_t last = last_class[scenario];
-                    if (last < num_classes && last != best_class &&
-                        cands[last].eligible) {
-                        const double keep =
-                            1.0 - routing.affinityMargin;
-                        const double best_metric =
-                            raw_cycles
-                                ? static_cast<double>(best_key)
-                                : best_score;
-                        const double last_metric =
-                            raw_cycles ? static_cast<double>(
-                                             cands[last].completionKey)
-                                       : cands[last].score;
-                        if (best_metric < last_metric * keep) {
-                            affinity_migrated = true;
-                        } else {
-                            affinity_hit = true;
-                            best_class = last;
-                            best = cands[last].cost;
-                            best_wait = cands[last].wait;
-                            best_rep = cands[last].rep;
-                        }
+                const Candidate &best = cands[best_class];
+                const int order =
+                    raw_cycles
+                        ? (cand.completionKey < best.completionKey   ? -1
+                           : cand.completionKey > best.completionKey ? 1
+                                                                     : 0)
+                        : compareScores(cand.score, best.score);
+                if (order < 0 ||
+                    (order == 0 &&
+                     (cand.cost < best.cost ||
+                      (cand.cost == best.cost &&
+                       (cand.wait < best.wait ||
+                        (cand.wait == best.wait &&
+                         cand.rep < best.rep))))))
+                    best_class = c;
+            }
+            // Affinity retention: stay on the scenario's last-served
+            // class unless the winner's score beats it by more than
+            // the configured relative margin. Without lookahead a
+            // busy incumbent is not a candidate, so retention only
+            // arbitrates among free classes.
+            if (affinity_on && best_class != num_classes) {
+                const std::size_t last = last_class[scenario];
+                if (last < num_classes && last != best_class &&
+                    cands[last].eligible) {
+                    auto metric = [raw_cycles](const Candidate &cand) {
+                        return raw_cycles
+                                   ? static_cast<double>(cand.completionKey)
+                                   : cand.score;
+                    };
+                    if (metric(cands[best_class]) <
+                        metric(cands[last]) * (1.0 - routing.affinityMargin)) {
+                        affinity_migrated = true;
+                    } else {
+                        affinity_hit = true;
+                        best_class = last;
                     }
                 }
             }
@@ -950,28 +783,27 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                     const Cycle cost =
                         curveAt(curves[c][scenario], batch_size);
                     const double watts =
-                        energyCurveAt(energy[c][scenario],
-                                      batch_size) *
+                        energyCurveAt(energy[c][scenario], batch_size) *
                         clock_hz / static_cast<double>(cost);
-                    if (best_class == num_classes ||
-                        watts < min_watts) {
+                    if (best_class == num_classes || watts < min_watts) {
                         best_class = c;
-                        best = cost;
-                        best_rep = free_by_class[c].top();
                         min_watts = watts;
+                        cands[c].wait = 0;
+                        cands[c].cost = cost;
+                        cands[c].rep = free_by_class[c].top();
                     }
                 }
             }
             if (best_class == num_classes)
                 return Placement::Blocked;
-            if (best_wait > 0)
+            if (cands[best_class].wait > 0)
                 return Placement::Held;
 
-            const std::uint32_t inst = best_rep.second;
+            const std::uint32_t inst = cands[best_class].rep.second;
             free_by_class[best_class].pop();
             --free_count;
 
-            const Cycle service = best;
+            const Cycle service = cands[best_class].cost;
             policy->onDispatch(members, service);
             const Cycle completion = now + service;
             const double joules = energyCurveAt(
@@ -980,9 +812,9 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                 streaming ? 0 : result.batches.size();
 
             if (streaming) {
-                sink->onBatch(now, completion, joules,
-                              static_cast<std::uint32_t>(best_class),
-                              members);
+                sink.onBatch(now, completion, joules,
+                             static_cast<std::uint32_t>(best_class),
+                             members);
             } else {
                 BatchRecord batch;
                 batch.id = batch_id;
@@ -1018,36 +850,33 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                 result.batches.push_back(std::move(batch));
             }
 
-            if (control_on) {
-                state[inst] = InstState::Busy;
-                --free_in_class[best_class];
-                expected_completion[inst] = completion;
-                if (cap_on) {
-                    const double watts =
-                        joules * clock_hz /
-                        static_cast<double>(service);
-                    busy_watts[inst] = watts;
-                    current_watts += watts;
-                    peak_watts =
-                        std::max(peak_watts, current_watts);
-                }
+            state[inst] = InstState::Busy;
+            --free_in_class[best_class];
+            expected_completion[inst] = completion;
+            if (cap_on) {
+                const double watts =
+                    joules * clock_hz / static_cast<double>(service);
+                busy_watts[inst] = watts;
+                current_watts += watts;
+                peak_watts = std::max(peak_watts, current_watts);
+            }
+            if (scaling_on) {
                 window_dispatched += batch_size;
-                Cycle min_deadline = kNeverCycle;
-                for (const ServeRequest &member : members) {
-                    min_deadline =
-                        std::min(min_deadline, member.deadline);
+                for (const ServeRequest &member : members)
                     if (member.deadline != kNeverCycle &&
                         completion > member.deadline)
                         ++window_missed;
-                }
-                if (preempt_on) {
-                    run_members[inst] = members;
-                    run_dispatch[inst] = now;
-                    run_service[inst] = service;
-                    run_joules[inst] = joules;
-                    run_batch[inst] = batch_id;
-                    run_min_deadline[inst] = min_deadline;
-                }
+            }
+            if (preempt_on) {
+                Cycle min_deadline = kNeverCycle;
+                for (const ServeRequest &member : members)
+                    min_deadline = std::min(min_deadline, member.deadline);
+                run_members[inst] = members;
+                run_dispatch[inst] = now;
+                run_service[inst] = service;
+                run_joules[inst] = joules;
+                run_batch[inst] = batch_id;
+                run_min_deadline[inst] = min_deadline;
             }
 
             InstanceRecord &instance = result.instances[inst];
@@ -1055,11 +884,8 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
             instance.requests += batch_size;
             instance.busyCycles += service;
             completions.push({completion, inst});
-            if (lookahead_on) {
+            if (lookahead_on)
                 horizon_by_class[best_class].push({completion, inst});
-                if (!control_on)
-                    expected_completion[inst] = completion;
-            }
             if (affinity_on) {
                 if (affinity_hit)
                     ++affinity_hits;
@@ -1067,8 +893,6 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                     ++affinity_migrations;
                 last_class[scenario] = best_class;
             }
-            if (!control_on)
-                result.makespan = std::max(result.makespan, completion);
             served += batch_size;
             return Placement::Dispatched;
         };
@@ -1222,23 +1046,16 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
         now = next;
     }
 
-    if (control_on) {
-        // Work completions still in flight at exit count toward the
-        // makespan; warm-up pseudo-completions and stale entries from
-        // preemptions do not.
-        result.makespan = released_makespan;
-        while (!completions.empty()) {
-            const InstanceKey done = completions.top();
-            completions.pop();
-            const std::uint32_t inst = done.second;
-            if ((state[inst] == InstState::Busy ||
-                 state[inst] == InstState::Draining) &&
-                done.first == expected_completion[inst]) {
-                expected_completion[inst] = kNeverCycle;
-                result.makespan =
-                    std::max(result.makespan, done.first);
-            }
-        }
+    // Work completions still in flight at exit count toward the
+    // makespan; warm-up pseudo-completions and stale entries from
+    // preemptions do not.
+    result.makespan = released_makespan;
+    for (; !completions.empty(); completions.pop()) {
+        const auto [done, inst] = completions.top();
+        if ((state[inst] == InstState::Busy ||
+             state[inst] == InstState::Draining) &&
+            done == expected_completion[inst])
+            result.makespan = std::max(result.makespan, done);
     }
 
     for (InstanceRecord &instance : result.instances)
@@ -1248,38 +1065,47 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
                       static_cast<double>(result.makespan)
                 : 0.0;
 
+    // Materialized runs fold their records through the same sink
+    // streaming runs fed at dispatch, in the same (dispatch) order.
+    // Each batch charges the members whose record it finally
+    // served, so a preempted batch still counts its batch and its
+    // burned joules but charges no member.
+    if (!streaming) {
+        std::vector<ServeRequest> members;
+        for (const BatchRecord &batch : result.batches) {
+            members.clear();
+            for (std::uint64_t id : batch.requestIds) {
+                const RequestRecord &r = result.requests[id];
+                if (r.batch == batch.id)
+                    members.push_back(
+                        {r.id, r.tenant, r.scenario, r.arrival, r.deadline});
+            }
+            sink.onBatch(batch.dispatch, batch.completion, batch.joules,
+                         class_of[batch.instance], members);
+        }
+    }
+
     std::vector<std::string> class_labels;
     class_labels.reserve(classes.size());
     for (const ClusterSpec::InstanceClass &cls : classes)
         class_labels.push_back(cls.label());
-
-    if (streaming)
-        result.stats =
-            sink->finish(result.instances, result.makespan,
-                         result.clockHz, tenants, class_labels);
-    else
-        result.stats = computeServeStats(
-            result.requests, result.batches, result.instances,
-            result.makespan, result.clockHz, tenants, class_labels);
+    result.stats = sink.finish(result.instances, result.makespan,
+                               result.clockHz, tenants, class_labels);
     result.stats.deadlineCapsAvoided = policy->deadlineCapsAvoided();
-    if (routing_on) {
-        result.stats.lookaheadHolds = lookahead_holds;
-        result.stats.affinityHits = affinity_hits;
-        result.stats.affinityMigrations = affinity_migrations;
-    }
-    if (control_on) {
-        result.stats.powerDeferredBatches = power_deferred;
-        result.stats.peakClusterWatts = peak_watts;
-        if (result.makespan > 0)
-            result.stats.meanClusterWatts =
-                result.stats.totalJoules * clock_hz /
-                static_cast<double>(result.makespan);
-        result.stats.preemptions = preempt_count;
-        result.stats.preemptedCycles = preempted_cycles;
-        result.stats.scaleUpEvents = scale_ups;
-        result.stats.scaleDownEvents = scale_downs;
-        result.stats.replicaTimelines = std::move(timelines);
-    }
+    result.stats.lookaheadHolds = lookahead_holds;
+    result.stats.affinityHits = affinity_hits;
+    result.stats.affinityMigrations = affinity_migrations;
+    result.stats.powerDeferredBatches = power_deferred;
+    result.stats.peakClusterWatts = peak_watts;
+    if (control.enabled() && result.makespan > 0)
+        result.stats.meanClusterWatts = result.stats.totalJoules *
+                                        clock_hz /
+                                        static_cast<double>(result.makespan);
+    result.stats.preemptions = preempt_count;
+    result.stats.preemptedCycles = preempted_cycles;
+    result.stats.scaleUpEvents = scale_ups;
+    result.stats.scaleDownEvents = scale_downs;
+    result.stats.replicaTimelines = std::move(timelines);
     return result;
 }
 

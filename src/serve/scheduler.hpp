@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "serve/policy.hpp"
+#include "serve/priced_cache.hpp"
 #include "serve/serve_stats.hpp"
 #include "serve/workload.hpp"
 
@@ -112,9 +113,12 @@ class Scheduler
     /**
      * Simulate on an explicit platform (ignoring config.platform's
      * registry key), so the scheduler is drivable with a stub.
-     * Prices directly — stub results never enter the process-wide
-     * cache. Homogeneous clusters only: throws std::invalid_argument
-     * when the config carries an explicit ClusterSpec.
+     * Prices through the same cache code as run(), on a run-local
+     * PricedScenarioCache bound to @p platform, so stub results
+     * never enter the process-wide cache (and the run reports no
+     * process-wide cache traffic). Homogeneous clusters only: throws
+     * std::invalid_argument when the config carries an explicit
+     * ClusterSpec.
      */
     ServeResult run(const api::Platform &platform) const;
 
@@ -126,6 +130,11 @@ class Scheduler
     /** Scenario spec as priced on @p cls. */
     api::RunSpec classSpec(const ClusterSpec::InstanceClass &cls,
                            const ServeScenario &scenario) const;
+
+    /** Price every (class, scenario) curve through @p cache, adding
+     *  its lookups to @p lookups when given, then simulate. */
+    ServeResult priceAndSimulate(PricedScenarioCache &cache,
+                                 PricedScenarioCache::Lookups *lookups) const;
 
     /** Event loop over a priced cluster. */
     ServeResult

@@ -3,9 +3,9 @@
  * Per-request, per-batch, and per-instance outcome records of a
  * serving simulation, and the aggregate ServeStats derived from them
  * (throughput, utilization, latency percentiles, per-tenant SLO
- * accounting, per-instance-class breakdowns). The percentile math
- * itself lives in sim/stats so any consumer of StatGroup-style
- * metrics can reuse it.
+ * accounting, per-instance-class breakdowns) by StreamingStatsSink
+ * (serve/stats_sink.hpp). The percentile math itself lives in
+ * sim/stats so any consumer of StatGroup-style metrics can reuse it.
  */
 
 #ifndef HYGCN_SERVE_SERVE_STATS_HPP
@@ -195,9 +195,10 @@ struct ServeStats
      *  the rival's score beat the margin. */
     std::uint64_t affinityMigrations = 0;
 
-    /** PricedScenarioCache lookups this run served from cache /
-     *  priced fresh (snapshot deltas around the run's pricing
-     *  phase; 0/0 for runs that price outside the cache). */
+    /** Process-wide PricedScenarioCache lookups this run's own
+     *  pricing served from cache / priced fresh, nested unit and
+     *  co-batch lookups included (0/0 for runs on an injected
+     *  platform, which price in a run-local cache). */
     std::uint64_t pricedCacheHits = 0;
     std::uint64_t pricedCacheMisses = 0;
 
@@ -245,19 +246,6 @@ struct ServeStats
      *  applied scaling action. Empty with "static" scaling. */
     std::vector<std::vector<ReplicaSample>> replicaTimelines;
 };
-
-/**
- * Derive the aggregate stats of a finished run. @p tenants is the
- * resolved tenant list (the single default tenant when the config
- * declares none) and @p class_labels the resolved instance-class
- * labels; instance records carry their classIndex.
- */
-ServeStats computeServeStats(const std::vector<RequestRecord> &requests,
-                             const std::vector<BatchRecord> &batches,
-                             const std::vector<InstanceRecord> &instances,
-                             Cycle makespan, double clock_hz,
-                             const std::vector<TenantMix> &tenants,
-                             const std::vector<std::string> &class_labels);
 
 } // namespace hygcn::serve
 

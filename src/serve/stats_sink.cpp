@@ -12,9 +12,7 @@ namespace hygcn::serve {
 LatencyReservoir::LatencyReservoir(std::size_t capacity,
                                    std::uint64_t seed)
     : capacity_(std::max<std::size_t>(capacity, 1)), rng_(seed)
-{
-    samples_.reserve(capacity_);
-}
+{}
 
 void
 LatencyReservoir::add(double sample)
@@ -87,8 +85,8 @@ StreamingStatsSink::onBatch(Cycle dispatch, Cycle completion,
     if (members.empty())
         return;
 
-    // Identical member charges to computeServeStats(): each batch's
-    // cycles and joules split evenly across its members.
+    // Each batch's cycles and joules split evenly across its
+    // members.
     const double size = static_cast<double>(members.size());
     const double member_cycles =
         static_cast<double>(completion - dispatch) / size;

@@ -1,17 +1,16 @@
 /**
  * @file
- * Streaming aggregation of ServeStats: running accumulators plus
- * deterministic reservoir percentiles, fed one dispatched batch at a
- * time, so million-request runs never materialize a RequestRecord
- * per request. The sink mirrors computeServeStats() exactly — same
- * formulas, same percentile convention (sim/stats) — differing only
- * in accumulation order (dispatch order instead of request-id
- * order), so a streamed run's stats match a materialized run's to
- * floating-point accumulation noise, and percentiles match exactly
- * while the sample count fits the reservoir. An optional periodic
- * flush prints one running-stats line every N served requests, in
- * the spirit of a flow meter's periodic stats dump, so multi-minute
- * runs show a pulse.
+ * The one aggregation of ServeStats: running accumulators plus
+ * deterministic reservoir percentiles, fed one batch at a time.
+ * Streaming runs feed it at dispatch, so million-request runs never
+ * materialize a RequestRecord per request; materialized runs feed it
+ * from their records after the loop, in the same dispatch order and
+ * with reservoirs that hold every sample, so both collection modes
+ * share every formula and percentile convention (sim/stats), and
+ * percentiles match exactly while the sample count fits the
+ * reservoir. An optional periodic flush prints one running-stats
+ * line every N served requests, in the spirit of a flow meter's
+ * periodic stats dump, so multi-minute runs show a pulse.
  */
 
 #ifndef HYGCN_SERVE_STATS_SINK_HPP
@@ -33,7 +32,9 @@ namespace hygcn::serve {
  * given seed). Holds every sample until capacity, after which each
  * new sample replaces a uniformly-chosen slot with probability
  * capacity/seen — percentiles are exact below capacity and an
- * unbiased estimate beyond it.
+ * unbiased estimate beyond it. Storage grows with the samples held,
+ * never pre-reserved, so a capacity sized to hold a whole run costs
+ * only what the run offers.
  */
 class LatencyReservoir
 {
@@ -47,7 +48,7 @@ class LatencyReservoir
 
     /** True while every offered sample is still held, i.e. while
      *  percentile() is exact rather than estimated. */
-    bool exact() const { return seen_ <= samples_.capacity(); }
+    bool exact() const { return seen_ <= capacity_; }
 
     /** Sorted copy of the retained samples. */
     std::vector<double> sorted() const;
@@ -63,12 +64,12 @@ class LatencyReservoir
 };
 
 /**
- * Streaming twin of computeServeStats(): onBatch() folds each
- * dispatched batch into running sums (mean/max latency, queue wait,
- * per-tenant SLO and served-share accounting, per-class joules) and
- * latency reservoirs; finish() assembles the ServeStats. Instance
- * records stay materialized in the scheduler — instances are few —
- * and feed the utilization and per-class rollups at finish().
+ * onBatch() folds each batch into running sums (mean/max latency,
+ * queue wait, per-tenant SLO and served-share accounting, per-class
+ * joules) and latency reservoirs; finish() assembles the ServeStats.
+ * Instance records stay materialized in the scheduler — instances
+ * are few — and feed the utilization and per-class rollups at
+ * finish().
  */
 class StreamingStatsSink
 {
@@ -86,8 +87,9 @@ class StreamingStatsSink
                        std::uint64_t seed, std::uint64_t flush_every,
                        std::ostream *flush_to);
 
-    /** Fold one dispatched batch (its members, timing, routed class,
-     *  and priced energy) into the running aggregates. */
+    /** Fold one batch (the members it charges, its timing, routed
+     *  class, and energy) into the running aggregates. The batch
+     *  counts toward batches and joules even with no members. */
     void onBatch(Cycle dispatch, Cycle completion, double joules,
                  std::uint32_t class_index,
                  const std::vector<ServeRequest> &members);
@@ -96,9 +98,11 @@ class StreamingStatsSink
     std::uint64_t requests() const { return requests_; }
 
     /**
-     * Assemble the aggregate stats, mirroring computeServeStats()'s
-     * signature from the sink's accumulators plus the scheduler's
-     * instance records.
+     * Assemble the aggregate stats from the sink's accumulators plus
+     * the scheduler's instance records. @p tenants is the resolved
+     * tenant list (the single default tenant when the config
+     * declares none) and @p class_labels the resolved instance-class
+     * labels; instance records carry their classIndex.
      */
     ServeStats finish(const std::vector<InstanceRecord> &instances,
                       Cycle makespan, double clock_hz,

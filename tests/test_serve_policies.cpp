@@ -435,6 +435,31 @@ TEST(PricedScenarioCache, PricesEachScenarioOnceProcessWide)
     EXPECT_EQ(cache.misses(), 2 * misses_first);
 }
 
+TEST(PricedScenarioCache, ConcurrentRunsCountOnlyTheirOwnLookups)
+{
+    // Two runs pricing disjoint scenarios at the same time from a
+    // cleared cache: each reports exactly the lookups its own pricing
+    // made (a curve entry plus the nested unit entry it assembles
+    // from), however their pricing interleaves.
+    ServeConfig cora = aggConfig();
+    cora.scenarios.resize(1);
+    ServeConfig citeseer = cora;
+    citeseer.scenarios[0] = aggConfig().scenarios[1];
+
+    PricedScenarioCache &cache = PricedScenarioCache::global();
+    cache.clear();
+    ServeResult a, b;
+    std::thread ta([&] { a = runServe(cora); });
+    std::thread tb([&] { b = runServe(citeseer); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(a.stats.pricedCacheMisses, 2u);
+    EXPECT_EQ(a.stats.pricedCacheHits, 0u);
+    EXPECT_EQ(b.stats.pricedCacheMisses, 2u);
+    EXPECT_EQ(b.stats.pricedCacheHits, 0u);
+    EXPECT_EQ(cache.misses(), 4u);
+}
+
 TEST(PricedScenarioCache, KeysSeparatePerClassConfigs)
 {
     PricedScenarioCache &cache = PricedScenarioCache::global();
