@@ -1,7 +1,7 @@
 /**
  * @file
  * Ablations of HyGCN's individual design choices, beyond the paper's
- * bundled comparisons (DESIGN.md validation list):
+ * bundled comparisons (README.md, "Modelling substitutions"):
  *
  *  1. Window sliding alone vs sliding+shrinking (Fig 5 decomposes
  *     the mechanism but the paper only evaluates the combination).

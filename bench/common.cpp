@@ -96,7 +96,7 @@ banner(const std::string &experiment, const std::string &what)
                 "=============================\n");
     std::printf("%s — %s\n", experiment.c_str(), what.c_str());
     std::printf("(synthetic Table-4 stand-in datasets; Reddit at 1/20 "
-                "scale; see DESIGN.md)\n");
+                "scale; see README.md, Modelling substitutions)\n");
     std::printf("==============================================="
                 "=============================\n");
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * PyG-CPU baseline cost model (DESIGN.md substitution 3): an
+ * PyG-CPU baseline cost model (README.md modelling substitution 3): an
  * execution-driven model of PyTorch Geometric on a dual-socket Xeon
  * E5-2680 v3. The irregular Aggregation phase is replayed through a
  * set-associative L1/L2/L3 simulator (yielding the Table 2 MPKI and

@@ -1,6 +1,6 @@
 /**
  * @file
- * PyG-GPU baseline cost model (DESIGN.md substitution 4): NVIDIA
+ * PyG-GPU baseline cost model (README.md modelling substitution 4): NVIDIA
  * V100 roofline — 14 TFLOPS SP, ~900 GB/s HBM2 — with an
  * irregular-gather efficiency factor for Aggregation, kernel-launch
  * and thread copy/synchronization overheads, and an occupancy model

@@ -5,7 +5,7 @@
  * The real files (Planetoid/TU-Dortmund/Reddit) are not available
  * offline, so each dataset is a deterministic synthetic stand-in with
  * the same vertex count, directed edge count, feature length, and a
- * matching degree shape (see DESIGN.md, substitution 5). The
+ * matching degree shape (README.md, "Modelling substitutions", 5). The
  * multi-graph kernels (IMDB-BINARY, COLLAB) are assembled from 128
  * generated components exactly as the paper batches 128 random graphs.
  */
@@ -77,7 +77,8 @@ Dataset makeDataset(DatasetId id, std::uint64_t seed = 1, double scale = 1.0);
 /**
  * Dataset at the default benchmarking scale: full Table 4 size for
  * IB/CR/CS/CL/PB and a 1/20-scale Reddit (11,648 vertices, average
- * degree preserved). The substitution is recorded in DESIGN.md.
+ * degree preserved). The substitution is recorded in README.md,
+ * "Modelling substitutions", 5.
  */
 Dataset makeDatasetScaledDefault(DatasetId id, std::uint64_t seed = 1);
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * HBM 1.0 timing model (Ramulator substitute, DESIGN.md sub. 2):
- * 8 channels x 16 banks, 2 KB row buffer, 32 B/cycle per channel at
- * 1 GHz = 256 GB/s aggregate. Models row-buffer hits/misses, bank
- * readiness, and channel data-bus occupancy; supports the low-bit
- * channel interleave the coordinator enables and a high-bit mapping
- * for the uncoordinated baseline (Fig 17).
+ * HBM 1.0 timing model (Ramulator substitute, README.md modelling
+ * substitution 2): 8 channels x 16 banks, 2 KB row buffer, 32 B/cycle
+ * per channel at 1 GHz = 256 GB/s aggregate. Models row-buffer
+ * hits/misses, bank readiness, and channel data-bus occupancy;
+ * supports the low-bit channel interleave the coordinator enables
+ * and a high-bit mapping for the uncoordinated baseline (Fig 17).
  */
 
 #ifndef HYGCN_MEM_DRAM_HPP

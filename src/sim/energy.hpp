@@ -5,7 +5,7 @@
  * counts architectural events and this table converts them into
  * picojoules. Constants are calibrated so that the *relative*
  * breakdowns of the paper (Table 7, Fig 11/12) are reproduced; see
- * DESIGN.md section 2.
+ * README.md, "Modelling substitutions", 1.
  */
 
 #ifndef HYGCN_SIM_ENERGY_HPP
