@@ -179,9 +179,9 @@ class ServeSession
      *  below adjust single knobs on it. */
     ServeSession &stats(serve::StatsSpec spec);
 
-    /** Stream aggregate stats through a StreamingStatsSink instead
-     *  of materializing per-request records, so memory stays bounded
-     *  at million-request scale (ServeConfig::streamingStats);
+    /** Fold each batch into the stats sink at dispatch instead of
+     *  materializing per-request records, so memory stays bounded
+     *  at million-request scale (StatsSpec::streaming);
      *  ServeResult.requests/.batches stay empty. */
     ServeSession &streamingStats(bool on = true);
 

@@ -189,16 +189,17 @@ struct BatchingSpec
  * Routing knobs, grouped: which objective scores candidate instance
  * classes, whether scoring looks past currently-free classes to each
  * class's busy-until horizon, and how sticky a scenario stays to the
- * class that last served it. Defaults — greedy "cycles" routing over
- * free classes only — reproduce the historic behavior byte-exactly.
+ * class that last served it. Every dispatch runs one candidate scan;
+ * greedy routing is that scan with lookahead off and margin 0 (the
+ * defaults, with the "cycles" objective).
  */
 struct RoutingSpec
 {
     /**
      * Registry key of the routing objective that scores candidate
-     * placements: "cycles" (the default — legacy cheapest-service-
-     * time routing, byte-identical schedules), "energy" (fewest
-     * joules per request), or "edp" (lowest energy-delay product).
+     * placements: "cycles" (the default — cheapest service time),
+     * "energy" (fewest joules per request), or "edp" (lowest
+     * energy-delay product).
      * Consults the joules(B) energy twin the cost model prices next
      * to cycles(B); under "cycles" that twin is never read.
      */
@@ -209,8 +210,8 @@ struct RoutingSpec
      * (wait-until-free + service) using its busy-until horizon, not
      * just the currently-free ones, so a batch can hold for a cheap
      * class about to free instead of burning an expensive idle one.
-     * Off by default — greedy free-class routing, byte-identical
-     * schedules.
+     * Off by default: only free classes are candidates, each at
+     * wait 0.
      */
     bool lookahead = false;
 
@@ -224,24 +225,26 @@ struct RoutingSpec
      */
     double affinityMargin = 0.0;
 
-    /** Any non-default routing path active? */
+    /** Lookahead or affinity engaged? (Selects the routing stats the
+     *  serve JSON emits.) */
     bool enabled() const { return lookahead || affinityMargin > 0.0; }
 };
 
-/** Stats-collection knobs, grouped: streaming aggregation and its
- *  reservoir/flush parameters. Defaults keep the materialized path
- *  (and the checked-in goldens) byte-identical. */
+/** Stats-collection knobs, grouped: whether per-request records
+ *  materialize, and the streaming reservoir/flush parameters. Either
+ *  way ServeStats comes from one StreamingStatsSink
+ *  (serve/stats_sink.hpp); by default the sink is fed from the
+ *  materialized records after the run. */
 struct StatsSpec
 {
     /**
      * Stream aggregate stats instead of materializing per-request
-     * records: ServeResult.requests and .batches stay empty and
-     * ServeStats is folded batch-by-batch through a StreamingStatsSink
-     * (serve/stats_sink.hpp), so memory stays bounded at
+     * records: ServeResult.requests and .batches stay empty and the
+     * sink folds each batch at dispatch, so memory stays bounded at
      * million-request scale. Percentiles come from a deterministic
      * reservoir — exact while the request count fits
      * reservoirCapacity, an unbiased estimate beyond it; every other
-     * stat matches the materialized path to accumulation-order noise.
+     * stat matches the materialized run exactly.
      */
     bool streaming = false;
 
@@ -265,10 +268,10 @@ struct StatsSpec
 /**
  * The cluster control plane: autoscaling, a cluster-wide power cap,
  * and batch preemption, all evaluated on the scheduler's event
- * timeline (serve/control_plane.hpp). The defaults — "static"
- * scaling, no cap, preemption off — disable every control path, and
- * the scheduler then reproduces pre-control-plane schedules
- * byte-identically.
+ * timeline (serve/control_plane.hpp). Every replica runs one
+ * lifecycle state machine (Idle, Busy, Warming, Draining, Parked);
+ * the defaults — "static" scaling, no cap, preemption off — leave it
+ * with no transitions beyond Idle <-> Busy.
  */
 struct ControlPlaneSpec
 {
@@ -346,9 +349,9 @@ struct ControlPlaneSpec
      * whose members carry no deadline. The victim's work re-enqueues
      * at its original queue position and the preempting instance
      * pays a checkpoint overhead priced from the victim scenario's
-     * cost curve. Incompatible with StatsSpec::streaming (the sink
-     * folds batches at dispatch time, before a preemption could
-     * undo one).
+     * cost curve. Incompatible with StatsSpec::streaming (a
+     * streaming sink folds batches at dispatch time, before a
+     * preemption could undo one).
      */
     bool preemption = false;
 
@@ -365,8 +368,8 @@ struct ControlPlaneSpec
     std::uint32_t minInstances = 0;
     std::uint32_t maxInstances = 0;
 
-    /** Any control path active? False for the defaults, and the
-     *  scheduler then runs the byte-identical legacy event loop. */
+    /** Any control feature engaged? False for the defaults; selects
+     *  the control block and stats the serve JSON emits. */
     bool enabled() const
     {
         return scalingPolicy != "static" || powerCapWatts > 0.0 ||
@@ -425,12 +428,13 @@ struct ServeConfig
     BatchingSpec batching;
 
     /** Routing: objective, queue-aware lookahead, and scenario→class
-     *  affinity (RoutingSpec defaults are the legacy greedy
-     *  free-class "cycles" routing, byte-identical). */
+     *  affinity (RoutingSpec defaults are greedy free-class "cycles"
+     *  routing). */
     RoutingSpec routing;
 
     /** Stats collection: streaming aggregation and its reservoir /
-     *  flush knobs. Defaults materialize per-request records. */
+     *  flush knobs. Defaults materialize per-request records and
+     *  fold them into the stats after the run. */
     StatsSpec stats;
 
     /** The cluster control plane: autoscaling, power cap, and batch
