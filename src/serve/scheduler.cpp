@@ -476,13 +476,15 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     const std::vector<TenantMix> tenants = resolvedTenants(config_);
     // Streaming runs fold each batch at dispatch into bounded
     // reservoirs; materialized runs fold their records after the
-    // loop, with reservoirs large enough to hold every sample (exact
-    // percentiles) and no progress pulse.
-    StreamingStatsSink sink(
-        tenants.size(), num_classes,
-        streaming ? config_.stats.reservoirCapacity : total_requests,
-        config_.seed, streaming ? config_.stats.flushEveryRequests : 0,
-        &std::cerr);
+    // loop into unbounded ones (exact percentiles), with no progress
+    // pulse.
+    StreamingStatsSink sink(tenants.size(), num_classes,
+                            streaming ? config_.stats.reservoirCapacity
+                                      : LatencyReservoir::kUnbounded,
+                            config_.seed,
+                            streaming ? config_.stats.flushEveryRequests
+                                      : 0,
+                            &std::cerr);
 
     std::uint64_t served = 0;
     Cycle now = 0;

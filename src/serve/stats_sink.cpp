@@ -12,7 +12,10 @@ namespace hygcn::serve {
 LatencyReservoir::LatencyReservoir(std::size_t capacity,
                                    std::uint64_t seed)
     : capacity_(std::max<std::size_t>(capacity, 1)), rng_(seed)
-{}
+{
+    if (capacity_ != kUnbounded)
+        samples_.reserve(capacity_);
+}
 
 void
 LatencyReservoir::add(double sample)

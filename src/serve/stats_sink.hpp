@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <vector>
 
 #include "serve/serve_stats.hpp"
@@ -32,13 +33,17 @@ namespace hygcn::serve {
  * given seed). Holds every sample until capacity, after which each
  * new sample replaces a uniformly-chosen slot with probability
  * capacity/seen — percentiles are exact below capacity and an
- * unbiased estimate beyond it. Storage grows with the samples held,
- * never pre-reserved, so a capacity sized to hold a whole run costs
- * only what the run offers.
+ * unbiased estimate beyond it. A bounded reservoir reserves its
+ * capacity up front; an unbounded one holds every sample and grows
+ * with what the stream offers.
  */
 class LatencyReservoir
 {
   public:
+    /** Capacity of a reservoir that holds every sample. */
+    static constexpr std::size_t kUnbounded =
+        std::numeric_limits<std::size_t>::max();
+
     LatencyReservoir(std::size_t capacity, std::uint64_t seed);
 
     void add(double sample);
@@ -77,7 +82,8 @@ class StreamingStatsSink
     /**
      * @p num_tenants / @p num_classes size the per-tenant and
      * per-class accumulators; @p reservoir_capacity bounds each
-     * latency reservoir; @p seed derives the reservoirs' replacement
+     * latency reservoir (LatencyReservoir::kUnbounded keeps every
+     * sample); @p seed derives the reservoirs' replacement
      * streams; @p flush_every emits a running-stats line to
      * @p flush_to after every that-many served requests (0, or a
      * null stream, disables the pulse).
