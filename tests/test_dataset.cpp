@@ -25,6 +25,14 @@ const Expected kTable4[] = {
     {DatasetId::PB, "PB", 19717, 500, 88648, false},
 };
 
+// Print a case as its dataset: gtest's default byte dump includes the
+// `abbrev` pointer, which changes from one process to the next, and
+// the test names CTest discovers are built from this printout.
+void PrintTo(const Expected &e, std::ostream *os)
+{
+    *os << e.abbrev;
+}
+
 } // namespace
 
 class DatasetTable4 : public ::testing::TestWithParam<Expected>
