@@ -1,45 +1,57 @@
 #include "baseline/cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace hygcn {
 
 CacheLevel::CacheLevel(const CacheLevelConfig &config) : config_(config)
 {
+    if (config_.associativity == 0)
+        throw std::invalid_argument("cache associativity must be >= 1");
+    if (!std::has_single_bit(config_.lineBytes))
+        throw std::invalid_argument(
+            "cache lineBytes must be a non-zero power of two");
     const std::uint64_t lines = config_.capacityBytes / config_.lineBytes;
-    const std::uint64_t num_sets =
-        std::max<std::uint64_t>(1, lines / config_.associativity);
-    sets_.resize(num_sets);
-    for (auto &set : sets_)
-        set.reserve(config_.associativity);
+    numSets_ = std::max<std::uint64_t>(1, lines / config_.associativity);
+    lineShift_ = static_cast<unsigned>(std::countr_zero(config_.lineBytes));
+    setsPow2_ = std::has_single_bit(numSets_);
+    setMask_ = setsPow2_ ? numSets_ - 1 : 0;
+    tags_.assign(numSets_ * config_.associativity, 0);
+    fill_.assign(numSets_, 0);
 }
 
 bool
 CacheLevel::access(Addr addr)
 {
     ++accesses_;
-    const std::uint64_t line = addr / config_.lineBytes;
-    auto &set = sets_[line % sets_.size()];
+    const std::uint64_t line = addr >> lineShift_;
+    const std::uint64_t set = setsPow2_ ? (line & setMask_) : line % numSets_;
+    std::uint64_t *ways = tags_.data() + set * config_.associativity;
+    std::uint32_t &fill = fill_[set];
 
-    auto it = std::find(set.begin(), set.end(), line);
-    if (it != set.end()) {
-        // Move to MRU position.
-        set.erase(it);
-        set.insert(set.begin(), line);
-        return true;
+    // Move-to-front in one pass: each entry ahead of the match (or,
+    // on a miss, every entry) shifts one way toward the LRU end.
+    std::uint64_t carry = line;
+    for (std::uint32_t i = 0; i < fill; ++i) {
+        const std::uint64_t cur = ways[i];
+        ways[i] = carry;
+        if (cur == line)
+            return true;
+        carry = cur;
     }
     ++misses_;
-    if (set.size() >= config_.associativity)
-        set.pop_back();
-    set.insert(set.begin(), line);
+    // Miss: a full set drops its LRU entry (the last carry).
+    if (fill < config_.associativity)
+        ways[fill++] = carry;
     return false;
 }
 
 void
 CacheLevel::reset()
 {
-    for (auto &set : sets_)
-        set.clear();
+    std::fill(fill_.begin(), fill_.end(), 0);
     accesses_ = 0;
     misses_ = 0;
 }
@@ -66,7 +78,7 @@ CacheHierarchy::access(Addr addr)
 std::uint64_t
 CacheHierarchy::dramBytes() const
 {
-    return levels_.back().misses() * 64ull;
+    return levels_.back().misses() * levels_.back().lineBytes();
 }
 
 void

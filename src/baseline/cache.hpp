@@ -28,6 +28,10 @@ struct CacheLevelConfig
 class CacheLevel
 {
   public:
+    /**
+     * @throws std::invalid_argument if @p config has associativity 0
+     *         or a lineBytes that is 0 or not a power of two.
+     */
     explicit CacheLevel(const CacheLevelConfig &config);
 
     /** Access @p addr; returns true on hit. Fills on miss. */
@@ -35,15 +39,27 @@ class CacheLevel
 
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
-    std::uint64_t numSets() const { return sets_.size(); }
+    std::uint64_t numSets() const { return numSets_; }
+    std::uint32_t lineBytes() const { return config_.lineBytes; }
 
     /** Drop all contents and counters. */
     void reset();
 
   private:
     CacheLevelConfig config_;
-    /** Per set: tags in LRU order (front = most recent). */
-    std::vector<std::vector<std::uint64_t>> sets_;
+    std::uint64_t numSets_ = 1;
+    /** log2(lineBytes): line = addr >> lineShift_. */
+    unsigned lineShift_ = 0;
+    /** numSets_ - 1 if numSets_ is a power of two (set = line & mask). */
+    std::uint64_t setMask_ = 0;
+    bool setsPow2_ = true;
+    /**
+     * numSets_ x associativity line numbers, one row per set. The
+     * first fill_[set] entries of a row are valid, in LRU order
+     * (front = most recent).
+     */
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint32_t> fill_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };
@@ -63,7 +79,7 @@ class CacheHierarchy
 
     const CacheLevel &level(int idx) const { return levels_[idx - 1]; }
 
-    /** Bytes fetched from DRAM (L3 misses x line). */
+    /** Bytes fetched from DRAM (L3 misses x L3 line size). */
     std::uint64_t dramBytes() const;
 
     void reset();
