@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace hygcn {
 
@@ -15,29 +16,37 @@ struct RowCount
 };
 
 /**
- * Gather, for one destination interval, the sorted list of source
+ * Gather, for one destination interval, the ascending list of source
  * rows that hold at least one edge, with per-row edge counts.
+ *
+ * @param counts Per-row scratch sized to the vertex count; all zero on
+ *        entry and left all zero on return.
  */
 std::vector<RowCount>
-gatherRows(const CscView &view, VertexId dst_begin, VertexId dst_end)
+gatherRows(const CscView &view, VertexId dst_begin, VertexId dst_end,
+           std::vector<EdgeId> &counts)
 {
-    std::vector<VertexId> rows;
+    VertexId lo = view.numVertices;
+    std::size_t distinct = 0;
     for (VertexId dst = dst_begin; dst < dst_end; ++dst) {
-        auto srcs = view.sources(dst);
-        rows.insert(rows.end(), srcs.begin(), srcs.end());
+        for (VertexId src : view.sources(dst)) {
+            if (src >= view.numVertices)
+                throw std::invalid_argument(
+                    "buildWindowPlan: source row out of range");
+            distinct += counts[src]++ == 0;
+            lo = std::min(lo, src);
+        }
     }
-    std::sort(rows.begin(), rows.end());
 
-    std::vector<RowCount> counts;
-    counts.reserve(rows.size());
-    for (std::size_t i = 0; i < rows.size();) {
-        std::size_t j = i;
-        while (j < rows.size() && rows[j] == rows[i])
-            ++j;
-        counts.push_back({rows[i], static_cast<EdgeId>(j - i)});
-        i = j;
+    std::vector<RowCount> rows;
+    rows.reserve(distinct);
+    for (VertexId row = lo; rows.size() < distinct; ++row) {
+        if (counts[row] != 0) {
+            rows.push_back({row, counts[row]});
+            counts[row] = 0;
+        }
     }
-    return counts;
+    return rows;
 }
 
 /** Emit the fixed grid shards of Algorithm 2 (no elimination). */
@@ -121,13 +130,14 @@ buildWindowPlan(const CscView &view, VertexId interval_size,
     WindowPlan plan;
     const VertexId n = view.numVertices;
     const std::uint64_t grid_rows_per_interval = n;
+    std::vector<EdgeId> counts(n, 0);
 
     for (VertexId dst = 0; dst < n; dst += interval_size) {
         IntervalWork work;
         work.dstBegin = dst;
         work.dstEnd = std::min<VertexId>(dst + interval_size, n);
 
-        const auto rows = gatherRows(view, work.dstBegin, work.dstEnd);
+        const auto rows = gatherRows(view, work.dstBegin, work.dstEnd, counts);
         if (mode != WindowMode::Grid) {
             buildEffectualWindows(rows, window_height,
                                   max_edges_per_window,
