@@ -52,6 +52,9 @@ class OnChipBuffer
 
   private:
     std::string name_;
+    /** Stat keys name_ + ".read_bytes" / ".write_bytes", built once. */
+    std::string readKey_;
+    std::string writeKey_;
     std::uint64_t capacityBytes_;
     bool doubleBuffered_;
     std::string component_;

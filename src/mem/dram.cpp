@@ -15,8 +15,28 @@ HbmModel::HbmModel(const HbmConfig &config) : config_(config)
 }
 
 void
-HbmModel::foldChannelCounters() const
+HbmModel::foldCounters() const
 {
+    // A key appears once its event has happened, even when the delta
+    // is 0 (a zero-byte read still creates "dram.read_bytes").
+    auto fold = [this](const char *name, bool happened, std::uint64_t delta) {
+        if (happened)
+            stats_.add(name, delta);
+    };
+    const Counters &c = counters_;
+    const Counters &f = folded_;
+    const std::uint64_t new_requests =
+        (c.reads + c.writes) - (f.reads + f.writes);
+    fold("dram.row_hits", c.rowHits != f.rowHits, c.rowHits - f.rowHits);
+    fold("dram.row_misses", c.rowMisses != f.rowMisses,
+         c.rowMisses - f.rowMisses);
+    fold("dram.requests", new_requests != 0, new_requests);
+    fold("dram.busy_cycles", new_requests != 0, c.busyCycles - f.busyCycles);
+    fold("dram.read_bytes", c.reads != f.reads, c.readBytes - f.readBytes);
+    fold("dram.write_bytes", c.writes != f.writes,
+         c.writeBytes - f.writeBytes);
+    folded_ = counters_;
+
     for (std::uint32_t ch = 0; ch < config_.channels; ++ch) {
         const std::uint64_t delta =
             channelBytes_[ch] - foldedChannelBytes_[ch];
@@ -68,10 +88,10 @@ HbmModel::serviceOne(const MemRequest &request, Cycle start)
     // burst rate while a row miss pays precharge + activate.
     Cycle cas_issue = std::max(start, bank.ready);
     if (bank.openRow == row) {
-        stats_.add("dram.row_hits");
+        ++counters_.rowHits;
     } else {
         cas_issue += config_.tRP + config_.tRCD;
-        stats_.add("dram.row_misses");
+        ++counters_.rowMisses;
         bank.openRow = row;
     }
     const Cycle burst =
@@ -84,13 +104,15 @@ HbmModel::serviceOne(const MemRequest &request, Cycle start)
     // Column-to-column gap equals the burst length (tCCD).
     bank.ready = cas_issue + burst;
 
-    stats_.add("dram.requests");
-    stats_.add("dram.busy_cycles", burst);
+    counters_.busyCycles += burst;
     channelBytes_[ch_idx] += request.bytes;
-    if (request.isWrite)
-        stats_.add("dram.write_bytes", request.bytes);
-    else
-        stats_.add("dram.read_bytes", request.bytes);
+    if (request.isWrite) {
+        ++counters_.writes;
+        counters_.writeBytes += request.bytes;
+    } else {
+        ++counters_.reads;
+        counters_.readBytes += request.bytes;
+    }
     return end;
 }
 

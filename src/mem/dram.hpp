@@ -64,12 +64,12 @@ class HbmModel
      *  and per-channel "dram.chNN.bytes" counters). */
     const StatGroup &stats() const
     {
-        foldChannelCounters();
+        foldCounters();
         return stats_;
     }
     StatGroup &stats()
     {
-        foldChannelCounters();
+        foldCounters();
         return stats_;
     }
 
@@ -99,15 +99,31 @@ class HbmModel
                  std::int64_t &row) const;
 
     /**
-     * Mirror channelBytes_ into the "dram.chNN.bytes" counters.
-     * Deferred to stats() access so the per-request hot path pays a
-     * vector increment, not a string-keyed map lookup.
+     * Fold the typed counters below into stats_: each "dram.*" key
+     * gains the delta since the last fold, and appears once its event
+     * has happened. Deferred to stats() access so the per-request hot
+     * path bumps plain integers, not string-keyed map entries.
      */
-    void foldChannelCounters() const;
+    void foldCounters() const;
+
+    /** Per-request event tallies; a snapshot of these is folded. */
+    struct Counters
+    {
+        std::uint64_t rowHits = 0;
+        std::uint64_t rowMisses = 0;
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+        std::uint64_t busyCycles = 0;
+        std::uint64_t readBytes = 0;
+        std::uint64_t writeBytes = 0;
+    };
 
     HbmConfig config_;
     std::vector<Channel> channels_;
     mutable StatGroup stats_;
+    Counters counters_;
+    /** Portion of counters_ already folded into stats_. */
+    mutable Counters folded_;
     std::vector<std::uint64_t> channelBytes_;
     /** Portion of channelBytes_ already folded into stats_. */
     mutable std::vector<std::uint64_t> foldedChannelBytes_;

@@ -1,0 +1,185 @@
+/**
+ * Semantics of the HbmModel "dram.*" counters, which the model keeps
+ * as plain integers and folds into its StatGroup when stats() is
+ * read: values equal a hand tally of the requests, a key appears
+ * exactly when its event has happened, and clearing the group folds
+ * only later deltas. Also pins the OnChipBuffer stat keys.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "mem/buffer.hpp"
+#include "mem/dram.hpp"
+#include "mem/request.hpp"
+#include "sim/rng.hpp"
+
+using namespace hygcn;
+
+namespace {
+
+/** Expected "dram.*" counters, tallied request by request. */
+struct Tally
+{
+    using BankId = std::pair<std::uint64_t, std::uint64_t>;
+
+    HbmConfig config;
+    /** Open row per (channel, bank); absent = closed. */
+    std::map<BankId, std::uint64_t> openRows;
+    std::map<std::string, std::uint64_t> counters;
+
+    void add(const MemRequest &req)
+    {
+        // Low-bit channel interleave, as in the HBM model's mapping.
+        const std::uint64_t line = req.addr / kLineBytes;
+        const std::uint64_t lines_per_row = config.rowBytes / kLineBytes;
+        const std::uint64_t channel = line % config.channels;
+        const std::uint64_t in_channel = line / config.channels;
+        const std::uint64_t bank =
+            (in_channel / lines_per_row) % config.banksPerChannel;
+        const std::uint64_t row =
+            in_channel / (lines_per_row * config.banksPerChannel);
+
+        auto open = openRows.find({channel, bank});
+        if (open != openRows.end() && open->second == row) {
+            counters["dram.row_hits"] += 1;
+        } else {
+            counters["dram.row_misses"] += 1;
+            openRows[{channel, bank}] = row;
+        }
+        counters["dram.requests"] += 1;
+        counters["dram.busy_cycles"] +=
+            (req.bytes + config.bytesPerCycle - 1) / config.bytesPerCycle;
+        if (req.isWrite)
+            counters["dram.write_bytes"] += req.bytes;
+        else
+            counters["dram.read_bytes"] += req.bytes;
+        // Per-channel byte keys appear once they are non-zero.
+        if (req.bytes != 0) {
+            char name[32];
+            const auto ch = static_cast<unsigned>(channel);
+            std::snprintf(name, sizeof(name), "dram.ch%02u.bytes", ch);
+            counters[name] += req.bytes;
+        }
+    }
+};
+
+/** Seeded mixed stream over a few rows: hits, misses, reads, writes. */
+std::vector<MemRequest>
+mixedStream(std::size_t n, std::uint64_t seed, bool with_writes)
+{
+    Rng rng(seed);
+    std::vector<MemRequest> reqs;
+    for (std::size_t i = 0; i < n; ++i) {
+        MemRequest req;
+        req.addr = rng.nextBounded(256 * 1024);
+        req.bytes = static_cast<std::uint32_t>(32 * rng.nextBounded(5));
+        req.isWrite = with_writes && rng.nextBounded(3) == 0;
+        reqs.push_back(req);
+    }
+    return reqs;
+}
+
+/** The model's "dram.*" counters (the group holds nothing else). */
+std::map<std::string, std::uint64_t>
+dramCounters(HbmModel &hbm)
+{
+    return hbm.stats().counters();
+}
+
+} // namespace
+
+TEST(HbmCounters, MixedStreamMatchesHandTallyAtEveryRead)
+{
+    HbmModel hbm(HbmConfig{});
+    Tally tally;
+    const std::vector<MemRequest> reqs = mixedStream(5000, 7, true);
+    Cycle now = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        now = hbm.serviceOne(reqs[i], now);
+        tally.add(reqs[i]);
+        // Reading stats() part-way must neither lose nor double count.
+        if (i == 0 || i == 999 || i == 3001) {
+            EXPECT_EQ(dramCounters(hbm), tally.counters) << "after " << i;
+        }
+    }
+    EXPECT_EQ(dramCounters(hbm), tally.counters);
+    EXPECT_GT(tally.counters["dram.row_hits"], 0u);
+    EXPECT_GT(tally.counters["dram.row_misses"], 0u);
+    EXPECT_GT(tally.counters["dram.write_bytes"], 0u);
+    // Re-reading without new requests changes nothing.
+    EXPECT_EQ(dramCounters(hbm), tally.counters);
+}
+
+TEST(HbmCounters, ReadOnlyStreamHasNoWriteKey)
+{
+    HbmModel hbm(HbmConfig{});
+    hbm.serviceBatch(mixedStream(500, 3, false), 0);
+    const StatGroup &stats = hbm.stats();
+    EXPECT_TRUE(stats.has("dram.read_bytes"));
+    EXPECT_TRUE(stats.has("dram.requests"));
+    EXPECT_FALSE(stats.has("dram.write_bytes"));
+}
+
+TEST(HbmCounters, KeyAppearsOnceItsEventHappensEvenAtZero)
+{
+    HbmModel hbm(HbmConfig{});
+    EXPECT_TRUE(hbm.stats().counters().empty());
+
+    // One zero-byte write: a request, a row miss, no bytes.
+    hbm.serviceOne({0, 0, true, RequestType::OutputFeature}, 0);
+    const StatGroup &stats = hbm.stats();
+    EXPECT_TRUE(stats.has("dram.write_bytes"));
+    EXPECT_EQ(stats.get("dram.write_bytes"), 0u);
+    EXPECT_TRUE(stats.has("dram.busy_cycles"));
+    EXPECT_EQ(stats.get("dram.requests"), 1u);
+    EXPECT_EQ(stats.get("dram.row_misses"), 1u);
+    EXPECT_FALSE(stats.has("dram.row_hits"));
+    EXPECT_FALSE(stats.has("dram.read_bytes"));
+}
+
+TEST(HbmCounters, ClearFoldsOnlyNewDeltas)
+{
+    HbmModel hbm(HbmConfig{});
+    Tally before;
+    for (const MemRequest &req : mixedStream(800, 11, true)) {
+        hbm.serviceOne(req, 0);
+        before.add(req);
+    }
+    EXPECT_EQ(dramCounters(hbm), before.counters);
+    hbm.stats().clear();
+
+    // Only reads after the clear: only their deltas reappear, and no
+    // write key comes back.
+    Tally after;
+    after.openRows = before.openRows;
+    for (const MemRequest &req : mixedStream(300, 12, false)) {
+        hbm.serviceOne(req, 0);
+        after.add(req);
+    }
+    EXPECT_EQ(dramCounters(hbm), after.counters);
+    EXPECT_FALSE(hbm.stats().has("dram.write_bytes"));
+}
+
+TEST(HbmCounters, OnChipBufferReportsPerNameByteKeys)
+{
+    const EnergyTable energy;
+    OnChipBuffer input("buf.input", 64 * 1024, true, "agg_engine", energy);
+    OnChipBuffer output("buf.output", 1024, false, "comb_engine", energy);
+    EnergyLedger ledger;
+    StatGroup stats;
+    input.read(100, ledger, stats);
+    input.read(28, ledger, stats);
+    input.write(64, ledger, stats);
+    output.write(7, ledger, stats);
+    EXPECT_EQ(stats.get("buf.input.read_bytes"), 128u);
+    EXPECT_EQ(stats.get("buf.input.write_bytes"), 64u);
+    EXPECT_EQ(stats.get("buf.output.write_bytes"), 7u);
+    EXPECT_FALSE(stats.has("buf.output.read_bytes"));
+    EXPECT_EQ(stats.counters().size(), 3u);
+}
