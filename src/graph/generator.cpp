@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
+#include <cstddef>
+#include <vector>
 
 namespace hygcn {
 
@@ -17,6 +18,77 @@ edgeKey(VertexId a, VertexId b)
     return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
+/**
+ * Insert-only open-addressing set of edge keys (linear probing). Its
+ * slot count follows the load rather than a power of two, so a key's
+ * home slot is a multiply-high of its hash by the slot count.
+ */
+class EdgeKeySet
+{
+  public:
+    /** Size for @p expected keys; inserting more grows the table. */
+    explicit EdgeKeySet(std::size_t expected = 0)
+    { slots_.assign(slotsFor(expected), kEmpty); }
+
+    /** Insert @p key; true if it was not present. */
+    bool insert(std::uint64_t key)
+    {
+        if (size_ + 1 > maxLoad(slots_.size()))
+            rehash(slotsFor(2 * (size_ + 1)));
+        std::size_t i = home(key, slots_.size());
+        while (slots_[i] != kEmpty) {
+            if (slots_[i] == key)
+                return false;
+            if (++i == slots_.size())
+                i = 0;
+        }
+        slots_[i] = key;
+        ++size_;
+        return true;
+    }
+
+  private:
+    /** edgeKey puts the smaller vertex in the high half: never this. */
+    static constexpr std::uint64_t kEmpty = 0xffffffff00000000ull;
+
+    /** Keys allowed in @p slots slots (load factor 2/3). */
+    static std::size_t maxLoad(std::size_t slots) { return slots * 2 / 3; }
+
+    static std::size_t slotsFor(std::size_t keys)
+    { return std::max<std::size_t>(16, keys + keys / 2 + 1); }
+
+    static std::size_t home(std::uint64_t key, std::size_t slots)
+    {
+        // splitmix64 finalizer, then map onto [0, slots).
+        key ^= key >> 30;
+        key *= 0xbf58476d1ce4e5b9ull;
+        key ^= key >> 27;
+        key *= 0x94d049bb133111ebull;
+        key ^= key >> 31;
+        return static_cast<std::size_t>(
+            (static_cast<unsigned __int128>(key) * slots) >> 64);
+    }
+
+    void rehash(std::size_t slots)
+    {
+        std::vector<std::uint64_t> old(slots, kEmpty);
+        old.swap(slots_);
+        for (std::uint64_t key : old) {
+            if (key == kEmpty)
+                continue;
+            std::size_t i = home(key, slots);
+            while (slots_[i] != kEmpty) {
+                if (++i == slots)
+                    i = 0;
+            }
+            slots_[i] = key;
+        }
+    }
+
+    std::vector<std::uint64_t> slots_;
+    std::size_t size_ = 0;
+};
+
 } // namespace
 
 EdgeList
@@ -30,14 +102,13 @@ generateUniform(VertexId num_vertices, EdgeId num_edges, Rng &rng)
 
     EdgeList edges;
     edges.reserve(num_edges);
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(num_edges * 2);
+    EdgeKeySet seen(num_edges);
     while (edges.size() < num_edges) {
         const auto a = static_cast<VertexId>(rng.nextBounded(num_vertices));
         const auto b = static_cast<VertexId>(rng.nextBounded(num_vertices));
         if (a == b)
             continue;
-        if (seen.insert(edgeKey(a, b)).second)
+        if (seen.insert(edgeKey(a, b)))
             edges.emplace_back(a, b);
     }
     return edges;
@@ -54,8 +125,7 @@ generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
     constexpr double a = 0.57, b = 0.19, c = 0.19;
     EdgeList edges;
     edges.reserve(num_edges);
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(num_edges * 2);
+    EdgeKeySet seen(num_edges);
 
     std::uint64_t attempts = 0;
     const std::uint64_t max_attempts = num_edges * 64ull + 1024;
@@ -67,22 +137,18 @@ generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
             // Add per-level noise so degrees are not perfectly nested.
             const double jitter = 0.05 * (rng.nextDouble() - 0.5);
             const double aa = a + jitter;
-            src <<= 1;
-            dst <<= 1;
-            if (p < aa) {
-                // top-left quadrant: no bits set
-            } else if (p < aa + b) {
-                dst |= 1;
-            } else if (p < aa + b + c) {
-                src |= 1;
-            } else {
-                src |= 1;
-                dst |= 1;
-            }
+            // Quadrant [0, aa): none; [aa, aa+b): dst; [aa+b, aa+b+c):
+            // src; above: both. Selected without branches, since p is
+            // random and each branch would mispredict half the time.
+            const double ab = aa + b;
+            const VertexId src_bit = p >= ab;
+            const VertexId dst_bit = (p >= aa) & ((p < ab) | (p >= ab + c));
+            src = (src << 1) | src_bit;
+            dst = (dst << 1) | dst_bit;
         }
         if (src >= num_vertices || dst >= num_vertices || src == dst)
             continue;
-        if (seen.insert(edgeKey(src, dst)).second)
+        if (seen.insert(edgeKey(src, dst)))
             edges.emplace_back(src, dst);
     }
     // Top up with uniform edges if R-MAT saturated (tiny graphs).
@@ -91,7 +157,7 @@ generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
         const auto d = static_cast<VertexId>(rng.nextBounded(num_vertices));
         if (s == d)
             continue;
-        if (seen.insert(edgeKey(s, d)).second)
+        if (seen.insert(edgeKey(s, d)))
             edges.emplace_back(s, d);
     }
     return edges;
@@ -103,11 +169,11 @@ generateCommunity(VertexId num_vertices, EdgeId num_edges, Rng &rng)
     // Dense community: start from a ring (guarantees connectivity),
     // then fill with uniform random internal edges.
     EdgeList edges;
-    std::unordered_set<std::uint64_t> seen;
+    EdgeKeySet seen;
     if (num_vertices >= 3) {
         for (VertexId v = 0; v < num_vertices; ++v) {
             const VertexId u = (v + 1) % num_vertices;
-            if (seen.insert(edgeKey(v, u)).second)
+            if (seen.insert(edgeKey(v, u)))
                 edges.emplace_back(v, u);
         }
     } else if (num_vertices == 2) {
@@ -122,7 +188,7 @@ generateCommunity(VertexId num_vertices, EdgeId num_edges, Rng &rng)
         const auto b = static_cast<VertexId>(rng.nextBounded(num_vertices));
         if (a == b)
             continue;
-        if (seen.insert(edgeKey(a, b)).second)
+        if (seen.insert(edgeKey(a, b)))
             edges.emplace_back(a, b);
     }
     return edges;
