@@ -56,8 +56,7 @@ scalingWorkload(std::uint32_t instances)
             .requests(512)
             .meanInterarrival(250000.0)
             .seed(kSeed)
-            .maxBatch(8)
-            .batchTimeout(500000)
+            .batching({.maxBatch = 8, .timeoutCycles = 500000})
             .instances(instances)
             .config();
     return config;

@@ -80,18 +80,18 @@ void
 registerCluster()
 {
     api::Registry &registry = api::Registry::global();
-    if (registry.hasPlatform("bench-la-current"))
+    if (registry.platforms.has("bench-la-current"))
         return;
     // The 1.6x joules ratio is the design point: the delay-damped
     // energy score holds for the good class only while its wait
     // stays under 0.6x the batch's service time there, so a deep
     // backlog still spills to the legacy class instead of queueing
     // unboundedly.
-    registry.registerPlatform("bench-la-current", [] {
+    registry.platforms.add("bench-la-current", [] {
         return std::make_unique<StubPlatform>("bench-la-current",
                                               1000000, 1.0);
     });
-    registry.registerPlatform("bench-la-legacy", [] {
+    registry.platforms.add("bench-la-legacy", [] {
         return std::make_unique<StubPlatform>("bench-la-legacy",
                                               2500000, 1.6);
     });

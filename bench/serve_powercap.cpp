@@ -44,7 +44,7 @@ serve::ServeConfig
 powercapWorkload(double cap_watts)
 {
     serve::ServeConfig config =
-        api::Registry::global().makeWorkload("serve-flashcrowd");
+        api::Registry::global().workloads.make("serve-flashcrowd");
     // EDF on a wider cluster than the preset's two instances, so the
     // cap has concurrency steps to bite into (each batch draws ~6.9 W
     // here; four replicas peak near 27.7 W).

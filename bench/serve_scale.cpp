@@ -61,12 +61,11 @@ scaleWorkload(const std::string &policy, std::uint64_t requests)
             .requests(requests)
             .meanInterarrival(30000.0)
             .seed(kSeed)
-            .maxBatch(8)
-            .batchTimeout(500000)
+            .batching({.maxBatch = 8, .timeoutCycles = 500000})
             .instances(4)
             .policy(policy)
-            .arrivalProcess("heavy-tail")
-            .streamingStats()
+            .arrival({.process = "heavy-tail"})
+            .stats({.streaming = true})
             .config();
     return config;
 }

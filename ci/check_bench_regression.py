@@ -27,6 +27,9 @@ The bench schema is selected by the documents' "bench" field:
   routing case — greedy, lookahead, lookahead_affinity — (both lower
   is better), so neither the lookahead wins nor the greedy reference
   may drift.
+- serve_powercap: compares p99 latency, peak modeled cluster watts
+  and power-deferred batches of every power-cap case of the
+  flash-crowd run (all lower is better).
 - spmm_kernels: compares the single-thread vectorized speedup of the
   functional-core kernels over the scalar reference loops per case
   (higher is better). A within-process wallclock ratio, recorded

@@ -39,8 +39,7 @@ main(int argc, char **argv)
             .requests(192)
             .meanInterarrival(60000.0)
             .seed(7)
-            .maxBatch(4)
-            .batchTimeout(120000)
+            .batching({.maxBatch = 4, .timeoutCycles = 120000})
             .instances(instances);
     };
 
@@ -81,8 +80,7 @@ main(int argc, char **argv)
                 .requests(192)
                 .meanInterarrival(30000.0)
                 .seed(7)
-                .maxBatch(4)
-                .batchTimeout(120000)
+                .batching({.maxBatch = 4, .timeoutCycles = 120000})
                 .instances(2)
                 .policy(policy)
                 .run();
@@ -120,18 +118,17 @@ main(int argc, char **argv)
     // The same mixed cluster routed by energy instead of cycles:
     // dispatches score free classes on the priced joules(B) twins,
     // and the stats gain per-run/per-class joules.
-    const serve::ServeResult frugal =
-        api::ServeSession()
-            .datasetScale(0.2)
-            .scenario("cora", "gcn")
-            .scenario("citeseer", "gcn")
-            .instanceClass("hygcn", 2)
-            .instanceClass("pyg-cpu", 1)
-            .routeObjective("energy")
-            .requests(192)
-            .meanInterarrival(30000.0)
-            .seed(7)
-            .run();
+    const serve::ServeResult frugal = api::ServeSession()
+                                          .datasetScale(0.2)
+                                          .scenario("cora", "gcn")
+                                          .scenario("citeseer", "gcn")
+                                          .instanceClass("hygcn", 2)
+                                          .instanceClass("pyg-cpu", 1)
+                                          .routing({.objective = "energy"})
+                                          .requests(192)
+                                          .meanInterarrival(30000.0)
+                                          .seed(7)
+                                          .run();
     std::printf("\nsame cluster, energy-aware routing: %.3g J total, "
                 "%.3g J/request\n",
                 frugal.stats.totalJoules,
@@ -144,10 +141,10 @@ main(int argc, char **argv)
     // Trace replay: the "trace" arrival process replays a recorded
     // (or hand-written) request stream against this cluster — tenant
     // and scenario resolve by name, deadlines re-derive from the
-    // tenants' SLOs. Any run can record its own stream with
-    // .recordTrace(path) for later replay. Skipped gracefully when
-    // the trace is not where we expect it (e.g. running outside the
-    // repo root).
+    // tenants' SLOs. Any run can record its own stream through
+    // ArrivalSpec::recordPath for later replay. Skipped gracefully
+    // when the trace is not where we expect it (e.g. running outside
+    // the repo root).
     const std::string trace_path =
         argc > 1 ? argv[1] : "examples/traces/smoke.csv";
     if (std::ifstream(trace_path).good()) {
@@ -161,9 +158,8 @@ main(int argc, char **argv)
                 .tenant("analytics", 0.2, {1.0, 3.0})
                 .requests(12) // the smoke trace's record count
                 .instances(2)
-                .maxBatch(4)
-                .batchTimeout(120000)
-                .replayTrace(trace_path)
+                .batching({.maxBatch = 4, .timeoutCycles = 120000})
+                .arrival({.process = "trace", .traceFile = trace_path})
                 .run();
         std::printf("\nreplayed %s: %llu requests, %llu batches, "
                     "p99 %.1f kcyc\n",

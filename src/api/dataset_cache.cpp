@@ -39,9 +39,9 @@ DatasetCache::get(const std::string &name, double scale,
     // Resolve unknown names before touching the slot: an exception
     // escaping a call_once leaves the once_flag wedged under some
     // pthread_once interceptors (tsan), deadlocking the next caller.
-    // This also keeps a get() before registerDataset() retryable.
-    if (!Registry::global().hasDataset(name))
-        Registry::global().makeDataset(name, seed, scale); // throws
+    // This also keeps a get() before datasets.add() retryable.
+    if (!Registry::global().datasets.has(name))
+        Registry::global().datasets.make(name, seed, scale); // throws
 
     const double norm_scale = scale <= 0.0 ? 0.0 : scale;
     // Sentinel id -1: DatasetId values are >= 0, so a named entry can
@@ -62,7 +62,7 @@ DatasetCache::get(const std::string &name, double scale,
     // names never serialize, while each name builds exactly once.
     std::call_once(entry->once, [&] {
         entry->data = std::make_unique<Dataset>(
-            Registry::global().makeDataset(name, seed, norm_scale));
+            Registry::global().datasets.make(name, seed, norm_scale));
     });
     return *entry->data;
 }

@@ -35,7 +35,7 @@ class DatasetCache
                        std::uint64_t seed = 1);
 
     /**
-     * Registered custom dataset @p name (a Registry::registerDataset
+     * Registered custom dataset @p name (a Registry::datasets
      * key) at @p scale / @p seed, built through the registry factory
      * on first touch. Same lifetime and thread-safety guarantees as
      * the id overload. Throws std::out_of_range on unknown names.

@@ -26,7 +26,7 @@ namespace hygcn::api {
 /**
  * Everything needed to reproduce one run: which platform, which
  * scenario (dataset/model/seed), and which knobs. A RunSpec is plain
- * data — it can be expanded by SweepBuilder, executed on any thread,
+ * data — it can be expanded by a Session, executed on any thread,
  * and echoed into JSON next to its result.
  */
 struct RunSpec
@@ -39,7 +39,7 @@ struct RunSpec
 
     /**
      * Registry name of a registered custom dataset; when non-empty
-     * it overrides the built-in id above, making registerDataset()
+     * it overrides the built-in id above, making Registry::datasets
      * factories addressable from a spec (cached by name in
      * DatasetCache).
      */

@@ -47,9 +47,8 @@ ModelConfig
 specModel(const RunSpec &spec, const Dataset &data)
 {
     if (!spec.modelName.empty())
-        return Registry::global().makeModel(spec.modelName,
-                                            data.featureLen,
-                                            spec.numLayers);
+        return Registry::global().models.make(spec.modelName, data.featureLen,
+                                              spec.numLayers);
     return makeModel(spec.model, data.featureLen, spec.numLayers);
 }
 
@@ -280,18 +279,18 @@ class GpuPlatform : public Platform
 void
 registerBuiltinPlatforms(Registry &registry)
 {
-    registry.registerPlatform(
-        "hygcn", [] { return std::make_unique<HyGCNPlatform>(); });
-    registry.registerPlatform(
-        "hygcn-agg", [] { return std::make_unique<AggOnlyPlatform>(); });
-    registry.registerPlatform(
+    registry.platforms.add("hygcn",
+                           [] { return std::make_unique<HyGCNPlatform>(); });
+    registry.platforms.add("hygcn-agg",
+                           [] { return std::make_unique<AggOnlyPlatform>(); });
+    registry.platforms.add(
         "pyg-cpu", [] { return std::make_unique<CpuPlatform>(false); });
-    registry.registerPlatform(
-        "pyg-cpu-part", [] { return std::make_unique<CpuPlatform>(true); });
-    registry.registerPlatform(
+    registry.platforms.add("pyg-cpu-part",
+                           [] { return std::make_unique<CpuPlatform>(true); });
+    registry.platforms.add(
         "pyg-gpu", [] { return std::make_unique<GpuPlatform>(false); });
-    registry.registerPlatform(
-        "pyg-gpu-part", [] { return std::make_unique<GpuPlatform>(true); });
+    registry.platforms.add("pyg-gpu-part",
+                           [] { return std::make_unique<GpuPlatform>(true); });
 }
 
 } // namespace hygcn::api

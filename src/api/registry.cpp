@@ -29,21 +29,9 @@ lower(std::string text)
     return text;
 }
 
-[[noreturn]] void
-throwUnknown(const std::string &kind, const std::string &name,
-             const std::vector<std::string> &known)
-{
-    std::string msg = "api: unknown " + kind + " \"" + name + "\"; known: ";
-    for (std::size_t i = 0; i < known.size(); ++i)
-        msg += (i ? ", " : "") + known[i];
-    throw std::out_of_range(msg);
-}
-
-} // namespace
-
 template <class Map>
 std::vector<std::string>
-Registry::keysOf(const Map &map)
+keysOf(const Map &map)
 {
     std::vector<std::string> names;
     names.reserve(map.size());
@@ -52,110 +40,199 @@ Registry::keysOf(const Map &map)
     return names;
 }
 
+/** @p map's entry for @p name, case-insensitively; throws
+ *  std::out_of_range with the known keys listed if there is none. */
+template <class Map>
+const typename Map::mapped_type &
+lookup(const Map &map, const std::string &kind, const std::string &name)
+{
+    auto it = map.find(lower(name));
+    if (it == map.end()) {
+        std::string msg =
+            "api: unknown " + kind + " \"" + name + "\"; known: ";
+        const std::vector<std::string> known = keysOf(map);
+        for (std::size_t i = 0; i < known.size(); ++i)
+            msg += (i ? ", " : "") + known[i];
+        throw std::out_of_range(msg);
+    }
+    return it->second;
+}
+
+std::map<std::string, DatasetId>
+builtinDatasetIds()
+{
+    std::map<std::string, DatasetId> ids;
+    for (DatasetId id : allDatasets()) {
+        ids[lower(datasetAbbrev(id))] = id;
+        ids[lower(datasetName(id))] = id;
+    }
+    return ids;
+}
+
+std::map<std::string, ModelId>
+builtinModelIds()
+{
+    std::map<std::string, ModelId> ids;
+    for (ModelId id : allModels())
+        ids[lower(modelAbbrev(id))] = id;
+    return ids;
+}
+
+std::map<std::string, Registry::DatasetFactory>
+builtinDatasets()
+{
+    std::map<std::string, Registry::DatasetFactory> factories;
+    for (const auto &[key, id] : builtinDatasetIds())
+        factories[key] = [id](std::uint64_t seed, double scale) {
+            return scale <= 0.0 ? makeDatasetScaledDefault(id, seed)
+                                : ::hygcn::makeDataset(id, seed, scale);
+        };
+    return factories;
+}
+
+std::map<std::string, Registry::ModelFactory>
+builtinModels()
+{
+    std::map<std::string, Registry::ModelFactory> factories;
+    for (const auto &[key, id] : builtinModelIds())
+        factories[key] = [id](int feature_len, int num_layers) {
+            return ::hygcn::makeModel(id, feature_len, num_layers);
+        };
+    return factories;
+}
+
+} // namespace
+
+// ---- FactoryTable --------------------------------------------------
+
+template <class Factory>
+FactoryTable<Factory>::FactoryTable(std::string kind,
+                                    std::map<std::string, Factory> reserved)
+    : kind_(std::move(kind))
+{
+    for (auto &[name, factory] : reserved) {
+        reserved_.insert(lower(name));
+        factories_[lower(name)] = std::move(factory);
+    }
+}
+
+template <class Factory>
+void
+FactoryTable<Factory>::add(const std::string &name, Factory factory)
+{
+    const std::string key = lower(name);
+    if (reserved_.count(key) > 0)
+        throw std::invalid_argument("api: " + kind_ + " \"" + name +
+                                    "\" is built in and cannot be "
+                                    "replaced");
+    std::lock_guard<std::mutex> lock(mutex_);
+    factories_[key] = std::move(factory);
+}
+
+template <class Factory>
+Factory
+FactoryTable<Factory>::find(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return lookup(factories_, kind_, name);
+}
+
+template <class Factory>
+bool
+FactoryTable<Factory>::has(const std::string &name) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return factories_.count(lower(name)) > 0;
+}
+
+template <class Factory>
+std::vector<std::string>
+FactoryTable<Factory>::names() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return keysOf(factories_);
+}
+
+template class FactoryTable<Registry::PlatformFactory>;
+template class FactoryTable<Registry::DatasetFactory>;
+template class FactoryTable<Registry::ModelFactory>;
+template class FactoryTable<Registry::WorkloadFactory>;
+template class FactoryTable<Registry::PolicyFactory>;
+template class FactoryTable<Registry::CostModelFactory>;
+template class FactoryTable<Registry::ObjectiveFactory>;
+template class FactoryTable<Registry::ArrivalProcessFactory>;
+template class FactoryTable<Registry::ScalingPolicyFactory>;
+
+// ---- Registry ------------------------------------------------------
+
 Registry::Registry()
+    : datasets("dataset", builtinDatasets()), models("model", builtinModels()),
+      datasetIds_(builtinDatasetIds()), modelIds_(builtinModelIds())
 {
     registerBuiltinPlatforms(*this);
     registerBuiltinWorkloads(*this);
 
-    registerPolicy("fifo", [](const serve::ServeConfig &config) {
+    policies.add("fifo", [](const serve::ServeConfig &config) {
         return std::make_unique<serve::FifoPolicy>(config);
     });
-    registerPolicy("edf", [](const serve::ServeConfig &config) {
+    policies.add("edf", [](const serve::ServeConfig &config) {
         return std::make_unique<serve::EdfPolicy>(config);
     });
-    registerPolicy("fair-share", [](const serve::ServeConfig &config) {
+    policies.add("fair-share", [](const serve::ServeConfig &config) {
         return std::make_unique<serve::FairSharePolicy>(config);
     });
 
-    registerCostModel("marginal", [] {
+    costModels.add("marginal", [] {
         return std::make_unique<serve::MarginalCostModel>();
     });
-    registerCostModel("analytic", [] {
+    costModels.add("analytic", [] {
         return std::make_unique<serve::AnalyticCostModel>();
     });
-    registerCostModel("measured", [] {
+    costModels.add("measured", [] {
         return std::make_unique<serve::MeasuredCostModel>();
     });
 
-    registerObjective("cycles", [] {
-        return std::make_unique<serve::CyclesObjective>();
+    objectives.add("cycles",
+                   [] { return std::make_unique<serve::CyclesObjective>(); });
+    objectives.add("energy",
+                   [] { return std::make_unique<serve::EnergyObjective>(); });
+    objectives.add("edp",
+                   [] { return std::make_unique<serve::EdpObjective>(); });
+
+    arrivalProcesses.add("poisson", [](const serve::ServeConfig &config) {
+        return std::make_unique<workload::PoissonProcess>(config);
     });
-    registerObjective("energy", [] {
-        return std::make_unique<serve::EnergyObjective>();
+    arrivalProcesses.add("diurnal", [](const serve::ServeConfig &config) {
+        return std::make_unique<workload::DiurnalProcess>(config);
     });
-    registerObjective("edp", [] {
-        return std::make_unique<serve::EdpObjective>();
+    arrivalProcesses.add("flash-crowd", [](const serve::ServeConfig &config) {
+        return std::make_unique<workload::FlashCrowdProcess>(config);
+    });
+    arrivalProcesses.add("mmpp", [](const serve::ServeConfig &config) {
+        return std::make_unique<workload::MmppProcess>(config);
+    });
+    arrivalProcesses.add("heavy-tail", [](const serve::ServeConfig &config) {
+        return std::make_unique<workload::HeavyTailProcess>(config);
+    });
+    arrivalProcesses.add("trace", [](const serve::ServeConfig &config) {
+        return std::make_unique<workload::TraceArrivalProcess>(config);
+    });
+    arrivalProcesses.add("correlated", [](const serve::ServeConfig &config) {
+        return std::make_unique<workload::CorrelatedProcess>(config);
     });
 
-    registerArrivalProcess(
-        "poisson", [](const serve::ServeConfig &config) {
-            return std::make_unique<workload::PoissonProcess>(config);
-        });
-    registerArrivalProcess(
-        "diurnal", [](const serve::ServeConfig &config) {
-            return std::make_unique<workload::DiurnalProcess>(config);
-        });
-    registerArrivalProcess(
-        "flash-crowd", [](const serve::ServeConfig &config) {
-            return std::make_unique<workload::FlashCrowdProcess>(
-                config);
-        });
-    registerArrivalProcess(
-        "mmpp", [](const serve::ServeConfig &config) {
-            return std::make_unique<workload::MmppProcess>(config);
-        });
-    registerArrivalProcess(
-        "heavy-tail", [](const serve::ServeConfig &config) {
-            return std::make_unique<workload::HeavyTailProcess>(
-                config);
-        });
-    registerArrivalProcess(
-        "trace", [](const serve::ServeConfig &config) {
-            return std::make_unique<workload::TraceArrivalProcess>(
-                config);
-        });
-    registerArrivalProcess(
-        "correlated", [](const serve::ServeConfig &config) {
-            return std::make_unique<workload::CorrelatedProcess>(
-                config);
-        });
-
-    registerScalingPolicy(
-        "static", [](const serve::ServeConfig &config) {
-            return std::make_unique<serve::StaticScaling>(config);
-        });
-    registerScalingPolicy(
-        "queue-depth", [](const serve::ServeConfig &config) {
-            return std::make_unique<serve::QueueDepthScaling>(config);
-        });
-    registerScalingPolicy(
-        "slo-burn", [](const serve::ServeConfig &config) {
-            return std::make_unique<serve::SloBurnScaling>(config);
-        });
-    registerScalingPolicy(
-        "scheduled", [](const serve::ServeConfig &config) {
-            return std::make_unique<serve::ScheduledScaling>(config);
-        });
-
-    for (DatasetId id : allDatasets()) {
-        auto factory = [id](std::uint64_t seed, double scale) {
-            return scale <= 0.0 ? makeDatasetScaledDefault(id, seed)
-                                : ::hygcn::makeDataset(id, seed, scale);
-        };
-        for (const std::string &key :
-             {lower(datasetAbbrev(id)), lower(datasetName(id))}) {
-            datasets_[key] = factory;
-            datasetIds_[key] = id;
-        }
-    }
-
-    for (ModelId id : allModels()) {
-        const std::string key = lower(modelAbbrev(id));
-        models_[key] = [id](int feature_len, int num_layers) {
-            return ::hygcn::makeModel(id, feature_len, num_layers);
-        };
-        modelIds_[key] = id;
-    }
+    scalingPolicies.add("static", [](const serve::ServeConfig &config) {
+        return std::make_unique<serve::StaticScaling>(config);
+    });
+    scalingPolicies.add("queue-depth", [](const serve::ServeConfig &config) {
+        return std::make_unique<serve::QueueDepthScaling>(config);
+    });
+    scalingPolicies.add("slo-burn", [](const serve::ServeConfig &config) {
+        return std::make_unique<serve::SloBurnScaling>(config);
+    });
+    scalingPolicies.add("scheduled", [](const serve::ServeConfig &config) {
+        return std::make_unique<serve::ScheduledScaling>(config);
+    });
 }
 
 Registry &
@@ -165,350 +242,16 @@ Registry::global()
     return registry;
 }
 
-void
-Registry::registerPlatform(const std::string &name, PlatformFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    platforms_[lower(name)] = std::move(factory);
-}
-
-std::unique_ptr<Platform>
-Registry::makePlatform(const std::string &name) const
-{
-    PlatformFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = platforms_.find(lower(name));
-        if (it == platforms_.end())
-            throwUnknown("platform", name, keysOf(platforms_));
-        factory = it->second;
-    }
-    return factory();
-}
-
-bool
-Registry::hasPlatform(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return platforms_.count(lower(name)) > 0;
-}
-
-std::vector<std::string>
-Registry::platformNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(platforms_);
-}
-
-void
-Registry::registerDataset(const std::string &name, DatasetFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    datasets_[lower(name)] = std::move(factory);
-}
-
-Dataset
-Registry::makeDataset(const std::string &name, std::uint64_t seed,
-                      double scale) const
-{
-    DatasetFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = datasets_.find(lower(name));
-        if (it == datasets_.end())
-            throwUnknown("dataset", name, keysOf(datasets_));
-        factory = it->second;
-    }
-    return factory(seed, scale);
-}
-
-bool
-Registry::hasDataset(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return datasets_.count(lower(name)) > 0;
-}
-
 DatasetId
 Registry::datasetId(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = datasetIds_.find(lower(name));
-    if (it == datasetIds_.end())
-        throwUnknown("dataset", name, keysOf(datasetIds_));
-    return it->second;
-}
-
-std::vector<std::string>
-Registry::datasetNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(datasets_);
-}
-
-void
-Registry::registerModel(const std::string &name, ModelFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    models_[lower(name)] = std::move(factory);
-}
-
-ModelConfig
-Registry::makeModel(const std::string &name, int feature_len,
-                    int num_layers) const
-{
-    ModelFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = models_.find(lower(name));
-        if (it == models_.end())
-            throwUnknown("model", name, keysOf(models_));
-        factory = it->second;
-    }
-    return factory(feature_len, num_layers);
-}
-
-bool
-Registry::hasModel(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return models_.count(lower(name)) > 0;
+    return lookup(datasetIds_, "dataset", name);
 }
 
 ModelId
 Registry::modelId(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = modelIds_.find(lower(name));
-    if (it == modelIds_.end())
-        throwUnknown("model", name, keysOf(modelIds_));
-    return it->second;
-}
-
-std::vector<std::string>
-Registry::modelNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(models_);
-}
-
-void
-Registry::registerWorkload(const std::string &name, WorkloadFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    workloads_[lower(name)] = std::move(factory);
-}
-
-serve::ServeConfig
-Registry::makeWorkload(const std::string &name) const
-{
-    WorkloadFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = workloads_.find(lower(name));
-        if (it == workloads_.end())
-            throwUnknown("workload", name, keysOf(workloads_));
-        factory = it->second;
-    }
-    return factory();
-}
-
-bool
-Registry::hasWorkload(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return workloads_.count(lower(name)) > 0;
-}
-
-std::vector<std::string>
-Registry::workloadNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(workloads_);
-}
-
-void
-Registry::registerPolicy(const std::string &name, PolicyFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    policies_[lower(name)] = std::move(factory);
-}
-
-std::unique_ptr<serve::SchedulerPolicy>
-Registry::makePolicy(const std::string &name,
-                     const serve::ServeConfig &config) const
-{
-    PolicyFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = policies_.find(lower(name));
-        if (it == policies_.end())
-            throwUnknown("policy", name, keysOf(policies_));
-        factory = it->second;
-    }
-    return factory(config);
-}
-
-bool
-Registry::hasPolicy(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return policies_.count(lower(name)) > 0;
-}
-
-std::vector<std::string>
-Registry::policyNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(policies_);
-}
-
-void
-Registry::registerCostModel(const std::string &name,
-                            CostModelFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    costModels_[lower(name)] = std::move(factory);
-}
-
-std::unique_ptr<serve::BatchCostModel>
-Registry::makeCostModel(const std::string &name) const
-{
-    CostModelFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = costModels_.find(lower(name));
-        if (it == costModels_.end())
-            throwUnknown("cost model", name, keysOf(costModels_));
-        factory = it->second;
-    }
-    return factory();
-}
-
-bool
-Registry::hasCostModel(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return costModels_.count(lower(name)) > 0;
-}
-
-std::vector<std::string>
-Registry::costModelNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(costModels_);
-}
-
-void
-Registry::registerObjective(const std::string &name,
-                            ObjectiveFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    objectives_[lower(name)] = std::move(factory);
-}
-
-std::unique_ptr<serve::RouteObjective>
-Registry::makeObjective(const std::string &name) const
-{
-    ObjectiveFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = objectives_.find(lower(name));
-        if (it == objectives_.end())
-            throwUnknown("routing objective", name, keysOf(objectives_));
-        factory = it->second;
-    }
-    return factory();
-}
-
-bool
-Registry::hasObjective(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return objectives_.count(lower(name)) > 0;
-}
-
-std::vector<std::string>
-Registry::objectiveNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(objectives_);
-}
-
-void
-Registry::registerArrivalProcess(const std::string &name,
-                                 ArrivalProcessFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    arrivalProcesses_[lower(name)] = std::move(factory);
-}
-
-std::unique_ptr<workload::ArrivalProcess>
-Registry::makeArrivalProcess(const std::string &name,
-                             const serve::ServeConfig &config) const
-{
-    ArrivalProcessFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = arrivalProcesses_.find(lower(name));
-        if (it == arrivalProcesses_.end())
-            throwUnknown("arrival process", name,
-                         keysOf(arrivalProcesses_));
-        factory = it->second;
-    }
-    return factory(config);
-}
-
-bool
-Registry::hasArrivalProcess(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return arrivalProcesses_.count(lower(name)) > 0;
-}
-
-std::vector<std::string>
-Registry::arrivalProcessNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(arrivalProcesses_);
-}
-
-void
-Registry::registerScalingPolicy(const std::string &name,
-                                ScalingPolicyFactory factory)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    scalingPolicies_[lower(name)] = std::move(factory);
-}
-
-std::unique_ptr<serve::ScalingPolicy>
-Registry::makeScalingPolicy(const std::string &name,
-                            const serve::ServeConfig &config) const
-{
-    ScalingPolicyFactory factory;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = scalingPolicies_.find(lower(name));
-        if (it == scalingPolicies_.end())
-            throwUnknown("scaling policy", name,
-                         keysOf(scalingPolicies_));
-        factory = it->second;
-    }
-    return factory(config);
-}
-
-bool
-Registry::hasScalingPolicy(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return scalingPolicies_.count(lower(name)) > 0;
-}
-
-std::vector<std::string>
-Registry::scalingPolicyNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return keysOf(scalingPolicies_);
+    return lookup(modelIds_, "model", name);
 }
 
 } // namespace hygcn::api

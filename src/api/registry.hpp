@@ -7,24 +7,22 @@
  * "pyg-gpu-part"), the six Table 4 datasets (by abbreviation and
  * full name), and the four Table 5 models.
  *
- * Custom *platforms* are fully pluggable: registerPlatform() makes
- * a backend runnable by Session/RunSpec. The dataset/model factory
- * maps serve name-based construction (makeDataset("cora"),
- * makeModel("gin", f)) and name->id resolution for the built-ins;
- * the execution path itself runs on DatasetId/ModelId, so a
- * registered custom dataset/model factory is constructible by name
- * but not yet addressable from a RunSpec.
+ * Every kind lives in one FactoryTable: add() a factory under a
+ * case-insensitive name, make() an instance by name, has() and
+ * names() to inspect. Custom *platforms* are fully pluggable:
+ * platforms.add() makes a backend runnable by Session/RunSpec.
+ * Custom datasets and models are addressable by name from a RunSpec
+ * (RunSpec::datasetName/modelName); the built-in dataset and model
+ * names are reserved, so they always mean the Table 4/5 entries.
  *
  * Serving *workloads* (named ServeConfig presets, e.g.
- * "serve-smoke") are first-class scenarios too: registerWorkload()
- * makes one runnable via ServeSession::workload(name), serving
- * *scheduler policies* ("fifo", "edf", "fair-share") are pluggable
- * through registerPolicy()/makePolicy(), *arrival processes*
- * ("poisson", "diurnal", "flash-crowd", "mmpp", "heavy-tail",
- * "trace", "correlated") through
- * registerArrivalProcess()/makeArrivalProcess(), and control-plane
- * *scaling policies* ("static", "queue-depth", "slo-burn") through
- * registerScalingPolicy()/makeScalingPolicy().
+ * "serve-smoke") are first-class scenarios too: workloads.add()
+ * makes one runnable via ServeSession::workload(name). Serving
+ * *scheduler policies* ("fifo", "edf", "fair-share"), batch *cost
+ * models*, routing *objectives*, *arrival processes* ("poisson",
+ * "diurnal", "flash-crowd", "mmpp", "heavy-tail", "trace",
+ * "correlated") and control-plane *scaling policies* ("static",
+ * "queue-depth", "slo-burn", "scheduled") plug in the same way.
  */
 
 #ifndef HYGCN_API_REGISTRY_HPP
@@ -34,7 +32,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/platform.hpp"
@@ -53,7 +53,48 @@ class ArrivalProcess;
 
 namespace hygcn::api {
 
-/** Thread-safe name -> factory maps for the unified API. */
+/**
+ * Thread-safe, case-insensitive name -> factory map of one kind
+ * ("platform", "dataset", ...). Unknown names throw
+ * std::out_of_range listing the known keys.
+ */
+template <class Factory> class FactoryTable
+{
+  public:
+    /** @p kind names the table in errors. The @p reserved entries
+     *  are installed under keys add() refuses to replace. */
+    explicit FactoryTable(std::string kind,
+                          std::map<std::string, Factory> reserved = {});
+
+    /** Register (or replace) @p name; throws std::invalid_argument
+     *  on a reserved name. */
+    void add(const std::string &name, Factory factory);
+
+    /** Build @p name from @p args. The factory runs outside the
+     *  table's lock, so it may call back into the registry. */
+    template <class... Args>
+    auto
+    make(const std::string &name, Args &&...args) const
+    {
+        return find(name)(std::forward<Args>(args)...);
+    }
+
+    bool has(const std::string &name) const;
+
+    /** The registered keys, lowercased and sorted. */
+    std::vector<std::string> names() const;
+
+  private:
+    /** A copy of @p name's factory, taken under the lock. */
+    Factory find(const std::string &name) const;
+
+    std::string kind_;
+    std::set<std::string> reserved_;
+    mutable std::mutex mutex_;
+    std::map<std::string, Factory> factories_;
+};
+
+/** The factory tables of the unified API, one per kind. */
 class Registry
 {
   public:
@@ -91,112 +132,30 @@ class Registry
     /** The process-wide registry instance. */
     static Registry &global();
 
-    // ---- platforms ---------------------------------------------
-    void registerPlatform(const std::string &name, PlatformFactory factory);
-    /** Instantiate platform @p name; throws std::out_of_range with
-     *  the known keys listed if the name is unknown. */
-    std::unique_ptr<Platform> makePlatform(const std::string &name) const;
-    bool hasPlatform(const std::string &name) const;
-    std::vector<std::string> platformNames() const;
+    FactoryTable<PlatformFactory> platforms{"platform"};
+    /** Built-in dataset names and abbreviations are reserved. */
+    FactoryTable<DatasetFactory> datasets;
+    /** Built-in model names are reserved. */
+    FactoryTable<ModelFactory> models;
+    FactoryTable<WorkloadFactory> workloads{"workload"};
+    FactoryTable<PolicyFactory> policies{"policy"};
+    FactoryTable<CostModelFactory> costModels{"cost model"};
+    FactoryTable<ObjectiveFactory> objectives{"routing objective"};
+    FactoryTable<ArrivalProcessFactory> arrivalProcesses{"arrival process"};
+    FactoryTable<ScalingPolicyFactory> scalingPolicies{"scaling policy"};
 
-    // ---- datasets ----------------------------------------------
-    void registerDataset(const std::string &name, DatasetFactory factory);
-    Dataset makeDataset(const std::string &name, std::uint64_t seed = 1,
-                        double scale = 0.0) const;
-    bool hasDataset(const std::string &name) const;
     /** Resolve a built-in dataset name/abbreviation to its id;
      *  throws std::out_of_range on unknown names. */
     DatasetId datasetId(const std::string &name) const;
-    std::vector<std::string> datasetNames() const;
 
-    // ---- models ------------------------------------------------
-    void registerModel(const std::string &name, ModelFactory factory);
-    ModelConfig makeModel(const std::string &name, int feature_len,
-                          int num_layers = 2) const;
-    bool hasModel(const std::string &name) const;
     /** Resolve a built-in model name to its id; throws
      *  std::out_of_range on unknown names. */
     ModelId modelId(const std::string &name) const;
-    std::vector<std::string> modelNames() const;
-
-    // ---- serving workloads -------------------------------------
-    void registerWorkload(const std::string &name, WorkloadFactory factory);
-    /** Build workload preset @p name; throws std::out_of_range with
-     *  the known keys listed if the name is unknown. */
-    serve::ServeConfig makeWorkload(const std::string &name) const;
-    bool hasWorkload(const std::string &name) const;
-    std::vector<std::string> workloadNames() const;
-
-    // ---- serving scheduler policies ----------------------------
-    void registerPolicy(const std::string &name, PolicyFactory factory);
-    /** Build policy @p name for @p config; throws std::out_of_range
-     *  with the known keys listed if the name is unknown. */
-    std::unique_ptr<serve::SchedulerPolicy>
-    makePolicy(const std::string &name,
-               const serve::ServeConfig &config) const;
-    bool hasPolicy(const std::string &name) const;
-    std::vector<std::string> policyNames() const;
-
-    // ---- serving batch cost models -----------------------------
-    void registerCostModel(const std::string &name,
-                           CostModelFactory factory);
-    /** Build cost model @p name; throws std::out_of_range with the
-     *  known keys listed if the name is unknown. */
-    std::unique_ptr<serve::BatchCostModel>
-    makeCostModel(const std::string &name) const;
-    bool hasCostModel(const std::string &name) const;
-    std::vector<std::string> costModelNames() const;
-
-    // ---- serving routing objectives ----------------------------
-    void registerObjective(const std::string &name,
-                           ObjectiveFactory factory);
-    /** Build routing objective @p name; throws std::out_of_range
-     *  with the known keys listed if the name is unknown. */
-    std::unique_ptr<serve::RouteObjective>
-    makeObjective(const std::string &name) const;
-    bool hasObjective(const std::string &name) const;
-    std::vector<std::string> objectiveNames() const;
-
-    // ---- serving arrival processes -----------------------------
-    void registerArrivalProcess(const std::string &name,
-                                ArrivalProcessFactory factory);
-    /** Build arrival process @p name for @p config; throws
-     *  std::out_of_range with the known keys listed if the name is
-     *  unknown. */
-    std::unique_ptr<workload::ArrivalProcess>
-    makeArrivalProcess(const std::string &name,
-                       const serve::ServeConfig &config) const;
-    bool hasArrivalProcess(const std::string &name) const;
-    std::vector<std::string> arrivalProcessNames() const;
-
-    // ---- control-plane scaling policies ------------------------
-    void registerScalingPolicy(const std::string &name,
-                               ScalingPolicyFactory factory);
-    /** Build scaling policy @p name for @p config; throws
-     *  std::out_of_range with the known keys listed if the name is
-     *  unknown. */
-    std::unique_ptr<serve::ScalingPolicy>
-    makeScalingPolicy(const std::string &name,
-                      const serve::ServeConfig &config) const;
-    bool hasScalingPolicy(const std::string &name) const;
-    std::vector<std::string> scalingPolicyNames() const;
 
   private:
-    template <class Map>
-    static std::vector<std::string> keysOf(const Map &map);
-
-    mutable std::mutex mutex_;
-    std::map<std::string, PlatformFactory> platforms_;
-    std::map<std::string, DatasetFactory> datasets_;
-    std::map<std::string, DatasetId> datasetIds_;
-    std::map<std::string, ModelFactory> models_;
-    std::map<std::string, ModelId> modelIds_;
-    std::map<std::string, WorkloadFactory> workloads_;
-    std::map<std::string, PolicyFactory> policies_;
-    std::map<std::string, CostModelFactory> costModels_;
-    std::map<std::string, ObjectiveFactory> objectives_;
-    std::map<std::string, ArrivalProcessFactory> arrivalProcesses_;
-    std::map<std::string, ScalingPolicyFactory> scalingPolicies_;
+    // Built once by the constructor and never changed: no lock.
+    const std::map<std::string, DatasetId> datasetIds_;
+    const std::map<std::string, ModelId> modelIds_;
 };
 
 } // namespace hygcn::api

@@ -9,8 +9,8 @@ namespace hygcn::api {
 ServeSession::ServeSession(serve::ServeConfig config)
     : config_(std::move(config))
 {
-    // Scenarios added later default to the scale (and kernel thread
-    // count) the incoming config already uses, not full size.
+    // Scenarios added later take the scale (and kernel thread count)
+    // the incoming config already uses, not full size.
     if (!config_.scenarios.empty()) {
         datasetScale_ = config_.scenarios.front().spec.datasetScale;
         kernelThreads_ = config_.scenarios.front().spec.threads;
@@ -20,7 +20,7 @@ ServeSession::ServeSession(serve::ServeConfig config)
 ServeSession
 ServeSession::workload(const std::string &name)
 {
-    return ServeSession(Registry::global().makeWorkload(name));
+    return ServeSession(Registry::global().workloads.make(name));
 }
 
 ServeSession &
@@ -40,22 +40,15 @@ ServeSession::instances(std::uint32_t count)
 ServeSession &
 ServeSession::instanceClass(const std::string &name, std::uint32_t count)
 {
-    serve::ClusterSpec::InstanceClass cls;
-    cls.platform = name;
-    cls.count = count;
-    config_.cluster.classes.push_back(std::move(cls));
-    return *this;
+    return instanceClass(name, count, 0, 0);
 }
 
 ServeSession &
 ServeSession::instanceClass(const std::string &name, std::uint32_t count,
                             const HyGCNConfig &config)
 {
-    serve::ClusterSpec::InstanceClass cls;
-    cls.platform = name;
-    cls.count = count;
-    cls.hygcn = config;
-    config_.cluster.classes.push_back(std::move(cls));
+    instanceClass(name, count, 0, 0);
+    config_.cluster.classes.back().hygcn = config;
     return *this;
 }
 
@@ -91,26 +84,27 @@ ServeSession::scenario(const std::string &dataset, const std::string &model)
     try {
         scenario.spec.dataset = registry.datasetId(dataset);
     } catch (const std::out_of_range &) {
-        if (!registry.hasDataset(dataset))
+        if (!registry.datasets.has(dataset))
             throw;
         scenario.spec.datasetName = dataset;
     }
     try {
         scenario.spec.model = registry.modelId(model);
     } catch (const std::out_of_range &) {
-        if (!registry.hasModel(model))
+        if (!registry.models.has(model))
             throw;
         scenario.spec.modelName = model;
     }
-    scenario.spec.datasetScale = datasetScale_;
-    scenario.spec.threads = kernelThreads_;
-    config_.scenarios.push_back(std::move(scenario));
-    return *this;
+    return this->scenario(std::move(scenario));
 }
 
 ServeSession &
 ServeSession::scenario(serve::ServeScenario scenario)
 {
+    if (datasetScale_)
+        scenario.spec.datasetScale = *datasetScale_;
+    if (kernelThreads_)
+        scenario.spec.threads = *kernelThreads_;
     config_.scenarios.push_back(std::move(scenario));
     return *this;
 }
@@ -177,31 +171,9 @@ ServeSession::seed(std::uint64_t seed)
 }
 
 ServeSession &
-ServeSession::arrivalProcess(const std::string &name)
-{
-    config_.arrival.process = name;
-    return *this;
-}
-
-ServeSession &
 ServeSession::arrival(workload::ArrivalSpec spec)
 {
     config_.arrival = std::move(spec);
-    return *this;
-}
-
-ServeSession &
-ServeSession::replayTrace(const std::string &path)
-{
-    config_.arrival.process = "trace";
-    config_.arrival.traceFile = path;
-    return *this;
-}
-
-ServeSession &
-ServeSession::recordTrace(const std::string &path)
-{
-    config_.arrival.recordPath = path;
     return *this;
 }
 
@@ -213,65 +185,9 @@ ServeSession::batching(serve::BatchingSpec spec)
 }
 
 ServeSession &
-ServeSession::maxBatch(std::uint32_t size)
-{
-    config_.batching.maxBatch = size;
-    return *this;
-}
-
-ServeSession &
-ServeSession::batchTimeout(Cycle cycles)
-{
-    config_.batching.timeoutCycles = cycles;
-    return *this;
-}
-
-ServeSession &
-ServeSession::batchMarginalFraction(double fraction)
-{
-    config_.batching.marginalFraction = fraction;
-    return *this;
-}
-
-ServeSession &
-ServeSession::costModel(const std::string &name)
-{
-    config_.batching.costModel = name;
-    return *this;
-}
-
-ServeSession &
 ServeSession::routing(serve::RoutingSpec spec)
 {
     config_.routing = std::move(spec);
-    return *this;
-}
-
-ServeSession &
-ServeSession::routeObjective(const std::string &name)
-{
-    config_.routing.objective = name;
-    return *this;
-}
-
-ServeSession &
-ServeSession::lookaheadRouting(bool on)
-{
-    config_.routing.lookahead = on;
-    return *this;
-}
-
-ServeSession &
-ServeSession::affinityMargin(double margin)
-{
-    config_.routing.affinityMargin = margin;
-    return *this;
-}
-
-ServeSession &
-ServeSession::deadlineAwareBatching(bool on)
-{
-    config_.batching.deadlineAware = on;
     return *this;
 }
 
@@ -283,51 +199,9 @@ ServeSession::stats(serve::StatsSpec spec)
 }
 
 ServeSession &
-ServeSession::streamingStats(bool on)
-{
-    config_.stats.streaming = on;
-    return *this;
-}
-
-ServeSession &
-ServeSession::statsReservoir(std::uint64_t capacity)
-{
-    config_.stats.reservoirCapacity = capacity;
-    return *this;
-}
-
-ServeSession &
-ServeSession::statsFlushEvery(std::uint64_t n)
-{
-    config_.stats.flushEveryRequests = n;
-    return *this;
-}
-
-ServeSession &
 ServeSession::control(serve::ControlPlaneSpec spec)
 {
     config_.control = std::move(spec);
-    return *this;
-}
-
-ServeSession &
-ServeSession::scalingPolicy(const std::string &name)
-{
-    config_.control.scalingPolicy = name;
-    return *this;
-}
-
-ServeSession &
-ServeSession::powerCap(double watts)
-{
-    config_.control.powerCapWatts = watts;
-    return *this;
-}
-
-ServeSession &
-ServeSession::preemption(bool on)
-{
-    config_.control.preemption = on;
     return *this;
 }
 

@@ -28,6 +28,7 @@
 #ifndef HYGCN_API_SERVE_SESSION_HPP
 #define HYGCN_API_SERVE_SESSION_HPP
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,22 +68,32 @@ class ServeSession
                                 std::uint32_t count,
                                 const HyGCNConfig &config);
 
+    /**
+     * Append an instance class with autoscaling bounds: the control
+     * plane may scale it between @p min_count and @p max_count
+     * replicas (0 pins the bound at @p count).
+     */
+    ServeSession &instanceClass(const std::string &name,
+                                std::uint32_t count,
+                                std::uint32_t min_count,
+                                std::uint32_t max_count);
+
     /** Registry key of the scheduling policy ("fifo", "edf",
      *  "fair-share"). */
     ServeSession &policy(const std::string &name);
 
     // ---- scenarios ---------------------------------------------
-    /**
-     * Add a scenario by registry dataset/model names, at the current
-     * datasetScale(); named "<dataset>/<model>".
-     */
+    /** Add a scenario by registry dataset/model names, named
+     *  "<dataset>/<model>". */
     ServeSession &scenario(const std::string &dataset,
                            const std::string &model);
     ServeSession &scenario(serve::ServeScenario scenario);
 
     /**
      * Dataset scale for every scenario: applied to the ones already
-     * added and to every scenario() that follows.
+     * added and to every scenario() that follows, whichever overload
+     * adds it. A session built from a config starts at the scale of
+     * the config's first scenario.
      */
     ServeSession &datasetScale(double scale);
 
@@ -109,108 +120,33 @@ class ServeSession
     ServeSession &meanInterarrival(double cycles);
     ServeSession &seed(std::uint64_t seed);
 
-    /** Registry key of the arrival process shaping the stream
-     *  ("poisson", "diurnal", "flash-crowd", "mmpp", "heavy-tail",
-     *  "trace"); parameters adjust via arrival() or config(). */
-    ServeSession &arrivalProcess(const std::string &name);
-
-    /** Replace the whole arrival spec (process + parameters). */
+    /** Replace the whole arrival spec: the process shaping the
+     *  stream ("poisson", "diurnal", "flash-crowd", "mmpp",
+     *  "heavy-tail", "trace", "correlated"), its parameters, the
+     *  trace file it replays and the path it records to. */
     ServeSession &arrival(workload::ArrivalSpec spec);
 
-    /** Replay a recorded trace file: selects the "trace" process
-     *  over @p path (workload/trace.hpp format). */
-    ServeSession &replayTrace(const std::string &path);
+    // ---- nested specs ------------------------------------------
+    // One setter per spec, each replacing the whole spec, e.g.
+    // batching({.maxBatch = 8, .timeoutCycles = 500000}). To edit
+    // one field of a preset and keep the rest, write through
+    // config().
 
-    /** Record the generated stream to @p path as a replayable
-     *  trace, whatever process generates it. */
-    ServeSession &recordTrace(const std::string &path);
-
-    /**
-     * Append an instance class with autoscaling bounds: the control
-     * plane may scale it between @p min_count and @p max_count
-     * replicas (0 pins the bound at @p count).
-     */
-    ServeSession &instanceClass(const std::string &name,
-                                std::uint32_t count,
-                                std::uint32_t min_count,
-                                std::uint32_t max_count);
-
-    // ---- batching ----------------------------------------------
-    /** Replace the whole batching spec at once; the granular setters
-     *  below adjust single knobs on it. */
+    /** Batch formation: size cap, head timeout, cost model
+     *  ("marginal", "analytic", "measured"), deadline-aware fill. */
     ServeSession &batching(serve::BatchingSpec spec);
 
-    ServeSession &maxBatch(std::uint32_t size);
-    ServeSession &batchTimeout(Cycle cycles);
-    ServeSession &batchMarginalFraction(double fraction);
-
-    /** Registry key of the batch cost model pricing co-scheduled
-     *  requests ("marginal", "analytic", "measured"). */
-    ServeSession &costModel(const std::string &name);
-
-    // ---- routing -----------------------------------------------
-    /** Replace the whole routing spec at once; the granular setters
-     *  below adjust single knobs on it. */
+    /** Routing: objective ("cycles", "energy", "edp"), queue-aware
+     *  lookahead, scenario->class affinity margin. */
     ServeSession &routing(serve::RoutingSpec spec);
 
-    /** Registry key of the routing objective scoring candidate
-     *  instance classes ("cycles", "energy", "edp"). */
-    ServeSession &routeObjective(const std::string &name);
-
-    /** Queue-aware lookahead routing: score busy classes at their
-     *  wait-until-free horizon instead of only considering free
-     *  instances, holding a ready batch when a busy class still wins
-     *  (RoutingSpec::lookahead). */
-    ServeSession &lookaheadRouting(bool on = true);
-
-    /** Scenario->class affinity margin in [0, 1): a batch only
-     *  migrates off its scenario's last-served class when the best
-     *  rival's score improves on the incumbent's by more than this
-     *  fraction (RoutingSpec::affinityMargin; 0 disables). */
-    ServeSession &affinityMargin(double margin);
-
-    /** Deadline-aware EDF batch sizing: stop filling a batch where
-     *  the cost curve says one more member would blow the tightest
-     *  queued deadline. */
-    ServeSession &deadlineAwareBatching(bool on = true);
-
-    // ---- streaming stats ---------------------------------------
-    /** Replace the whole stats spec at once; the granular setters
-     *  below adjust single knobs on it. */
+    /** Stats collection: streaming aggregation, reservoir size,
+     *  progress flush period. */
     ServeSession &stats(serve::StatsSpec spec);
 
-    /** Fold each batch into the stats sink at dispatch instead of
-     *  materializing per-request records, so memory stays bounded
-     *  at million-request scale (StatsSpec::streaming);
-     *  ServeResult.requests/.batches stay empty. */
-    ServeSession &streamingStats(bool on = true);
-
-    /** Latency samples each streaming reservoir retains; runs at or
-     *  below this many requests get exact percentiles. */
-    ServeSession &statsReservoir(std::uint64_t capacity);
-
-    /** Print one running-stats line to stderr every @p n served
-     *  requests during a streaming run (0 disables). */
-    ServeSession &statsFlushEvery(std::uint64_t n);
-
-    // ---- control plane -----------------------------------------
-    /** Replace the whole control-plane spec at once; the granular
-     *  setters below adjust single knobs on it. */
+    /** The control plane: scaling policy ("static", "queue-depth",
+     *  "slo-burn", "scheduled"), power cap, preemption. */
     ServeSession &control(serve::ControlPlaneSpec spec);
-
-    /** Registry key of the autoscaling policy ("static",
-     *  "queue-depth", "slo-burn"). */
-    ServeSession &scalingPolicy(const std::string &name);
-
-    /** Cluster-wide modeled power budget in watts (0 = uncapped):
-     *  routing skips classes whose batch would push the summed draw
-     *  over the cap, and admission defers head-of-line batches no
-     *  class can take. */
-    ServeSession &powerCap(double watts);
-
-    /** Checkpoint-displace a running bulk batch when a tight-deadline
-     *  arrival would otherwise miss (EDF-policy clusters). */
-    ServeSession &preemption(bool on = true);
 
     /** The accumulated config. */
     serve::ServeConfig &config() { return config_; }
@@ -221,8 +157,10 @@ class ServeSession
 
   private:
     serve::ServeConfig config_;
-    double datasetScale_ = 0.0;
-    int kernelThreads_ = 0;
+    // Set by datasetScale()/kernelThreads(), or taken from the
+    // incoming config; applied to every scenario() added.
+    std::optional<double> datasetScale_;
+    std::optional<int> kernelThreads_;
 };
 
 } // namespace hygcn::api

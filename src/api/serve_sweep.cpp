@@ -42,7 +42,7 @@ ServeSweep::ServeSweep(serve::ServeConfig base) : base_(std::move(base))
 ServeSweep
 ServeSweep::workload(const std::string &name)
 {
-    return ServeSweep(Registry::global().makeWorkload(name));
+    return ServeSweep(Registry::global().workloads.make(name));
 }
 
 ServeSweep &

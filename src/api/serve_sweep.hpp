@@ -1,13 +1,12 @@
 /**
  * @file
- * Cartesian sweeps over serving configurations, mirroring
- * Session/SweepBuilder for the serve layer: a ServeSweep starts from
- * a base ServeConfig (or a ServeSession under construction) and
- * varies scheduling policy x batch cost model x routing objective x
- * routing lookahead x affinity margin x cluster shape x max batch
- * size x arrival rate x arrival process x scaling policy x power
- * cap x kernel threads x seed, executing the expansion on a
- * std::thread worker pool:
+ * Cartesian sweeps over serving configurations, mirroring Session
+ * for the serve layer: a ServeSweep starts from a base ServeConfig
+ * (or a ServeSession under construction) and varies scheduling
+ * policy x batch cost model x routing objective x routing lookahead
+ * x affinity margin x cluster shape x max batch size x arrival rate
+ * x arrival process x scaling policy x power cap x kernel threads x
+ * seed, executing the expansion on a std::thread worker pool:
  *
  *   auto results = ServeSweep(session.config())
  *                      .policies({"fifo", "edf"})

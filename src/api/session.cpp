@@ -7,87 +7,185 @@
 
 namespace hygcn::api {
 
-// ---- SweepBuilder --------------------------------------------------
+namespace {
 
-SweepBuilder &
-SweepBuilder::platform(const std::string &name)
+/** @p axis, or just @p fallback when the axis was never set. */
+template <class T>
+std::vector<T>
+orBase(const std::vector<T> &axis, const T &fallback)
+{
+    return axis.empty() ? std::vector<T>{fallback} : axis;
+}
+
+} // namespace
+
+Session &
+Session::platform(const std::string &name)
 {
     platforms_ = {name};
     return *this;
 }
 
-SweepBuilder &
-SweepBuilder::platforms(std::vector<std::string> names)
+Session &
+Session::platforms(std::vector<std::string> names)
 {
     platforms_ = std::move(names);
     return *this;
 }
 
-SweepBuilder &
-SweepBuilder::dataset(DatasetId id)
+Session &
+Session::dataset(DatasetId id)
 {
     datasets_ = {id};
+    // An id selection replaces any earlier custom-name selection;
+    // a lingering name would silently override the id at run time.
+    base_.datasetName.clear();
     return *this;
 }
 
-SweepBuilder &
-SweepBuilder::datasets(std::vector<DatasetId> ids)
+Session &
+Session::dataset(const std::string &name)
+{
+    const Registry &registry = Registry::global();
+    try {
+        return dataset(registry.datasetId(name));
+    } catch (const std::out_of_range &) {
+        // Not a built-in: registered custom datasets address by name
+        // through the base spec. The name overrides ids at run time,
+        // so collapse any multi-id axis — it would only expand into
+        // duplicate runs of this dataset.
+        if (!registry.datasets.has(name))
+            throw;
+        base_.datasetName = name;
+        datasets_ = {base_.dataset};
+    }
+    return *this;
+}
+
+Session &
+Session::datasets(std::vector<DatasetId> ids)
 {
     datasets_ = std::move(ids);
+    base_.datasetName.clear();
     return *this;
 }
 
-SweepBuilder &
-SweepBuilder::model(ModelId id)
+Session &
+Session::model(ModelId id)
 {
     models_ = {id};
+    base_.modelName.clear();
     return *this;
 }
 
-SweepBuilder &
-SweepBuilder::models(std::vector<ModelId> ids)
+Session &
+Session::model(const std::string &name)
+{
+    const Registry &registry = Registry::global();
+    try {
+        return model(registry.modelId(name));
+    } catch (const std::out_of_range &) {
+        if (!registry.models.has(name))
+            throw;
+        base_.modelName = name;
+        models_ = {base_.model};
+    }
+    return *this;
+}
+
+Session &
+Session::models(std::vector<ModelId> ids)
 {
     models_ = std::move(ids);
+    base_.modelName.clear();
     return *this;
 }
 
-SweepBuilder &
-SweepBuilder::vary(const std::string &key, std::vector<double> values)
+Session &
+Session::vary(const std::string &key, std::vector<double> values)
 {
     varies_.emplace_back(key, std::move(values));
     return *this;
 }
 
-std::size_t
-SweepBuilder::size() const
+Session &
+Session::numLayers(int k)
 {
-    std::size_t n = std::max<std::size_t>(platforms_.size(), 1) *
-                    std::max<std::size_t>(datasets_.size(), 1) *
-                    std::max<std::size_t>(models_.size(), 1);
-    for (const auto &[key, values] : varies_)
-        n *= values.size();
-    return n;
+    base_.numLayers = k;
+    return *this;
+}
+
+Session &
+Session::seed(std::uint64_t seed)
+{
+    base_.seed = seed;
+    return *this;
+}
+
+Session &
+Session::datasetScale(double scale)
+{
+    base_.datasetScale = scale;
+    return *this;
+}
+
+Session &
+Session::functional(bool on)
+{
+    base_.functional = on;
+    return *this;
+}
+
+Session &
+Session::withReadout(bool on)
+{
+    base_.withReadout = on;
+    return *this;
+}
+
+Session &
+Session::collectTrace(bool on)
+{
+    base_.collectTrace = on;
+    return *this;
+}
+
+Session &
+Session::sampleFactor(std::uint32_t factor)
+{
+    base_.sampleFactor = factor;
+    return *this;
+}
+
+Session &
+Session::kernelThreads(int count)
+{
+    base_.threads = count;
+    return *this;
+}
+
+Session &
+Session::config(const HyGCNConfig &config)
+{
+    base_.hygcn = config;
+    return *this;
+}
+
+Session &
+Session::threads(unsigned count)
+{
+    threads_ = count;
+    return *this;
 }
 
 std::vector<RunSpec>
-SweepBuilder::expand() const
+Session::expand() const
 {
-    // Unset axes fall back to the base spec's value.
-    const std::vector<std::string> platforms =
-        platforms_.empty() ? std::vector<std::string>{base.platform}
-                           : platforms_;
-    const std::vector<DatasetId> datasets =
-        datasets_.empty() ? std::vector<DatasetId>{base.dataset}
-                          : datasets_;
-    const std::vector<ModelId> models =
-        models_.empty() ? std::vector<ModelId>{base.model} : models_;
-
     std::vector<RunSpec> specs;
-    specs.reserve(size());
-    for (const std::string &platform : platforms) {
-        for (DatasetId dataset : datasets) {
-            for (ModelId model : models) {
-                RunSpec spec = base;
+    for (const std::string &platform : orBase(platforms_, base_.platform)) {
+        for (DatasetId dataset : orBase(datasets_, base_.dataset)) {
+            for (ModelId model : orBase(models_, base_.model)) {
+                RunSpec spec = base_;
                 spec.platform = platform;
                 spec.dataset = dataset;
                 spec.model = model;
@@ -116,169 +214,6 @@ SweepBuilder::expand() const
     return specs;
 }
 
-// ---- Session -------------------------------------------------------
-
-Session &
-Session::platform(const std::string &name)
-{
-    sweep_.platform(name);
-    return *this;
-}
-
-Session &
-Session::platforms(std::vector<std::string> names)
-{
-    sweep_.platforms(std::move(names));
-    return *this;
-}
-
-Session &
-Session::dataset(DatasetId id)
-{
-    sweep_.dataset(id);
-    // An id selection replaces any earlier custom-name selection;
-    // a lingering name would silently override the id at run time.
-    sweep_.base.datasetName.clear();
-    return *this;
-}
-
-Session &
-Session::dataset(const std::string &name)
-{
-    const Registry &registry = Registry::global();
-    try {
-        sweep_.dataset(registry.datasetId(name));
-        sweep_.base.datasetName.clear();
-    } catch (const std::out_of_range &) {
-        // Not a built-in: registered custom datasets address by name
-        // through the base spec (the pre-existing API gap). The name
-        // overrides ids at run time, so collapse any multi-id axis —
-        // it would only expand into duplicate runs of this dataset.
-        if (!registry.hasDataset(name))
-            throw;
-        sweep_.base.datasetName = name;
-        sweep_.dataset(sweep_.base.dataset);
-    }
-    return *this;
-}
-
-Session &
-Session::datasets(std::vector<DatasetId> ids)
-{
-    sweep_.datasets(std::move(ids));
-    sweep_.base.datasetName.clear();
-    return *this;
-}
-
-Session &
-Session::model(ModelId id)
-{
-    sweep_.model(id);
-    sweep_.base.modelName.clear();
-    return *this;
-}
-
-Session &
-Session::model(const std::string &name)
-{
-    const Registry &registry = Registry::global();
-    try {
-        sweep_.model(registry.modelId(name));
-        sweep_.base.modelName.clear();
-    } catch (const std::out_of_range &) {
-        if (!registry.hasModel(name))
-            throw;
-        sweep_.base.modelName = name;
-        sweep_.model(sweep_.base.model);
-    }
-    return *this;
-}
-
-Session &
-Session::models(std::vector<ModelId> ids)
-{
-    sweep_.models(std::move(ids));
-    sweep_.base.modelName.clear();
-    return *this;
-}
-
-Session &
-Session::vary(const std::string &key, std::vector<double> values)
-{
-    sweep_.vary(key, std::move(values));
-    return *this;
-}
-
-Session &
-Session::numLayers(int k)
-{
-    sweep_.base.numLayers = k;
-    return *this;
-}
-
-Session &
-Session::seed(std::uint64_t seed)
-{
-    sweep_.base.seed = seed;
-    return *this;
-}
-
-Session &
-Session::datasetScale(double scale)
-{
-    sweep_.base.datasetScale = scale;
-    return *this;
-}
-
-Session &
-Session::functional(bool on)
-{
-    sweep_.base.functional = on;
-    return *this;
-}
-
-Session &
-Session::withReadout(bool on)
-{
-    sweep_.base.withReadout = on;
-    return *this;
-}
-
-Session &
-Session::collectTrace(bool on)
-{
-    sweep_.base.collectTrace = on;
-    return *this;
-}
-
-Session &
-Session::sampleFactor(std::uint32_t factor)
-{
-    sweep_.base.sampleFactor = factor;
-    return *this;
-}
-
-Session &
-Session::kernelThreads(int count)
-{
-    sweep_.base.threads = count;
-    return *this;
-}
-
-Session &
-Session::config(const HyGCNConfig &config)
-{
-    sweep_.base.hygcn = config;
-    return *this;
-}
-
-Session &
-Session::threads(unsigned count)
-{
-    threads_ = count;
-    return *this;
-}
-
 std::vector<RunResult>
 Session::runAll() const
 {
@@ -286,7 +221,7 @@ Session::runAll() const
     std::vector<RunResult> results(specs.size());
     parallelFor(specs.size(), threads_, [&](std::size_t i) {
         results[i] = Registry::global()
-                         .makePlatform(specs[i].platform)
+                         .platforms.make(specs[i].platform)
                          ->run(specs[i]);
     });
     return results;

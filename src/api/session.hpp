@@ -1,9 +1,10 @@
 /**
  * @file
- * Fluent entry point of the unified API. A Session wraps a
- * SweepBuilder (the cartesian product of platforms x datasets x
- * models x varied parameters) and executes the expansion on a
- * std::thread worker pool over the shared thread-safe dataset cache:
+ * Fluent entry point of the unified API. A Session describes a
+ * parameter sweep — a base RunSpec plus the cartesian product of
+ * platforms x datasets x models x varied parameters — and executes
+ * the expansion on a std::thread worker pool over the shared
+ * thread-safe dataset cache:
  *
  *   auto results = Session()
  *                      .platform("hygcn")
@@ -21,52 +22,18 @@
 #define HYGCN_API_SESSION_HPP
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/platform.hpp"
 
 namespace hygcn::api {
 
-/**
- * Declarative description of a parameter sweep: a base RunSpec plus
- * the axes to vary. expand() produces the cartesian product in
- * deterministic declaration order (platforms outermost, then
- * datasets, models, and each vary() axis innermost).
- */
-class SweepBuilder
-{
-  public:
-    /** The spec every expanded run starts from. */
-    RunSpec base;
-
-    SweepBuilder &platform(const std::string &name);
-    SweepBuilder &platforms(std::vector<std::string> names);
-    SweepBuilder &dataset(DatasetId id);
-    SweepBuilder &datasets(std::vector<DatasetId> ids);
-    SweepBuilder &model(ModelId id);
-    SweepBuilder &models(std::vector<ModelId> ids);
-
-    /** Add a sweep axis: one run per value of applyParam key. */
-    SweepBuilder &vary(const std::string &key, std::vector<double> values);
-
-    /** Number of runs expand() will produce. */
-    std::size_t size() const;
-
-    /** Expand the cartesian product into concrete specs. */
-    std::vector<RunSpec> expand() const;
-
-  private:
-    std::vector<std::string> platforms_;
-    std::vector<DatasetId> datasets_;
-    std::vector<ModelId> models_;
-    std::vector<std::pair<std::string, std::vector<double>>> varies_;
-};
-
 /** Fluent builder + parallel executor over the Registry platforms. */
 class Session
 {
   public:
-    // ---- sweep definition (forwarded to the SweepBuilder) -------
+    // ---- sweep axes (unset axes keep the base spec's value) -----
     Session &platform(const std::string &name);
     Session &platforms(std::vector<std::string> names);
     Session &dataset(DatasetId id);
@@ -76,6 +43,8 @@ class Session
     Session &model(ModelId id);
     Session &model(const std::string &name);
     Session &models(std::vector<ModelId> ids);
+
+    /** Add a sweep axis: one run per value of applyParam key. */
     Session &vary(const std::string &key, std::vector<double> values);
 
     // ---- base-spec knobs ---------------------------------------
@@ -99,12 +68,12 @@ class Session
     /** Worker threads for runAll (0 = hardware concurrency). */
     Session &threads(unsigned count);
 
-    /** The underlying sweep definition. */
-    SweepBuilder &sweep() { return sweep_; }
-    const SweepBuilder &sweep() const { return sweep_; }
-
-    /** Concrete specs this session would run. */
-    std::vector<RunSpec> expand() const { return sweep_.expand(); }
+    /**
+     * Concrete specs this session would run: the cartesian product
+     * in deterministic declaration order (platforms outermost, then
+     * datasets, models, and each vary() axis innermost).
+     */
+    std::vector<RunSpec> expand() const;
 
     /**
      * Execute every expanded spec on a worker pool. Results are in
@@ -121,7 +90,11 @@ class Session
     SimReport report() const { return runOne().report; }
 
   private:
-    SweepBuilder sweep_;
+    RunSpec base_;
+    std::vector<std::string> platforms_;
+    std::vector<DatasetId> datasets_;
+    std::vector<ModelId> models_;
+    std::vector<std::pair<std::string, std::vector<double>>> varies_;
     unsigned threads_ = 0;
 };
 

@@ -162,12 +162,12 @@ heavytail()
 void
 registerBuiltinWorkloads(Registry &registry)
 {
-    registry.registerWorkload("serve-smoke", smoke);
-    registry.registerWorkload("serve-steady", steady);
-    registry.registerWorkload("serve-bursty", bursty);
-    registry.registerWorkload("serve-diurnal", diurnal);
-    registry.registerWorkload("serve-flashcrowd", flashcrowd);
-    registry.registerWorkload("serve-heavytail", heavytail);
+    registry.workloads.add("serve-smoke", smoke);
+    registry.workloads.add("serve-steady", steady);
+    registry.workloads.add("serve-bursty", bursty);
+    registry.workloads.add("serve-diurnal", diurnal);
+    registry.workloads.add("serve-flashcrowd", flashcrowd);
+    registry.workloads.add("serve-heavytail", heavytail);
 }
 
 } // namespace hygcn::api

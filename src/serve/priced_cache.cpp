@@ -23,14 +23,13 @@ PricedScenarioCache::rejectUnresolvable(const std::string &platform,
     // injected platform resolves names its own way.
     if (bound_ != nullptr)
         return;
-    if (!api::Registry::global().hasPlatform(platform))
-        api::Registry::global().makePlatform(platform); // throws
-    if (!spec.datasetName.empty() &&
-        !api::Registry::global().hasDataset(spec.datasetName))
-        api::Registry::global().makeDataset(spec.datasetName); // throws
-    if (!spec.modelName.empty() &&
-        !api::Registry::global().hasModel(spec.modelName))
-        api::Registry::global().makeModel(spec.modelName, 1); // throws
+    const api::Registry &registry = api::Registry::global();
+    if (!registry.platforms.has(platform))
+        registry.platforms.make(platform); // throws
+    if (!spec.datasetName.empty() && !registry.datasets.has(spec.datasetName))
+        registry.datasets.make(spec.datasetName, 1, 0.0); // throws
+    if (!spec.modelName.empty() && !registry.models.has(spec.modelName))
+        registry.models.make(spec.modelName, 1, 2); // throws
 }
 
 std::shared_ptr<PricedScenarioCache::Entry>
@@ -67,7 +66,7 @@ PricedScenarioCache::price(const std::string &platform,
             const api::RunResult run =
                 bound_ != nullptr
                     ? bound_->run(keyed)
-                    : api::Registry::global().makePlatform(platform)->run(
+                    : api::Registry::global().platforms.make(platform)->run(
                           keyed);
             entry->value.cyclesByBatch = {run.report.cycles};
             entry->value.joulesByBatch = {run.report.joules()};
@@ -96,7 +95,7 @@ PricedScenarioCache::priceCurve(const std::string &platform,
     // Resolve the model before the slot: an unknown cost-model name
     // is registry state, and must stay retryable after registration.
     const std::unique_ptr<BatchCostModel> model =
-        api::Registry::global().makeCostModel(config.batching.costModel);
+        api::Registry::global().costModels.make(config.batching.costModel);
     rejectUnresolvable(platform, keyed);
 
     std::string key = toJson(keyed);

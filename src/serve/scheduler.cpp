@@ -199,9 +199,9 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
     refill();
 
     const std::unique_ptr<SchedulerPolicy> policy =
-        api::Registry::global().makePolicy(config_.policy, config_);
+        api::Registry::global().policies.make(config_.policy, config_);
     const std::unique_ptr<RouteObjective> objective =
-        api::Registry::global().makeObjective(config_.routing.objective);
+        api::Registry::global().objectives.make(config_.routing.objective);
 
     const std::size_t num_classes = curves.size();
     const std::size_t num_scenarios = config_.scenarios.size();
@@ -315,7 +315,7 @@ Scheduler::simulate(const std::vector<ClusterSpec::InstanceClass> &classes,
 
     std::unique_ptr<ScalingPolicy> scaler;
     if (scaling_on)
-        scaler = api::Registry::global().makeScalingPolicy(
+        scaler = api::Registry::global().scalingPolicies.make(
             control.scalingPolicy, config_);
 
     // Per-class replica bounds. The instance arena is laid out at

@@ -205,7 +205,7 @@ RequestGenerator::RequestGenerator(const ServeConfig &config)
     for (const ServeScenario &s : config.scenarios)
         scenarioNames_.push_back(s.name);
 
-    process_ = api::Registry::global().makeArrivalProcess(
+    process_ = api::Registry::global().arrivalProcesses.make(
         config.arrival.process, config);
     if (!config.arrival.recordPath.empty())
         recorder_ = std::make_unique<workload::TraceWriter>(

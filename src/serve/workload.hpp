@@ -282,7 +282,7 @@ struct ControlPlaneSpec
      * against the high/low watermarks), "slo-burn" (window deadline
      *-miss rate against sloBurnHigh, queue-depth low watermark for
      * scale-down). Custom policies register through
-     * Registry::registerScalingPolicy.
+     * Registry::scalingPolicies.
      */
     std::string scalingPolicy = "static";
 
@@ -330,7 +330,7 @@ struct ControlPlaneSpec
      * *target* terms — every class follows the same shape, clamped
      * into its own min/max bounds.
      */
-    std::vector<ScheduleEntry> schedule;
+    std::vector<ScheduleEntry> schedule{};
 
     /**
      * Cluster-wide power cap in watts over the modeled per-batch

@@ -66,7 +66,7 @@ struct ArrivalSpec
     /** Per-state rate multipliers the chain cycles through (all
      *  > 0); empty resolves to the two-state {0.4, 4.0} slow/burst
      *  alternation. */
-    std::vector<double> mmppRateMultipliers;
+    std::vector<double> mmppRateMultipliers{};
 
     /** Mean exponential dwell per state in cycles; 0 resolves to
      *  32x the mean gap. */
@@ -102,7 +102,7 @@ struct ArrivalSpec
     // ---- "trace": replay a recorded stream ----------------------
     /** Trace file the "trace" process replays (workload/trace.hpp
      *  format); required for that process, inert otherwise. */
-    std::string traceFile;
+    std::string traceFile{};
 
     // ---- recording ----------------------------------------------
     /**
@@ -112,7 +112,7 @@ struct ArrivalSpec
      * side effect, deliberately not part of the config's JSON echo.
      * Concurrent runs (e.g. a sweep) must record to distinct paths.
      */
-    std::string recordPath;
+    std::string recordPath{};
 
     /** Throws std::invalid_argument on parameters no process could
      *  consume. Registry resolution of `process` happens later, at

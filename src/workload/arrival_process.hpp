@@ -11,7 +11,7 @@
  * "correlated" (burst windows that pin a hot tenant, correlating
  * the tenant mix in time). The "trace" replay process lives in
  * workload/trace.hpp. Custom processes register through
- * Registry::registerArrivalProcess.
+ * Registry::arrivalProcesses.
  */
 
 #ifndef HYGCN_WORKLOAD_ARRIVAL_PROCESS_HPP

@@ -110,15 +110,13 @@ TEST(ScalingRegistry, BuiltinsResolveAndUnknownThrows)
     const ServeConfig config = makeConfig(2, 1);
     for (const char *name :
          {"static", "queue-depth", "slo-burn", "scheduled"}) {
-        EXPECT_TRUE(registry.hasScalingPolicy(name));
-        EXPECT_EQ(registry.makeScalingPolicy(name, config)->name(),
-                  name);
+        EXPECT_TRUE(registry.scalingPolicies.has(name));
+        EXPECT_EQ(registry.scalingPolicies.make(name, config)->name(), name);
     }
-    EXPECT_FALSE(registry.hasScalingPolicy("pid"));
-    EXPECT_THROW(registry.makeScalingPolicy("pid", config),
+    EXPECT_FALSE(registry.scalingPolicies.has("pid"));
+    EXPECT_THROW(registry.scalingPolicies.make("pid", config),
                  std::out_of_range);
-    const std::vector<std::string> names =
-        registry.scalingPolicyNames();
+    const std::vector<std::string> names = registry.scalingPolicies.names();
     EXPECT_NE(std::find(names.begin(), names.end(), "queue-depth"),
               names.end());
 }
@@ -342,25 +340,28 @@ TEST(ControlPlane, PreemptionRejectsStreamingStats)
 TEST(ServeSessionSpecs, GroupedSettersMatchGranularOnes)
 {
     api::ServeSession grouped;
-    grouped.batching(BatchingSpec{16, 50000, 0.4, "analytic", false})
-        .stats(StatsSpec{true, 1024, 0})
-        .control([] {
-            ControlPlaneSpec spec;
-            spec.scalingPolicy = "queue-depth";
-            spec.powerCapWatts = 12.5;
-            return spec;
-        }());
+    grouped
+        .batching({.maxBatch = 16,
+                   .timeoutCycles = 50000,
+                   .marginalFraction = 0.4,
+                   .costModel = "analytic",
+                   .deadlineAware = false})
+        .stats({.streaming = true, .reservoirCapacity = 1024})
+        .control({.scalingPolicy = "queue-depth", .powerCapWatts = 12.5});
 
+    // Single fields edited through config() land exactly where the
+    // whole-spec setters put them.
     api::ServeSession granular;
-    granular.maxBatch(16)
-        .batchTimeout(50000)
-        .batchMarginalFraction(0.4)
-        .costModel("analytic")
-        .deadlineAwareBatching(false)
-        .streamingStats(true)
-        .statsReservoir(1024)
-        .scalingPolicy("queue-depth")
-        .powerCap(12.5);
+    ServeConfig &config = granular.config();
+    config.batching.maxBatch = 16;
+    config.batching.timeoutCycles = 50000;
+    config.batching.marginalFraction = 0.4;
+    config.batching.costModel = "analytic";
+    config.batching.deadlineAware = false;
+    config.stats.streaming = true;
+    config.stats.reservoirCapacity = 1024;
+    config.control.scalingPolicy = "queue-depth";
+    config.control.powerCapWatts = 12.5;
 
     EXPECT_EQ(toJson(grouped.config()), toJson(granular.config()));
     EXPECT_TRUE(grouped.config().control.enabled());

@@ -76,15 +76,15 @@ TEST(CostModelRegistry, BuiltinsRegisteredAndConstructible)
 {
     api::Registry &registry = api::Registry::global();
     for (const char *name : {"marginal", "analytic", "measured"}) {
-        ASSERT_TRUE(registry.hasCostModel(name)) << name;
-        const auto model = registry.makeCostModel(name);
+        ASSERT_TRUE(registry.costModels.has(name)) << name;
+        const auto model = registry.costModels.make(name);
         ASSERT_NE(model, nullptr);
         EXPECT_EQ(model->name(), name);
     }
-    EXPECT_EQ(registry.costModelNames().size(), 3u);
-    EXPECT_THROW(registry.makeCostModel("psychic"), std::out_of_range);
+    EXPECT_EQ(registry.costModels.names().size(), 3u);
+    EXPECT_THROW(registry.costModels.make("psychic"), std::out_of_range);
     try {
-        registry.makeCostModel("psychic");
+        registry.costModels.make("psychic");
         FAIL() << "expected std::out_of_range";
     } catch (const std::out_of_range &e) {
         EXPECT_NE(std::string(e.what()).find("analytic"),
@@ -361,12 +361,12 @@ TEST(EdfDeadlineAwareBatching, NeverServesTheSloTenantWorse)
 
 TEST(ServeSession, CostModelAndDeadlineKnobsFillConfig)
 {
-    const api::ServeSession session = api::ServeSession()
-                                          .platform("hygcn-agg")
-                                          .datasetScale(kScale)
-                                          .scenario("cora", "gcn")
-                                          .costModel("analytic")
-                                          .deadlineAwareBatching();
+    const api::ServeSession session =
+        api::ServeSession()
+            .platform("hygcn-agg")
+            .datasetScale(kScale)
+            .scenario("cora", "gcn")
+            .batching({.costModel = "analytic", .deadlineAware = true});
     EXPECT_EQ(session.config().batching.costModel, "analytic");
     EXPECT_TRUE(session.config().batching.deadlineAware);
     session.config().validate();

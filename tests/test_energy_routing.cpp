@@ -95,12 +95,12 @@ ServeConfig
 stubClusterConfig()
 {
     api::Registry &registry = api::Registry::global();
-    if (!registry.hasPlatform("stub-fast-hot")) {
-        registry.registerPlatform("stub-fast-hot", [] {
+    if (!registry.platforms.has("stub-fast-hot")) {
+        registry.platforms.add("stub-fast-hot", [] {
             return std::make_unique<StubPlatform>("stub-fast-hot",
                                                   1000000, 10.0);
         });
-        registry.registerPlatform("stub-slow-cool", [] {
+        registry.platforms.add("stub-slow-cool", [] {
             return std::make_unique<StubPlatform>("stub-slow-cool",
                                                   2000000, 1.0);
         });
@@ -133,12 +133,12 @@ ServeConfig
 tieClusterConfig()
 {
     api::Registry &registry = api::Registry::global();
-    if (!registry.hasPlatform("stub-tie-a")) {
-        registry.registerPlatform("stub-tie-a", [] {
+    if (!registry.platforms.has("stub-tie-a")) {
+        registry.platforms.add("stub-tie-a", [] {
             return std::make_unique<StubPlatform>("stub-tie-a",
                                                   1000000, 2.0);
         });
-        registry.registerPlatform("stub-tie-b", [] {
+        registry.platforms.add("stub-tie-b", [] {
             return std::make_unique<StubPlatform>(
                 "stub-tie-b", 1000000, 2.0 * (1.0 + 1e-13));
         });
@@ -179,14 +179,14 @@ TEST(ObjectiveRegistry, BuiltinsRegisteredAndConstructible)
 {
     api::Registry &registry = api::Registry::global();
     for (const char *name : {"cycles", "energy", "edp"}) {
-        ASSERT_TRUE(registry.hasObjective(name)) << name;
-        const auto objective = registry.makeObjective(name);
+        ASSERT_TRUE(registry.objectives.has(name)) << name;
+        const auto objective = registry.objectives.make(name);
         ASSERT_NE(objective, nullptr);
         EXPECT_EQ(objective->name(), name);
     }
-    EXPECT_THROW(registry.makeObjective("karma"), std::out_of_range);
+    EXPECT_THROW(registry.objectives.make("karma"), std::out_of_range);
     try {
-        registry.makeObjective("karma");
+        registry.objectives.make("karma");
         FAIL() << "expected std::out_of_range";
     } catch (const std::out_of_range &e) {
         EXPECT_NE(std::string(e.what()).find("edp"), std::string::npos);
@@ -428,8 +428,7 @@ TEST(RouteObjectives, CyclesObjectiveKeepsLegacySchedulesByteIdentical)
     // The uniform-clock FIFO smoke workload must not move a single
     // byte under the explicit default objective (the goldens pin the
     // implicit default).
-    ServeConfig config = api::Registry::global().makeWorkload(
-        "serve-smoke");
+    ServeConfig config = api::Registry::global().workloads.make("serve-smoke");
     for (ServeScenario &s : config.scenarios)
         s.spec.datasetScale = kScale;
     const std::string implicit = toJson(runServe(config));
@@ -487,7 +486,7 @@ TEST(ServeSession, RouteObjectiveFillsConfig)
                                           .platform("hygcn")
                                           .datasetScale(kScale)
                                           .scenario("cora", "gcn")
-                                          .routeObjective("energy");
+                                          .routing({.objective = "energy"});
     EXPECT_EQ(session.config().routing.objective, "energy");
     session.config().validate();
 }

@@ -367,10 +367,9 @@ TEST(Goldens, AnalyticServeRunJsonIsByteStable)
     // cost model: pins the phase breakdown (combination weight-load
     // cycles), the analytic curve math, and the off-default JSON
     // fields (cost_model, unit_cycles_by_batch) byte-exactly.
-    const serve::ServeResult result =
-        api::ServeSession::workload("serve-smoke")
-            .costModel("analytic")
-            .run();
+    api::ServeSession session = api::ServeSession::workload("serve-smoke");
+    session.config().batching.costModel = "analytic";
+    const serve::ServeResult result = session.run();
     ASSERT_EQ(result.requests.size(), result.config.numRequests);
     compareOrUpdate("serve_run_analytic.json", toJson(result));
 }

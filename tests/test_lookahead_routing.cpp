@@ -8,9 +8,10 @@
  * margin separates retention from migration at the predicted
  * boundary (and raises scenario->class locality on a ping-pong-prone
  * mix), lookahead-off runs stay byte-identical to the legacy
- * scheduler, the grouped ServeSession::routing() setter matches its
- * granular delegates, PricedScenarioCache hit/miss counters surface
- * per run, the "scheduled" ScalingPolicy follows its timetable, and
+ * scheduler, the whole-spec ServeSession::routing() setter matches
+ * field edits through config(), PricedScenarioCache hit/miss counters
+ * surface per run, the "scheduled" ScalingPolicy follows its
+ * timetable, and
  * the ServeSweep lookahead/affinity axes expand the cartesian grid.
  */
 
@@ -75,9 +76,9 @@ void
 registerStub(const std::string &name, Cycle cycles, double joules)
 {
     api::Registry &registry = api::Registry::global();
-    if (registry.hasPlatform(name))
+    if (registry.platforms.has(name))
         return;
-    registry.registerPlatform(name, [name, cycles, joules] {
+    registry.platforms.add(name, [name, cycles, joules] {
         return std::make_unique<StubPlatform>(name, cycles, joules);
     });
 }
@@ -441,12 +442,13 @@ TEST(RoutingSpec, LookaheadOnAnIdleClusterMatchesGreedySchedule)
 TEST(RoutingSpec, GroupedSessionSetterMatchesGranularDelegates)
 {
     api::ServeSession grouped;
-    grouped.routing(RoutingSpec{"energy", true, 0.25});
+    grouped.routing(
+        {.objective = "energy", .lookahead = true, .affinityMargin = 0.25});
 
     api::ServeSession granular;
-    granular.routeObjective("energy")
-        .lookaheadRouting()
-        .affinityMargin(0.25);
+    granular.config().routing.objective = "energy";
+    granular.config().routing.lookahead = true;
+    granular.config().routing.affinityMargin = 0.25;
 
     EXPECT_EQ(toJson(grouped.config()), toJson(granular.config()));
     EXPECT_TRUE(grouped.config().routing.enabled());

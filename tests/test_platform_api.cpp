@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <stdexcept>
 #include <thread>
 
@@ -7,7 +9,12 @@
 #include "api/registry.hpp"
 #include "api/session.hpp"
 #include "core/accelerator.hpp"
+#include "serve/control_plane.hpp"
+#include "serve/cost_model.hpp"
+#include "serve/policy.hpp"
+#include "serve/route_objective.hpp"
 #include "sim/json.hpp"
+#include "workload/arrival_process.hpp"
 
 using namespace hygcn;
 using namespace hygcn::api;
@@ -24,31 +31,31 @@ TEST(Registry, BuiltinPlatformLookup)
     Registry &reg = Registry::global();
     for (const char *name : {"hygcn", "hygcn-agg", "pyg-cpu",
                              "pyg-cpu-part", "pyg-gpu", "pyg-gpu-part"}) {
-        ASSERT_TRUE(reg.hasPlatform(name)) << name;
-        auto platform = reg.makePlatform(name);
+        ASSERT_TRUE(reg.platforms.has(name)) << name;
+        auto platform = reg.platforms.make(name);
         ASSERT_NE(platform, nullptr);
         EXPECT_EQ(platform->name(), name);
     }
-    EXPECT_EQ(reg.platformNames().size(), 6u);
+    EXPECT_EQ(reg.platforms.names().size(), 6u);
     // Lookup is case-insensitive, like dataset/model names.
-    EXPECT_TRUE(reg.hasPlatform("HyGCN"));
-    EXPECT_EQ(reg.makePlatform("PyG-GPU")->name(), "pyg-gpu");
+    EXPECT_TRUE(reg.platforms.has("HyGCN"));
+    EXPECT_EQ(reg.platforms.make("PyG-GPU")->name(), "pyg-gpu");
 }
 
 TEST(Registry, UnknownNamesThrowWithKnownKeysListed)
 {
     Registry &reg = Registry::global();
-    EXPECT_THROW(reg.makePlatform("tpu"), std::out_of_range);
+    EXPECT_THROW(reg.platforms.make("tpu"), std::out_of_range);
     try {
-        reg.makePlatform("tpu");
+        reg.platforms.make("tpu");
         FAIL() << "expected std::out_of_range";
     } catch (const std::out_of_range &e) {
         EXPECT_NE(std::string(e.what()).find("hygcn"), std::string::npos);
     }
     EXPECT_THROW(reg.datasetId("karate-club"), std::out_of_range);
     EXPECT_THROW(reg.modelId("gat"), std::out_of_range);
-    EXPECT_THROW(reg.makeDataset("karate-club"), std::out_of_range);
-    EXPECT_THROW(reg.makeModel("gat", 64), std::out_of_range);
+    EXPECT_THROW(reg.datasets.make("karate-club", 1, 0.0), std::out_of_range);
+    EXPECT_THROW(reg.models.make("gat", 64, 2), std::out_of_range);
 }
 
 TEST(Registry, DatasetAndModelNameResolution)
@@ -60,11 +67,11 @@ TEST(Registry, DatasetAndModelNameResolution)
     EXPECT_EQ(reg.modelId("gcn"), ModelId::GCN);
     EXPECT_EQ(reg.modelId("DFP"), ModelId::DFP);
 
-    const Dataset cora = reg.makeDataset("cora", 1, kScale);
+    const Dataset cora = reg.datasets.make("cora", 1, kScale);
     EXPECT_EQ(cora.id, DatasetId::CR);
     EXPECT_EQ(cora.featureLen, 1433);
 
-    const ModelConfig gin = reg.makeModel("gin", 64);
+    const ModelConfig gin = reg.models.make("gin", 64, 2);
     EXPECT_EQ(gin.id, ModelId::GIN);
 }
 
@@ -83,11 +90,217 @@ TEST(Registry, CustomPlatformRegistration)
         }
     };
     Registry reg; // private registry; keep the global one pristine
-    reg.registerPlatform("null",
-                         [] { return std::make_unique<NullPlatform>(); });
-    EXPECT_TRUE(reg.hasPlatform("null"));
-    EXPECT_EQ(reg.makePlatform("null")->run(RunSpec{}).report.platform,
+    reg.platforms.add("null", [] { return std::make_unique<NullPlatform>(); });
+    EXPECT_TRUE(reg.platforms.has("null"));
+    EXPECT_EQ(reg.platforms.make("null")->run(RunSpec{}).report.platform,
               "null");
+}
+
+// ---- the FactoryTable contract, on every table -------------------
+
+namespace {
+
+/**
+ * One table of a fresh registry: the exact unknown-name error with
+ * the known keys listed, case-insensitive lookup of @p builtin, and
+ * add()/make() racing from several threads. @p cheap is the factory
+ * the threads register; @p args feed every make().
+ */
+template <class Factory, class... Args>
+void
+checkTable(FactoryTable<Factory> &table, const std::string &kind,
+           const std::string &known, std::string builtin, Factory cheap,
+           const Args &...args)
+{
+    SCOPED_TRACE(kind);
+    try {
+        table.make("No-Such", args...);
+        ADD_FAILURE() << "expected std::out_of_range";
+    } catch (const std::out_of_range &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "api: unknown " + kind + " \"No-Such\"; known: " + known);
+    }
+
+    std::transform(builtin.begin(), builtin.end(), builtin.begin(),
+                   [](unsigned char c) { return std::toupper(c); });
+    EXPECT_TRUE(table.has(builtin));
+    EXPECT_NO_THROW(table.make(builtin, args...));
+
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 25;
+    const std::size_t before = table.names().size();
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t)
+        workers.emplace_back([&, t] {
+            for (int i = 0; i < kPerThread; ++i) {
+                const std::string name =
+                    "Extra-" + std::to_string(t) + "-" + std::to_string(i);
+                table.add(name, cheap);
+                EXPECT_NO_THROW(table.make(name, args...));
+                EXPECT_TRUE(table.has(name));
+                EXPECT_GE(table.names().size(), before + 1);
+            }
+        });
+    for (std::thread &worker : workers)
+        worker.join();
+    EXPECT_EQ(table.names().size(), before + kThreads * kPerThread);
+}
+
+} // namespace
+
+TEST(Registry, EveryTableKeepsTheFactoryTableContract)
+{
+    Registry reg; // private registry; keep the global one pristine
+    const serve::ServeConfig smoke = reg.workloads.make("serve-smoke");
+
+    checkTable(reg.platforms, "platform",
+               "hygcn, hygcn-agg, pyg-cpu, pyg-cpu-part, pyg-gpu, "
+               "pyg-gpu-part",
+               "pyg-gpu", Registry::PlatformFactory([] {
+                   return Registry::global().platforms.make("hygcn");
+               }));
+    checkTable(reg.datasets, "dataset",
+               "citeseer, cl, collab, cora, cr, cs, ib, imdb-binary, pb, "
+               "pubmed, rd, reddit",
+               "cora", Registry::DatasetFactory([](std::uint64_t, double) {
+                   return Dataset{};
+               }),
+               std::uint64_t{1}, kScale);
+    checkTable(reg.models, "model", "dfp, gcn, gin, gsc", "gin",
+               Registry::ModelFactory([](int feature_len, int num_layers) {
+                   return ::hygcn::makeModel(ModelId::GCN, feature_len,
+                                             num_layers);
+               }),
+               64, 2);
+    checkTable(reg.workloads, "workload",
+               "serve-bursty, serve-diurnal, serve-flashcrowd, "
+               "serve-heavytail, serve-smoke, serve-steady",
+               "serve-steady",
+               Registry::WorkloadFactory([] { return serve::ServeConfig{}; }));
+    checkTable(reg.policies, "policy", "edf, fair-share, fifo", "edf",
+               Registry::PolicyFactory([](const serve::ServeConfig &c) {
+                   return std::make_unique<serve::FifoPolicy>(c);
+               }),
+               smoke);
+    checkTable(reg.costModels, "cost model", "analytic, marginal, measured",
+               "analytic", Registry::CostModelFactory([] {
+                   return std::make_unique<serve::MarginalCostModel>();
+               }));
+    checkTable(reg.objectives, "routing objective", "cycles, edp, energy",
+               "edp", Registry::ObjectiveFactory([] {
+                   return std::make_unique<serve::CyclesObjective>();
+               }));
+    checkTable(
+        reg.arrivalProcesses, "arrival process",
+        "correlated, diurnal, flash-crowd, heavy-tail, mmpp, "
+        "poisson, trace",
+        "heavy-tail",
+        Registry::ArrivalProcessFactory([](const serve::ServeConfig &c) {
+            return std::make_unique<workload::PoissonProcess>(c);
+        }),
+        smoke);
+    checkTable(reg.scalingPolicies, "scaling policy",
+               "queue-depth, scheduled, slo-burn, static", "slo-burn",
+               Registry::ScalingPolicyFactory([](const serve::ServeConfig &c) {
+                   return std::make_unique<serve::StaticScaling>(c);
+               }),
+               smoke);
+}
+
+TEST(Registry, FactoriesMayCallBackIntoTheirOwnTable)
+{
+    // make() calls the factory after releasing the table's lock, so
+    // a factory that re-enters the same table does not deadlock.
+    Registry &reg = Registry::global();
+    const serve::ServeConfig smoke = reg.workloads.make("serve-smoke");
+
+    reg.platforms.add(
+        "alias", [] { return Registry::global().platforms.make("pyg-gpu"); });
+    EXPECT_EQ(reg.platforms.make("alias")->name(), "pyg-gpu");
+
+    reg.datasets.add("alias", [](std::uint64_t seed, double scale) {
+        return Registry::global().datasets.make("citeseer", seed, scale);
+    });
+    EXPECT_EQ(reg.datasets.make("alias", 1, kScale).id, DatasetId::CS);
+
+    reg.models.add("alias", [](int feature_len, int num_layers) {
+        return Registry::global().models.make("gin", feature_len, num_layers);
+    });
+    EXPECT_EQ(reg.models.make("alias", 64, 2).id, ModelId::GIN);
+
+    reg.workloads.add("alias", [] {
+        serve::ServeConfig config =
+            Registry::global().workloads.make("serve-smoke");
+        config.numRequests = 7;
+        return config;
+    });
+    EXPECT_EQ(reg.workloads.make("alias").numRequests, 7u);
+
+    reg.policies.add("alias", [](const serve::ServeConfig &config) {
+        return Registry::global().policies.make("edf", config);
+    });
+    EXPECT_EQ(reg.policies.make("alias", smoke)->name(), "edf");
+
+    reg.costModels.add("alias", [] {
+        return Registry::global().costModels.make("analytic");
+    });
+    EXPECT_EQ(reg.costModels.make("alias")->name(), "analytic");
+
+    reg.objectives.add(
+        "alias", [] { return Registry::global().objectives.make("edp"); });
+    EXPECT_EQ(reg.objectives.make("alias")->name(), "edp");
+
+    reg.arrivalProcesses.add("alias", [](const serve::ServeConfig &config) {
+        return Registry::global().arrivalProcesses.make("poisson", config);
+    });
+    EXPECT_NE(reg.arrivalProcesses.make("alias", smoke), nullptr);
+
+    reg.scalingPolicies.add("alias", [](const serve::ServeConfig &config) {
+        return Registry::global().scalingPolicies.make("queue-depth", config);
+    });
+    EXPECT_EQ(reg.scalingPolicies.make("alias", smoke)->name(), "queue-depth");
+}
+
+TEST(Registry, BuiltinDatasetAndModelNamesAreReserved)
+{
+    // Regression: a factory added under "cora" used to answer
+    // datasets.make("cora") while Session().dataset("cora") still
+    // ran the built-in CR. Built-in names now refuse replacement.
+    Registry &reg = Registry::global();
+    const Registry::DatasetFactory citeseer = [](std::uint64_t seed,
+                                                 double scale) {
+        return ::hygcn::makeDataset(DatasetId::CS, seed, scale);
+    };
+    for (const char *name : {"cora", "CR", "Cora", "pubmed", "reddit"})
+        EXPECT_THROW(reg.datasets.add(name, citeseer), std::invalid_argument)
+            << name;
+    const Registry::ModelFactory gin = [](int feature_len, int num_layers) {
+        return ::hygcn::makeModel(ModelId::GIN, feature_len, num_layers);
+    };
+    for (const char *name : {"gcn", "GSC", "dfp"})
+        EXPECT_THROW(reg.models.add(name, gin), std::invalid_argument) << name;
+    try {
+        reg.datasets.add("Cora", citeseer);
+        ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "api: dataset \"Cora\" is built in and cannot be "
+                  "replaced");
+    }
+
+    // Both paths still agree on the built-in.
+    EXPECT_EQ(reg.datasets.make("cora", 1, kScale).id, DatasetId::CR);
+    EXPECT_EQ(reg.models.make("gcn", 64, 2).id, ModelId::GCN);
+    const std::vector<RunSpec> specs =
+        Session().dataset("cora").model("gcn").expand();
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_EQ(specs[0].dataset, DatasetId::CR);
+    EXPECT_TRUE(specs[0].datasetName.empty());
+    EXPECT_EQ(specs[0].model, ModelId::GCN);
+    EXPECT_TRUE(specs[0].modelName.empty());
+
+    // Names that are not built in still register.
+    EXPECT_NO_THROW(reg.datasets.add("cora-like", citeseer));
 }
 
 TEST(Sweep, CartesianExpansionOrderAndSize)
@@ -99,7 +312,6 @@ TEST(Sweep, CartesianExpansionOrderAndSize)
         .vary("aggBufBytes", {1 << 20, 2 << 20, 4 << 20});
     const std::vector<RunSpec> specs = s.expand();
     ASSERT_EQ(specs.size(), 2u * 2u * 2u * 3u);
-    EXPECT_EQ(s.sweep().size(), specs.size());
 
     // Declaration order: platform slowest, vary() axis fastest.
     EXPECT_EQ(specs[0].platform, "hygcn");
@@ -226,13 +438,13 @@ TEST(Platform, InvalidConfigFailsFastBeforeDatasetConstruction)
     const double unique_scale = 0.017;
     const std::size_t cached_before = DatasetCache::global().size();
 
-    auto platform = Registry::global().makePlatform("hygcn");
+    auto platform = Registry::global().platforms.make("hygcn");
     RunSpec spec;
     spec.dataset = DatasetId::CS;
     spec.datasetScale = unique_scale;
     spec.hygcn = bad;
     EXPECT_THROW(platform->run(spec), std::invalid_argument);
-    EXPECT_THROW(Registry::global().makePlatform("hygcn-agg")->run(spec),
+    EXPECT_THROW(Registry::global().platforms.make("hygcn-agg")->run(spec),
                  std::invalid_argument);
     EXPECT_EQ(DatasetCache::global().size(), cached_before);
 
@@ -256,7 +468,7 @@ TEST(Platform, BaselinesRejectFunctionalMode)
         spec.dataset = DatasetId::CR;
         spec.datasetScale = kScale;
         spec.functional = true;
-        EXPECT_THROW(Registry::global().makePlatform(name)->run(spec),
+        EXPECT_THROW(Registry::global().platforms.make(name)->run(spec),
                      std::invalid_argument)
             << name;
     }
@@ -267,7 +479,7 @@ TEST(Platform, BaselinesRejectFunctionalMode)
     gin.model = ModelId::GIN;
     gin.dataset = DatasetId::CR;
     gin.datasetScale = kScale;
-    EXPECT_THROW(Registry::global().makePlatform("hygcn-agg")->run(gin),
+    EXPECT_THROW(Registry::global().platforms.make("hygcn-agg")->run(gin),
                  std::invalid_argument);
 }
 
@@ -284,13 +496,13 @@ TEST(Platform, CpuBaselineFunctionalMatchesHyGCN)
     cpu.functional = true;
     cpu.threads = 2;
     const RunResult cpu_out =
-        Registry::global().makePlatform("pyg-cpu")->run(cpu);
+        Registry::global().platforms.make("pyg-cpu")->run(cpu);
 
     RunSpec hw = cpu;
     hw.platform = "hygcn";
     hw.threads = 0;
     const RunResult hw_out =
-        Registry::global().makePlatform("hygcn")->run(hw);
+        Registry::global().platforms.make("hygcn")->run(hw);
 
     ASSERT_EQ(cpu_out.layerOutputs.size(), hw_out.layerOutputs.size());
     ASSERT_FALSE(cpu_out.layerOutputs.empty());
@@ -306,7 +518,7 @@ TEST(Platform, CpuBaselineFunctionalMatchesHyGCN)
     // The engine trace remains unsupported on the baseline.
     RunSpec traced = cpu;
     traced.collectTrace = true;
-    EXPECT_THROW(Registry::global().makePlatform("pyg-cpu")->run(traced),
+    EXPECT_THROW(Registry::global().platforms.make("pyg-cpu")->run(traced),
                  std::invalid_argument);
 }
 
@@ -375,16 +587,15 @@ TEST(Registry, CustomDatasetAndModelAddressableFromRunSpec)
     // models used to be constructible by name only — a RunSpec (and
     // so Session/sweeps/serving scenarios) could not reference them.
     Registry &reg = Registry::global();
-    reg.registerDataset(
-        "tiny-cora", [](std::uint64_t seed, double scale) {
-            return ::hygcn::makeDataset(DatasetId::CR, seed,
-                                        scale <= 0.0 ? 0.1 : scale);
-        });
-    reg.registerModel("gcn-wide", [](int feature_len, int num_layers) {
+    reg.datasets.add("tiny-cora", [](std::uint64_t seed, double scale) {
+        return ::hygcn::makeDataset(DatasetId::CR, seed,
+                                    scale <= 0.0 ? 0.1 : scale);
+    });
+    reg.models.add("gcn-wide", [](int feature_len, int num_layers) {
         return ::hygcn::makeModel(ModelId::GCN, feature_len, num_layers);
     });
-    ASSERT_TRUE(reg.hasDataset("tiny-cora"));
-    ASSERT_TRUE(reg.hasModel("gcn-wide"));
+    ASSERT_TRUE(reg.datasets.has("tiny-cora"));
+    ASSERT_TRUE(reg.models.has("gcn-wide"));
 
     const RunResult run = Session()
                               .platform("pyg-cpu")
@@ -416,7 +627,7 @@ TEST(Registry, CustomDatasetAndModelAddressableFromRunSpec)
 
 TEST(DatasetCache, CustomNamesCacheByRegistryName)
 {
-    Registry::global().registerDataset(
+    Registry::global().datasets.add(
         "tiny-citeseer", [](std::uint64_t seed, double scale) {
             return ::hygcn::makeDataset(DatasetId::CS, seed,
                                         scale <= 0.0 ? 0.1 : scale);
@@ -436,12 +647,12 @@ TEST(DatasetCache, CustomNamesCacheByRegistryName)
 
 TEST(Registry, IdSelectionClearsEarlierCustomName)
 {
-    Registry::global().registerDataset(
+    Registry::global().datasets.add(
         "sticky-cora", [](std::uint64_t seed, double scale) {
             return ::hygcn::makeDataset(DatasetId::CR, seed,
                                         scale <= 0.0 ? 0.1 : scale);
         });
-    Registry::global().registerModel(
+    Registry::global().models.add(
         "sticky-gcn", [](int feature_len, int num_layers) {
             return ::hygcn::makeModel(ModelId::GCN, feature_len,
                                       num_layers);

@@ -241,9 +241,9 @@ TEST(ServeSession, FluentBuilderFillsConfig)
             .meanInterarrival(25000.0)
             .seed(42)
             .instances(3)
-            .maxBatch(5)
-            .batchTimeout(75000)
-            .batchMarginalFraction(0.5);
+            .batching({.maxBatch = 5,
+                       .timeoutCycles = 75000,
+                       .marginalFraction = 0.5});
     const ServeConfig &config = session.config();
     EXPECT_EQ(config.platform, "hygcn-agg");
     ASSERT_EQ(config.scenarios.size(), 2u);
@@ -271,31 +271,55 @@ TEST(ServeSession, DatasetScaleAppliesToExistingScenarios)
     EXPECT_DOUBLE_EQ(session.config().scenarios[1].spec.datasetScale, 0.3);
 }
 
+TEST(ServeSession, ScaleAndThreadsApplyWhateverTheCallOrder)
+{
+    ServeScenario scenario{"cora/gcn", {}};
+    scenario.spec.dataset = DatasetId::CR;
+
+    // Regression: a scenario object added after datasetScale() or
+    // kernelThreads() used to keep scale 0 and its own thread count.
+    api::ServeSession knobs_first;
+    knobs_first.datasetScale(kScale).kernelThreads(3).scenario(scenario);
+    api::ServeSession knobs_last;
+    knobs_last.scenario(scenario).datasetScale(kScale).kernelThreads(3);
+    for (const api::ServeSession *session : {&knobs_first, &knobs_last}) {
+        const api::RunSpec &spec = session->config().scenarios.at(0).spec;
+        EXPECT_DOUBLE_EQ(spec.datasetScale, kScale);
+        EXPECT_EQ(spec.threads, 3);
+    }
+    EXPECT_EQ(toJson(knobs_first.config()), toJson(knobs_last.config()));
+
+    // Without either knob a scenario object keeps its own values.
+    scenario.spec.datasetScale = 0.5;
+    scenario.spec.threads = 2;
+    const api::ServeSession untouched = api::ServeSession().scenario(scenario);
+    EXPECT_DOUBLE_EQ(untouched.config().scenarios[0].spec.datasetScale, 0.5);
+    EXPECT_EQ(untouched.config().scenarios[0].spec.threads, 2);
+}
+
 TEST(ServeSession, RegistryWorkloadPresetsAreRegistered)
 {
     api::Registry &registry = api::Registry::global();
     for (const char *name :
          {"serve-smoke", "serve-steady", "serve-bursty",
           "serve-diurnal", "serve-flashcrowd", "serve-heavytail"}) {
-        ASSERT_TRUE(registry.hasWorkload(name)) << name;
-        const ServeConfig config = registry.makeWorkload(name);
+        ASSERT_TRUE(registry.workloads.has(name)) << name;
+        const ServeConfig config = registry.workloads.make(name);
         config.validate();
         EXPECT_FALSE(config.scenarios.empty());
     }
-    EXPECT_EQ(registry.workloadNames().size(), 6u);
+    EXPECT_EQ(registry.workloads.names().size(), 6u);
     // The adversarial presets select their namesake arrival process.
-    EXPECT_EQ(registry.makeWorkload("serve-diurnal").arrival.process,
+    EXPECT_EQ(registry.workloads.make("serve-diurnal").arrival.process,
               "diurnal");
-    EXPECT_EQ(
-        registry.makeWorkload("serve-flashcrowd").arrival.process,
-        "flash-crowd");
-    EXPECT_EQ(
-        registry.makeWorkload("serve-heavytail").arrival.process,
-        "heavy-tail");
-    EXPECT_THROW(registry.makeWorkload("serve-hurricane"),
+    EXPECT_EQ(registry.workloads.make("serve-flashcrowd").arrival.process,
+              "flash-crowd");
+    EXPECT_EQ(registry.workloads.make("serve-heavytail").arrival.process,
+              "heavy-tail");
+    EXPECT_THROW(registry.workloads.make("serve-hurricane"),
                  std::out_of_range);
     try {
-        registry.makeWorkload("serve-hurricane");
+        registry.workloads.make("serve-hurricane");
         FAIL() << "expected std::out_of_range";
     } catch (const std::out_of_range &e) {
         EXPECT_NE(std::string(e.what()).find("serve-smoke"),

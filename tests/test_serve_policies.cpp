@@ -102,16 +102,16 @@ TEST(PolicyRegistry, BuiltinPoliciesRegisteredAndConstructible)
     api::Registry &registry = api::Registry::global();
     const ServeConfig config = aggConfig();
     for (const char *name : {"fifo", "edf", "fair-share"}) {
-        ASSERT_TRUE(registry.hasPolicy(name)) << name;
-        const auto policy = registry.makePolicy(name, config);
+        ASSERT_TRUE(registry.policies.has(name)) << name;
+        const auto policy = registry.policies.make(name, config);
         ASSERT_NE(policy, nullptr);
         EXPECT_EQ(policy->name(), name);
         EXPECT_TRUE(policy->empty());
     }
-    EXPECT_EQ(registry.policyNames().size(), 3u);
-    EXPECT_THROW(registry.makePolicy("lifo", config), std::out_of_range);
+    EXPECT_EQ(registry.policies.names().size(), 3u);
+    EXPECT_THROW(registry.policies.make("lifo", config), std::out_of_range);
     try {
-        registry.makePolicy("lifo", config);
+        registry.policies.make("lifo", config);
         FAIL() << "expected std::out_of_range";
     } catch (const std::out_of_range &e) {
         EXPECT_NE(std::string(e.what()).find("fair-share"),
@@ -133,7 +133,7 @@ TEST(PolicyRegistry, AllPoliciesServeEveryWorkloadPreset)
          {"serve-smoke", "serve-steady", "serve-bursty"}) {
         for (const char *policy : {"fifo", "edf", "fair-share"}) {
             ServeConfig config =
-                api::Registry::global().makeWorkload(workload);
+                api::Registry::global().workloads.make(workload);
             // Scaled down so the grid stays fast; the arrival
             // process and mixes are the preset's own.
             for (ServeScenario &s : config.scenarios)
@@ -340,8 +340,7 @@ TEST(Cluster, WorkloadPresetsServeOnMixedCluster)
     // hygcn + pyg-cpu cluster.
     for (const char *workload :
          {"serve-smoke", "serve-steady", "serve-bursty"}) {
-        ServeConfig config =
-            api::Registry::global().makeWorkload(workload);
+        ServeConfig config = api::Registry::global().workloads.make(workload);
         for (ServeScenario &s : config.scenarios)
             s.spec.datasetScale = kScale;
         config.numRequests = 48;

@@ -69,12 +69,12 @@ ServeConfig
 sinkClusterConfig()
 {
     api::Registry &registry = api::Registry::global();
-    if (!registry.hasPlatform("stub-sink-fast")) {
-        registry.registerPlatform("stub-sink-fast", [] {
+    if (!registry.platforms.has("stub-sink-fast")) {
+        registry.platforms.add("stub-sink-fast", [] {
             return std::make_unique<StubPlatform>("stub-sink-fast",
                                                   800000, 4.0);
         });
-        registry.registerPlatform("stub-sink-slow", [] {
+        registry.platforms.add("stub-sink-slow", [] {
             return std::make_unique<StubPlatform>("stub-sink-slow",
                                                   1300000, 1.5);
         });

@@ -112,11 +112,11 @@ TEST(ArrivalRegistry, ResolvesEveryBuiltinProcess)
     for (const char *name :
          {"poisson", "diurnal", "flash-crowd", "mmpp", "heavy-tail",
           "trace"})
-        EXPECT_TRUE(registry.hasArrivalProcess(name)) << name;
-    EXPECT_FALSE(registry.hasArrivalProcess("no-such-process"));
-    EXPECT_THROW(registry.makeArrivalProcess("no-such-process",
-                                             streamConfig()),
-                 std::out_of_range);
+        EXPECT_TRUE(registry.arrivalProcesses.has(name)) << name;
+    EXPECT_FALSE(registry.arrivalProcesses.has("no-such-process"));
+    EXPECT_THROW(
+        registry.arrivalProcesses.make("no-such-process", streamConfig()),
+        std::out_of_range);
 }
 
 namespace {
@@ -137,7 +137,7 @@ class FixedGapProcess : public workload::ArrivalProcess
 
 TEST(ArrivalRegistry, CustomProcessRegistersAndGenerates)
 {
-    api::Registry::global().registerArrivalProcess(
+    api::Registry::global().arrivalProcesses.add(
         "fixed-gap-test", [](const serve::ServeConfig &) {
             return std::make_unique<FixedGapProcess>();
         });
@@ -214,9 +214,8 @@ TEST(Trace, ReplayReproducesServeStatsExactly)
     const std::string recorded = tempPath("served_recorded.csv");
 
     serve::ServeConfig config =
-        api::ServeSession::workload("serve-flashcrowd")
-            .recordTrace(recorded)
-            .config();
+        api::ServeSession::workload("serve-flashcrowd").config();
+    config.arrival.recordPath = recorded;
     config.numRequests = 96; // keep the priced run cheap
     const serve::ServeResult original = serve::runServe(config);
 
