@@ -7,7 +7,9 @@
  *
  * A serve matrix pins every scheduler decision path the same way:
  * one line per (policy, objective, lookahead, affinity, control,
- * stats) cell with a hash of its schedule and its stats object.
+ * stats) cell with a hash of its schedule and its stats object. A
+ * CPU-model matrix pins the PyG-CPU cache replay one line per
+ * (geometry, traversal, model, dataset) cell.
  *
  * Regenerate after an intentional change with tests/update_goldens.sh
  * (runs this binary with HYGCN_UPDATE_GOLDENS=1).
@@ -31,10 +33,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/serve_session.hpp"
 #include "api/session.hpp"
+#include "baseline/cpu_model.hpp"
 #include "serve/scheduler.hpp"
 #include "sim/json.hpp"
 
@@ -306,6 +310,33 @@ statsObject(const std::string &json)
     throw std::runtime_error("serve JSON stats object is unterminated");
 }
 
+/** @p value at round-trip precision, so equal text means equal bits. */
+std::string
+exactNumber(double value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    return buf;
+}
+
+/** Every number of a SimReport as one flat JSON object: cycles, DRAM
+ *  bytes, joules, counters, gauges and energy components. */
+std::string
+exactReport(const SimReport &report)
+{
+    std::string out = "{\"cycles\":" + std::to_string(report.cycles) +
+                      ",\"dram_bytes\":" +
+                      std::to_string(report.dramBytes()) +
+                      ",\"joules\":" + exactNumber(report.joules());
+    for (const auto &[name, v] : report.stats.counters())
+        out += ",\"" + name + "\":" + std::to_string(v);
+    for (const auto &[name, v] : report.stats.gauges())
+        out += ",\"" + name + "\":" + exactNumber(v);
+    for (const auto &[name, pj] : report.energy.components())
+        out += ",\"pj." + name + "\":" + exactNumber(pj);
+    return out + "}";
+}
+
 } // namespace
 
 TEST(Goldens, NumericComparatorAcceptsWithinTolerance)
@@ -473,4 +504,45 @@ TEST(Goldens, ServeMatrixSchedulesAndStatsAreStable)
     EXPECT_EQ(skipped.size(), 3u * 3u * 2u * 2u);
     EXPECT_EQ(lines.size(), 3u * 3u * 2u * 2u * 4u * 2u - skipped.size());
     compareLinesOrUpdate("serve_matrix.json", lines, ",\"stats\":");
+}
+
+TEST(Goldens, CpuModelReportsAreStable)
+{
+    // The PyG-CPU model behind Table 2 and the Fig. 10 CPU baselines:
+    // naive and interval/shard traversal x every model x the small
+    // datasets, at the default Xeon geometry and at two others: a
+    // 64-KB L2 over a 392-KB L3 with an odd set count (383), small
+    // enough that the features overflow it, and 128-B lines. Numbers
+    // are printed at round-trip precision, so the replay's cache
+    // counts (MPKI, DRAM bytes, cache energy) are pinned bit for bit.
+    CpuConfig odd_l3;
+    odd_l3.l2 = {64ull * 1024, 8, 64};      // 128 sets
+    odd_l3.l3 = {64ull * 16 * 383, 16, 64}; // 383 sets
+    CpuConfig line128;
+    line128.l1.lineBytes = 128;
+    line128.l2.lineBytes = 128;
+    line128.l3.lineBytes = 128;
+    const std::pair<const char *, CpuConfig> geometries[] = {
+        {"default", CpuConfig{}}, {"l3odd", odd_l3}, {"line128", line128}};
+
+    std::vector<std::string> lines;
+    for (DatasetId data : {DatasetId::IB, DatasetId::CR, DatasetId::CS}) {
+        const Dataset dataset = makeDataset(data, 1, 1.0);
+        for (ModelId id : allModels()) {
+            const ModelConfig model = makeModel(id, dataset.featureLen);
+            for (const auto &[geometry, config] : geometries)
+                for (bool partitioned : {false, true}) {
+                    CpuModel cpu(config);
+                    const SimReport report =
+                        cpu.run(dataset, model, 7, {partitioned});
+                    lines.push_back(
+                        "\"" + std::string(geometry) + "/" +
+                        (partitioned ? "pyg-cpu-part/" : "pyg-cpu/") +
+                        modelAbbrev(id) + "/" + datasetAbbrev(data) +
+                        "\":" + exactReport(report));
+                }
+        }
+    }
+    EXPECT_EQ(lines.size(), 3u * 4u * 3u * 2u);
+    compareLinesOrUpdate("cpu_model.json", lines, "\":");
 }

@@ -8,7 +8,8 @@
 # With --bench, also regenerate the CI bench baselines under
 # bench/baselines/ (BENCH_serve.json, BENCH_fig10.json,
 # BENCH_fig11.json, BENCH_fig12.json, BENCH_powercap.json,
-# BENCH_lookahead.json, BENCH_scale.json, BENCH_spmm.json) from the same
+# BENCH_lookahead.json, BENCH_scale.json, BENCH_spmm.json, and the
+# Table 2 stdout table02.txt) from the same
 # build, so golden and baseline refreshes land in one reviewed diff.
 # BENCH_scale.json records sim_rps derated 8x (serve_scale
 # --baseline): it gates wallclock throughput, so the baseline needs
@@ -48,7 +49,8 @@ HYGCN_UPDATE_GOLDENS=1 "$BIN"
 if [ "$BENCH" = 1 ]; then
     for bench in serve_latency fig10_speedup fig11_energy \
                  fig12_energy_breakdown serve_powercap \
-                 serve_lookahead serve_scale spmm_kernels; do
+                 serve_lookahead serve_scale spmm_kernels \
+                 table02_cpu_characterization; do
         if [ ! -x "$BUILD/bench/$bench" ]; then
             echo "error: $BUILD/bench/$bench not built; run:" \
                  "cmake --build $BUILD -j --target $bench" >&2
@@ -68,4 +70,6 @@ if [ "$BENCH" = 1 ]; then
         bench/baselines/BENCH_scale.json
     "$BUILD/bench/spmm_kernels" --baseline \
         bench/baselines/BENCH_spmm.json
+    "$BUILD/bench/table02_cpu_characterization" \
+        > bench/baselines/table02.txt
 fi
