@@ -22,32 +22,6 @@ CacheLevel::CacheLevel(const CacheLevelConfig &config) : config_(config)
     fill_.assign(numSets_, 0);
 }
 
-bool
-CacheLevel::access(Addr addr)
-{
-    ++accesses_;
-    const std::uint64_t line = addr >> lineShift_;
-    const std::uint64_t set = setsPow2_ ? (line & setMask_) : line % numSets_;
-    std::uint64_t *ways = tags_.data() + set * config_.associativity;
-    std::uint32_t &fill = fill_[set];
-
-    // Move-to-front in one pass: each entry ahead of the match (or,
-    // on a miss, every entry) shifts one way toward the LRU end.
-    std::uint64_t carry = line;
-    for (std::uint32_t i = 0; i < fill; ++i) {
-        const std::uint64_t cur = ways[i];
-        ways[i] = carry;
-        if (cur == line)
-            return true;
-        carry = cur;
-    }
-    ++misses_;
-    // Miss: a full set drops its LRU entry (the last carry).
-    if (fill < config_.associativity)
-        ways[fill++] = carry;
-    return false;
-}
-
 void
 CacheLevel::reset()
 {
@@ -63,16 +37,6 @@ CacheHierarchy::CacheHierarchy(const CacheLevelConfig &l1,
     levels_.emplace_back(l1);
     levels_.emplace_back(l2);
     levels_.emplace_back(l3);
-}
-
-int
-CacheHierarchy::access(Addr addr)
-{
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
-        if (levels_[i].access(addr))
-            return static_cast<int>(i) + 1;
-    }
-    return static_cast<int>(levels_.size()) + 1;
 }
 
 std::uint64_t

@@ -14,12 +14,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -27,38 +21,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t s = seed;
     for (auto &word : state_)
         word = splitmix64(s);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // Multiply-shift mapping (Lemire); bias is negligible for our uses
-    // and determinism matters more than perfect uniformity here.
-    const unsigned __int128 product =
-        static_cast<unsigned __int128>(next()) * bound;
-    return static_cast<std::uint64_t>(product >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 float
