@@ -88,6 +88,35 @@ class CacheHierarchy
     std::vector<CacheLevel> levels_;
 };
 
+/**
+ * Geometry for replaying a row-structured stream one aligned block of
+ * lines per access (README.md modelling substitution 3).
+ */
+struct BlockReplay
+{
+    /** Lines per block, b; 1 means per-line replay. */
+    std::uint32_t lines = 1;
+    /** The levels with lineBytes widened b-fold (capacity and ways kept). */
+    CacheLevelConfig l1, l2, l3;
+};
+
+/**
+ * Plan block replay for a stream that touches every @p accessBytes
+ * chunk of rows of @p rowBytes placed back to back from @p base, one
+ * row at a time. Returns the largest power of two b such that
+ * @p rowBytes and @p base are multiples of b * accessBytes, every
+ * level's lineBytes equals @p accessBytes, and b divides every
+ * level's set count. All b lines of a block then map to sibling sets
+ * that see the same sequence of rows, so they hit or miss together at
+ * every level: per-level accesses and misses are b times those of the
+ * widened hierarchy, and dramBytes() is equal. Otherwise b = 1.
+ */
+BlockReplay planBlockReplay(const CacheLevelConfig &l1,
+                            const CacheLevelConfig &l2,
+                            const CacheLevelConfig &l3,
+                            std::uint64_t rowBytes, Addr base,
+                            std::uint32_t accessBytes);
+
 // Defined inline: the CPU model's replay calls them once per simulated
 // access.
 

@@ -17,8 +17,7 @@ struct AggReplay
     double instructions = 0.0;
     double dramBytes = 0.0;      // after prefetch waste
     double cacheAccesses = 0.0;  // L1 references
-    double l2Accesses = 0.0, l2Misses = 0.0;
-    double l3Accesses = 0.0, l3Misses = 0.0;
+    double l2Misses = 0.0, l3Misses = 0.0;
     EdgeId edges = 0;
 };
 
@@ -26,7 +25,9 @@ struct AggReplay
  * Replay the gather pattern of one layer: for every edge, touch the
  * source vertex's feature lines. When the estimated access count
  * exceeds the cap, destinations are stride-sampled and statistics
- * scaled back up.
+ * scaled back up. Where rows are whole aligned blocks of lines (see
+ * planBlockReplay), one access per block through the widened
+ * hierarchy stands in, exactly, for the block's per-line accesses.
  */
 AggReplay
 replayAggregation(const CpuConfig &config, const CscView &view,
@@ -48,13 +49,17 @@ replayAggregation(const CpuConfig &config, const CscView &view,
             std::ceil(est_accesses / config.maxSimulatedAccesses));
     }
 
-    CacheHierarchy caches(config.l1, config.l2, config.l3);
+    const BlockReplay block = planBlockReplay(
+        config.l1, config.l2, config.l3, feat_bytes, feat_base, 64);
+    const std::uint64_t block_bytes = 64ull * block.lines;
+    const std::uint64_t blocks_per_feat = lines_per_feat / block.lines;
+    CacheHierarchy caches(block.l1, block.l2, block.l3);
     EdgeId simulated_edges = 0;
 
     auto touch_edge = [&](VertexId src) {
         const Addr base = feat_base + static_cast<Addr>(src) * feat_bytes;
-        for (std::uint64_t l = 0; l < lines_per_feat; ++l)
-            caches.access(base + l * 64);
+        for (std::uint64_t k = 0; k < blocks_per_feat; ++k)
+            caches.access(base + k * block_bytes);
         ++simulated_edges;
     };
 
@@ -97,16 +102,13 @@ replayAggregation(const CpuConfig &config, const CscView &view,
         (f_agg * config.instrPerElement + config.instrPerEdge);
     replay.dramBytes = static_cast<double>(caches.dramBytes()) * scale *
                        (1.0 + config.prefetchWaste);
-    replay.cacheAccesses =
-        static_cast<double>(caches.level(1).accesses()) * scale;
-    replay.l2Accesses =
-        static_cast<double>(caches.level(2).accesses()) * scale;
-    replay.l2Misses =
-        static_cast<double>(caches.level(2).misses()) * scale;
-    replay.l3Accesses =
-        static_cast<double>(caches.level(3).accesses()) * scale;
-    replay.l3Misses =
-        static_cast<double>(caches.level(3).misses()) * scale;
+    // Per-line counts: b times the block counts.
+    auto lines = [&](std::uint64_t blocks) {
+        return static_cast<double>(blocks * block.lines) * scale;
+    };
+    replay.cacheAccesses = lines(caches.level(1).accesses());
+    replay.l2Misses = lines(caches.level(2).misses());
+    replay.l3Misses = lines(caches.level(3).misses());
     return replay;
 }
 
@@ -130,7 +132,7 @@ CpuModel::run(const Dataset &dataset, const ModelConfig &model,
     double agg_instr = 0.0, comb_instr = 0.0;
     double agg_dram = 0.0, comb_dram = 0.0;
     double cache_bytes = 0.0;
-    double agg_l2a = 0.0, agg_l2m = 0.0, agg_l3a = 0.0, agg_l3m = 0.0;
+    double agg_l2m = 0.0, agg_l3m = 0.0;
     double agg_ops = 0.0, comb_flops = 0.0;
 
     const double gemm_rate = config_.cores * config_.ghz * 1e9 *
@@ -161,9 +163,7 @@ CpuModel::run(const Dataset &dataset, const ModelConfig &model,
         if (!options.partitionOptimized) {
             replay.dramBytes += 2.0 * message_bytes;
             const double mat_lines = message_bytes / 64.0;
-            replay.l2Accesses += mat_lines;
             replay.l2Misses += mat_lines;
-            replay.l3Accesses += mat_lines;
             replay.l3Misses += mat_lines;
         } else {
             cache_bytes += 2.0 * message_bytes;
@@ -180,9 +180,7 @@ CpuModel::run(const Dataset &dataset, const ModelConfig &model,
         agg_instr += replay.instructions;
         agg_dram += replay.dramBytes;
         cache_bytes += replay.cacheAccesses * 64.0;
-        agg_l2a += replay.l2Accesses;
         agg_l2m += replay.l2Misses;
-        agg_l3a += replay.l3Accesses;
         agg_l3m += replay.l3Misses;
         agg_ops += static_cast<double>(replay.edges) * f_agg;
 

@@ -281,3 +281,138 @@ TEST(CacheHierarchy, MatchesChainedReferenceLevels)
     }
     EXPECT_EQ(h.dramBytes(), ref[2].misses() * 64);
 }
+
+namespace {
+
+/**
+ * Replay @p touches row touches of @p row_bytes rows placed from
+ * @p base through a per-line hierarchy and through the block-replay
+ * one planned for them, comparing each block's hit level with its b
+ * per-line accesses, then every per-level counter. Rows are drawn
+ * seeded: half from a region the L2 holds, a quarter from one half
+ * the L3 holds, a quarter from four L3 capacities.
+ */
+void
+expectBlockReplayExact(const CacheLevelConfig &l1,
+                       const CacheLevelConfig &l2,
+                       const CacheLevelConfig &l3, std::uint64_t row_bytes,
+                       Addr base, std::uint32_t expected_lines,
+                       int touches, std::uint64_t seed)
+{
+    const BlockReplay plan = planBlockReplay(l1, l2, l3, row_bytes, base, 64);
+    ASSERT_EQ(plan.lines, expected_lines);
+    CacheHierarchy narrow(l1, l2, l3);
+    CacheHierarchy wide(plan.l1, plan.l2, plan.l3);
+
+    const std::uint64_t b = plan.lines;
+    const std::uint64_t hot = l2.capacityBytes / row_bytes;
+    const std::uint64_t warm = l3.capacityBytes / 2 / row_bytes;
+    const std::uint64_t cold = 4 * l3.capacityBytes / row_bytes;
+    Rng rng(seed);
+    for (int t = 0; t < touches; ++t) {
+        const std::uint64_t draw = rng.nextBounded(4);
+        const std::uint64_t row =
+            rng.nextBounded(draw < 2 ? hot : draw == 2 ? warm : cold);
+        const Addr row_base = base + row * row_bytes;
+        for (std::uint64_t k = 0; k < row_bytes / (64 * b); ++k) {
+            const Addr block = row_base + k * 64 * b;
+            const int level = wide.access(block);
+            for (std::uint64_t j = 0; j < b; ++j)
+                ASSERT_EQ(narrow.access(block + j * 64), level)
+                    << "touch " << t << " block " << k << " line " << j;
+        }
+    }
+    for (int lvl = 1; lvl <= 3; ++lvl) {
+        SCOPED_TRACE("level " + std::to_string(lvl));
+        EXPECT_EQ(narrow.level(lvl).accesses(),
+                  b * wide.level(lvl).accesses());
+        EXPECT_EQ(narrow.level(lvl).misses(), b * wide.level(lvl).misses());
+        EXPECT_GT(narrow.level(lvl).misses(), 0u);
+        EXPECT_LT(narrow.level(lvl).misses(), narrow.level(lvl).accesses());
+    }
+    EXPECT_EQ(narrow.dramBytes(), wide.dramBytes());
+}
+
+} // namespace
+
+TEST(BlockReplay, MatchesPerLineReplayAtTheCpuModelGeometry)
+{
+    // The CPU model's L1/L2/L3: 64, 512 and 24576 sets. 512-B rows
+    // (128 features) give b = 8; 2-KB rows give b = 32, where the
+    // L1's 64 sets bound b next. Each block's lines land in sibling
+    // sets of the 24576-set L3 even though it is not a power of two.
+    const CacheLevelConfig l1{32ull * 1024, 8, 64};
+    const CacheLevelConfig l2{256ull * 1024, 8, 64};
+    const CacheLevelConfig l3{30ull * 1024 * 1024, 20, 64};
+    expectBlockReplayExact(l1, l2, l3, 512, Addr{1} << 40, 8, 400000, 1);
+    expectBlockReplayExact(l1, l2, l3, 2048, 0, 32, 100000, 2);
+    // A 3-line row cannot be blocked and replays line by line.
+    expectBlockReplayExact(l1, l2, l3, 192, 0, 1, 100000, 3);
+}
+
+TEST(BlockReplay, MatchesPerLineReplayAtSmallGeometries)
+{
+    // 16, 32 and 24 sets: the L3's 24 = 3 x 8 sets bound b at 8 even
+    // for 1-KB rows, and 256-B rows give b = 4.
+    const CacheLevelConfig l1{2048, 2, 64};
+    const CacheLevelConfig l2{8192, 4, 64};
+    const CacheLevelConfig l3{24ull * 4 * 64, 4, 64};
+    expectBlockReplayExact(l1, l2, l3, 1024, 4096, 8, 50000, 4);
+    expectBlockReplayExact(l1, l2, l3, 256, 1024, 4, 50000, 5);
+    // A 1-KB-aligned base holding 1-KB rows still gives b = 8; a
+    // 128-B-aligned one caps b at 2.
+    expectBlockReplayExact(l1, l2, l3, 1024, 128, 2, 50000, 6);
+}
+
+TEST(BlockReplay, FallsBackToPerLineReplay)
+{
+    const CacheLevelConfig l1{32ull * 1024, 8, 64};
+    const CacheLevelConfig l2{256ull * 1024, 8, 64};
+    const CacheLevelConfig l3{30ull * 1024 * 1024, 20, 64};
+    auto lines = [](const CacheLevelConfig &a, const CacheLevelConfig &b,
+                    const CacheLevelConfig &c, std::uint64_t row_bytes,
+                    Addr base) {
+        return planBlockReplay(a, b, c, row_bytes, base, 64).lines;
+    };
+    EXPECT_EQ(lines(l1, l2, l3, 512, 0), 8u);
+
+    // Unaligned bases.
+    EXPECT_EQ(lines(l1, l2, l3, 512, 64), 1u);
+    EXPECT_EQ(lines(l1, l2, l3, 512, 32), 1u);
+    EXPECT_EQ(lines(l1, l2, l3, 512, 256), 4u);
+    // Rows that are not a whole number of lines (GIN's first layer on
+    // Cora: 1433 features) or of blocks.
+    EXPECT_EQ(lines(l1, l2, l3, 1433 * 4, 0), 1u);
+    EXPECT_EQ(lines(l1, l2, l3, 96, 0), 1u);
+    EXPECT_EQ(lines(l1, l2, l3, 384, 0), 2u);
+    EXPECT_EQ(lines(l1, l2, l3, 0, 0), 1u);
+    // Set counts b does not divide: an odd L3 (12289 sets), and an L1
+    // of 2 x 5 sets.
+    const CacheLevelConfig odd_l3{64ull * 16 * 12289, 16, 64};
+    EXPECT_EQ(lines(l1, l2, odd_l3, 512, 0), 1u);
+    const CacheLevelConfig l1_10_sets{10 * 8 * 64, 8, 64};
+    EXPECT_EQ(lines(l1_10_sets, l2, l3, 512, 0), 2u);
+    // Lines that differ from the 64-B access size, at one level or
+    // at all of them.
+    const CacheLevelConfig l3_128{30ull * 1024 * 1024, 20, 128};
+    EXPECT_EQ(lines(l1, l2, l3_128, 512, 0), 1u);
+    const CacheLevelConfig l1_128{32ull * 1024, 8, 128};
+    const CacheLevelConfig l2_128{256ull * 1024, 8, 128};
+    EXPECT_EQ(lines(l1_128, l2_128, l3_128, 512, 0), 1u);
+    EXPECT_EQ(planBlockReplay(l1_128, l2_128, l3_128, 512, 0, 64)
+                  .l3.lineBytes,
+              128u);
+
+    // The fallback keeps the configs; a block plan widens only lines.
+    const BlockReplay same = planBlockReplay(l1, l2, odd_l3, 512, 0, 64);
+    EXPECT_EQ(same.l3.capacityBytes, odd_l3.capacityBytes);
+    EXPECT_EQ(same.l3.associativity, odd_l3.associativity);
+    EXPECT_EQ(same.l3.lineBytes, 64u);
+    const BlockReplay wide = planBlockReplay(l1, l2, l3, 512, 0, 64);
+    EXPECT_EQ(wide.l1.lineBytes, 512u);
+    EXPECT_EQ(wide.l2.lineBytes, 512u);
+    EXPECT_EQ(wide.l3.lineBytes, 512u);
+    EXPECT_EQ(wide.l3.capacityBytes, l3.capacityBytes);
+    EXPECT_EQ(wide.l3.associativity, l3.associativity);
+    EXPECT_EQ(CacheLevel(wide.l3).numSets(), 24576u / 8);
+}
