@@ -65,8 +65,8 @@ CacheHierarchy::reset()
 
 BlockReplay
 planBlockReplay(const CacheLevelConfig &l1, const CacheLevelConfig &l2,
-                const CacheLevelConfig &l3, std::uint64_t rowBytes,
-                Addr base, std::uint32_t accessBytes)
+                const CacheLevelConfig &l3, std::uint64_t rowBytes, Addr base,
+                std::uint32_t accessBytes)
 {
     BlockReplay plan{1, l1, l2, l3};
     CacheLevelConfig *const levels[] = {&plan.l1, &plan.l2, &plan.l3};

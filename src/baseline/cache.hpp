@@ -113,9 +113,8 @@ struct BlockReplay
  */
 BlockReplay planBlockReplay(const CacheLevelConfig &l1,
                             const CacheLevelConfig &l2,
-                            const CacheLevelConfig &l3,
-                            std::uint64_t rowBytes, Addr base,
-                            std::uint32_t accessBytes);
+                            const CacheLevelConfig &l3, std::uint64_t rowBytes,
+                            Addr base, std::uint32_t accessBytes);
 
 // Defined inline: the CPU model's replay calls them once per simulated
 // access.

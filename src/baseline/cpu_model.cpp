@@ -49,8 +49,8 @@ replayAggregation(const CpuConfig &config, const CscView &view,
             std::ceil(est_accesses / config.maxSimulatedAccesses));
     }
 
-    const BlockReplay block = planBlockReplay(
-        config.l1, config.l2, config.l3, feat_bytes, feat_base, 64);
+    const BlockReplay block = planBlockReplay(config.l1, config.l2, config.l3,
+                                              feat_bytes, feat_base, 64);
     const std::uint64_t block_bytes = 64ull * block.lines;
     const std::uint64_t blocks_per_feat = lines_per_feat / block.lines;
     CacheHierarchy caches(block.l1, block.l2, block.l3);

@@ -288,16 +288,13 @@ namespace {
  * Replay @p touches row touches of @p row_bytes rows placed from
  * @p base through a per-line hierarchy and through the block-replay
  * one planned for them, comparing each block's hit level with its b
- * per-line accesses, then every per-level counter. Rows are drawn
- * seeded: half from a region the L2 holds, a quarter from one half
- * the L3 holds, a quarter from four L3 capacities.
+ * per-line accesses, then every per-level counter.
  */
 void
-expectBlockReplayExact(const CacheLevelConfig &l1,
-                       const CacheLevelConfig &l2,
+expectBlockReplayExact(const CacheLevelConfig &l1, const CacheLevelConfig &l2,
                        const CacheLevelConfig &l3, std::uint64_t row_bytes,
-                       Addr base, std::uint32_t expected_lines,
-                       int touches, std::uint64_t seed)
+                       Addr base, std::uint32_t expected_lines, int touches,
+                       std::uint64_t seed)
 {
     const BlockReplay plan = planBlockReplay(l1, l2, l3, row_bytes, base, 64);
     ASSERT_EQ(plan.lines, expected_lines);
@@ -305,14 +302,14 @@ expectBlockReplayExact(const CacheLevelConfig &l1,
     CacheHierarchy wide(plan.l1, plan.l2, plan.l3);
 
     const std::uint64_t b = plan.lines;
-    const std::uint64_t hot = l2.capacityBytes / row_bytes;
-    const std::uint64_t warm = l3.capacityBytes / 2 / row_bytes;
-    const std::uint64_t cold = 4 * l3.capacityBytes / row_bytes;
+    // Rows in a region the L2 holds (drawn half the time), one half the
+    // L3 holds, and four L3 capacities.
+    const std::uint64_t regions[] = {
+        l2.capacityBytes / row_bytes, l2.capacityBytes / row_bytes,
+        l3.capacityBytes / 2 / row_bytes, 4 * l3.capacityBytes / row_bytes};
     Rng rng(seed);
     for (int t = 0; t < touches; ++t) {
-        const std::uint64_t draw = rng.nextBounded(4);
-        const std::uint64_t row =
-            rng.nextBounded(draw < 2 ? hot : draw == 2 ? warm : cold);
+        const std::uint64_t row = rng.nextBounded(regions[rng.nextBounded(4)]);
         const Addr row_base = base + row * row_bytes;
         for (std::uint64_t k = 0; k < row_bytes / (64 * b); ++k) {
             const Addr block = row_base + k * 64 * b;
@@ -399,9 +396,9 @@ TEST(BlockReplay, FallsBackToPerLineReplay)
     const CacheLevelConfig l1_128{32ull * 1024, 8, 128};
     const CacheLevelConfig l2_128{256ull * 1024, 8, 128};
     EXPECT_EQ(lines(l1_128, l2_128, l3_128, 512, 0), 1u);
-    EXPECT_EQ(planBlockReplay(l1_128, l2_128, l3_128, 512, 0, 64)
-                  .l3.lineBytes,
-              128u);
+    const BlockReplay kept =
+        planBlockReplay(l1_128, l2_128, l3_128, 512, 0, 64);
+    EXPECT_EQ(kept.l3.lineBytes, 128u);
 
     // The fallback keeps the configs; a block plan widens only lines.
     const BlockReplay same = planBlockReplay(l1, l2, odd_l3, 512, 0, 64);

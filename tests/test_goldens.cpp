@@ -325,8 +325,7 @@ std::string
 exactReport(const SimReport &report)
 {
     std::string out = "{\"cycles\":" + std::to_string(report.cycles) +
-                      ",\"dram_bytes\":" +
-                      std::to_string(report.dramBytes()) +
+                      ",\"dram_bytes\":" + std::to_string(report.dramBytes()) +
                       ",\"joules\":" + exactNumber(report.joules());
     for (const auto &[name, v] : report.stats.counters())
         out += ",\"" + name + "\":" + std::to_string(v);
