@@ -9,7 +9,8 @@
  * one line per (policy, objective, lookahead, affinity, control,
  * stats) cell with a hash of its schedule and its stats object. A
  * CPU-model matrix pins the PyG-CPU cache replay one line per
- * (geometry, traversal, model, dataset) cell.
+ * (geometry, traversal, model, dataset) cell, and a dataset matrix
+ * pins every synthesized Table 4 graph one line per (dataset, seed).
  *
  * Regenerate after an intentional change with tests/update_goldens.sh
  * (runs this binary with HYGCN_UPDATE_GOLDENS=1).
@@ -39,6 +40,7 @@
 #include "api/serve_session.hpp"
 #include "api/session.hpp"
 #include "baseline/cpu_model.hpp"
+#include "graph/dataset.hpp"
 #include "serve/scheduler.hpp"
 #include "sim/json.hpp"
 
@@ -544,4 +546,53 @@ TEST(Goldens, CpuModelReportsAreStable)
     }
     EXPECT_EQ(lines.size(), 3u * 4u * 3u * 2u);
     compareLinesOrUpdate("cpu_model.json", lines, "\":");
+}
+
+TEST(Goldens, DatasetsAreStable)
+{
+    // Every Table 4 stand-in at the default benchmarking scale, under
+    // the harness seed (bench::kSeed) and the library default seed,
+    // plus Reddit at 1/100 scale: vertex and edge counts and a hash
+    // of each CSC, CSR and component-boundary array. Any change to
+    // the generators, their RNG draws or the graph build moves a line.
+    constexpr std::uint64_t kBenchSeed = 20200222; // bench::kSeed
+    auto hashOf = [](const auto &values) {
+        Fnv1a h;
+        for (auto value : values)
+            h.add(std::uint64_t{value});
+        return h.hex();
+    };
+    auto line = [&](const std::string &key, const Dataset &ds) {
+        const Graph &g = ds.graph;
+        const CscView csc = g.csc();
+        std::vector<EdgeId> row_ptr = {0};
+        std::vector<VertexId> col_idx;
+        for (VertexId v = 0; v < g.numVertices(); ++v) {
+            const auto out = g.outNeighbors(v);
+            col_idx.insert(col_idx.end(), out.begin(), out.end());
+            row_ptr.push_back(col_idx.size());
+        }
+        return "\"" + key + "\":{\"v\":" +
+               std::to_string(ds.numVertices()) +
+               ",\"e\":" + std::to_string(ds.numEdges()) +
+               ",\"col_ptr\":\"" + hashOf(csc.colPtr) +
+               "\",\"row_idx\":\"" + hashOf(csc.rowIdx) +
+               "\",\"row_ptr\":\"" + hashOf(row_ptr) +
+               "\",\"col_idx\":\"" + hashOf(col_idx) +
+               "\",\"boundaries\":\"" + hashOf(ds.graphBoundaries) +
+               "\"}";
+    };
+
+    std::vector<std::string> lines;
+    for (std::uint64_t seed : {kBenchSeed, std::uint64_t{1}})
+        for (DatasetId id : allDatasets())
+            lines.push_back(line(datasetAbbrev(id) + "/default/" +
+                                     std::to_string(seed),
+                                 makeDatasetScaledDefault(id, seed)));
+    lines.push_back(line("RD/0.01/" + std::to_string(kBenchSeed),
+                         makeDataset(DatasetId::RD, kBenchSeed, 0.01)));
+    EXPECT_EQ(lines.size(), 2u * 6u + 1u);
+    // The marker closes every line, so HYGCN_GOLDEN_RTOL relaxes
+    // nothing: counts and hashes never drift within a tolerance.
+    compareLinesOrUpdate("datasets.json", lines, "}");
 }
