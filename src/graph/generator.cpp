@@ -9,30 +9,44 @@ namespace hygcn {
 
 namespace {
 
-/** Pack an undirected edge into a canonical 64-bit key. */
-std::uint64_t
-edgeKey(VertexId a, VertexId b)
-{
-    if (a > b)
-        std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
 /**
- * Insert-only open-addressing set of edge keys (linear probing). Its
- * slot count follows the load rather than a power of two, so a key's
- * home slot is a multiply-high of its hash by the slot count.
+ * Insert-only set of undirected edges over @p n vertices. It holds one
+ * bit per vertex pair when the n(n-1)/2 bits fit in the open-addressing
+ * table sized for the expected keys, and that table otherwise, so it
+ * never takes more memory than the table. Both answer membership the
+ * same way; only speed and footprint differ.
  */
 class EdgeKeySet
 {
   public:
-    /** Size for @p expected keys; inserting more grows the table. */
-    explicit EdgeKeySet(std::size_t expected = 0)
-    { slots_.assign(slotsFor(expected), kEmpty); }
-
-    /** Insert @p key; true if it was not present. */
-    bool insert(std::uint64_t key)
+    EdgeKeySet(VertexId n, std::size_t expected)
     {
+        const std::uint64_t pairs = std::uint64_t{n} * (n - 1) / 2;
+        const std::size_t slots = slotsFor(expected);
+        dense_ = pairs <= 64 * std::uint64_t{slots};
+        if (dense_)
+            bits_.assign((pairs + 63) / 64, 0);
+        else
+            slots_.assign(slots, kEmpty);
+    }
+
+    /** Insert edge {a, b} (a != b); true if it was not present. */
+    bool insert(VertexId a, VertexId b)
+    {
+        if (a > b)
+            std::swap(a, b);
+        if (dense_) {
+            // Pair {lo, hi} with lo < hi is bit hi(hi-1)/2 + lo.
+            const std::uint64_t bit = std::uint64_t{b} * (b - 1) / 2 + a;
+            std::uint64_t &word = bits_[bit / 64];
+            const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+            const bool fresh = (word & mask) == 0;
+            word |= mask;
+            return fresh;
+        }
+        // The smaller vertex goes in the high half, so kEmpty never
+        // collides with a key.
+        const std::uint64_t key = (std::uint64_t{a} << 32) | b;
         if (size_ + 1 > maxLoad(slots_.size()))
             rehash(slotsFor(2 * (size_ + 1)));
         std::size_t i = home(key, slots_.size());
@@ -48,7 +62,6 @@ class EdgeKeySet
     }
 
   private:
-    /** edgeKey puts the smaller vertex in the high half: never this. */
     static constexpr std::uint64_t kEmpty = 0xffffffff00000000ull;
 
     /** Keys allowed in @p slots slots (load factor 2/3). */
@@ -85,6 +98,14 @@ class EdgeKeySet
         }
     }
 
+    bool dense_ = false;
+    /** Dense form: one bit per vertex pair. */
+    std::vector<std::uint64_t> bits_;
+    /**
+     * Sparse form: linear-probing table of packed keys. Its slot count
+     * follows the load rather than a power of two, so a key's home
+     * slot is a multiply-high of its hash by the slot count.
+     */
     std::vector<std::uint64_t> slots_;
     std::size_t size_ = 0;
 };
@@ -102,13 +123,13 @@ generateUniform(VertexId num_vertices, EdgeId num_edges, Rng &rng)
 
     EdgeList edges;
     edges.reserve(num_edges);
-    EdgeKeySet seen(num_edges);
+    EdgeKeySet seen(num_vertices, num_edges);
     while (edges.size() < num_edges) {
         const auto a = static_cast<VertexId>(rng.nextBounded(num_vertices));
         const auto b = static_cast<VertexId>(rng.nextBounded(num_vertices));
         if (a == b)
             continue;
-        if (seen.insert(edgeKey(a, b)))
+        if (seen.insert(a, b))
             edges.emplace_back(a, b);
     }
     return edges;
@@ -125,7 +146,7 @@ generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
     constexpr double a = 0.57, b = 0.19, c = 0.19;
     EdgeList edges;
     edges.reserve(num_edges);
-    EdgeKeySet seen(num_edges);
+    EdgeKeySet seen(num_vertices, num_edges);
 
     std::uint64_t attempts = 0;
     const std::uint64_t max_attempts = num_edges * 64ull + 1024;
@@ -148,7 +169,7 @@ generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
         }
         if (src >= num_vertices || dst >= num_vertices || src == dst)
             continue;
-        if (seen.insert(edgeKey(src, dst)))
+        if (seen.insert(src, dst))
             edges.emplace_back(src, dst);
     }
     // Top up with uniform edges if R-MAT saturated (tiny graphs).
@@ -157,7 +178,7 @@ generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
         const auto d = static_cast<VertexId>(rng.nextBounded(num_vertices));
         if (s == d)
             continue;
-        if (seen.insert(edgeKey(s, d)))
+        if (seen.insert(s, d))
             edges.emplace_back(s, d);
     }
     return edges;
@@ -168,27 +189,27 @@ generateCommunity(VertexId num_vertices, EdgeId num_edges, Rng &rng)
 {
     // Dense community: start from a ring (guarantees connectivity),
     // then fill with uniform random internal edges.
+    const EdgeId max_edges =
+        static_cast<EdgeId>(num_vertices) * (num_vertices - 1) / 2;
+    const EdgeId target = std::min<EdgeId>(num_edges, max_edges);
     EdgeList edges;
-    EdgeKeySet seen;
+    EdgeKeySet seen(num_vertices, target);
     if (num_vertices >= 3) {
         for (VertexId v = 0; v < num_vertices; ++v) {
             const VertexId u = (v + 1) % num_vertices;
-            if (seen.insert(edgeKey(v, u)))
+            if (seen.insert(v, u))
                 edges.emplace_back(v, u);
         }
     } else if (num_vertices == 2) {
         edges.emplace_back(0, 1);
-        seen.insert(edgeKey(0, 1));
+        seen.insert(0, 1);
     }
-    const EdgeId max_edges =
-        static_cast<EdgeId>(num_vertices) * (num_vertices - 1) / 2;
-    const EdgeId target = std::min<EdgeId>(num_edges, max_edges);
     while (edges.size() < target) {
         const auto a = static_cast<VertexId>(rng.nextBounded(num_vertices));
         const auto b = static_cast<VertexId>(rng.nextBounded(num_vertices));
         if (a == b)
             continue;
-        if (seen.insert(edgeKey(a, b)))
+        if (seen.insert(a, b))
             edges.emplace_back(a, b);
     }
     return edges;
