@@ -2,56 +2,62 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 namespace hygcn {
 
 Graph
 Graph::fromEdges(VertexId num_vertices,
-                 std::vector<std::pair<VertexId, VertexId>> edges,
+                 const std::vector<std::pair<VertexId, VertexId>> &edges,
                  bool symmetrize)
 {
-    if (symmetrize) {
-        const std::size_t n = edges.size();
-        edges.reserve(n * 2);
-        for (std::size_t i = 0; i < n; ++i) {
-            auto [s, d] = edges[i];
-            if (s != d)
-                edges.emplace_back(d, s);
+    for (const auto &[src, dst] : edges)
+        if (src >= num_vertices || dst >= num_vertices)
+            throw std::invalid_argument("edge endpoint out of range");
+
+    // Every directed edge: the input, plus its reverse when
+    // symmetrizing, except for self loops.
+    auto forEachEdge = [&](auto &&visit) {
+        for (const auto &[src, dst] : edges) {
+            visit(src, dst);
+            if (symmetrize && src != dst)
+                visit(dst, src);
         }
-    }
+    };
 
     Graph g;
     g.numVertices_ = num_vertices;
     g.colPtr_.assign(num_vertices + 1, 0);
     g.rowPtr_.assign(num_vertices + 1, 0);
-
-    for (const auto &[src, dst] : edges) {
-        if (src >= num_vertices || dst >= num_vertices)
-            throw std::invalid_argument("edge endpoint out of range");
+    forEachEdge([&](VertexId src, VertexId dst) {
         ++g.colPtr_[dst + 1];
         ++g.rowPtr_[src + 1];
-    }
-    for (VertexId v = 0; v < num_vertices; ++v) {
-        g.colPtr_[v + 1] += g.colPtr_[v];
-        g.rowPtr_[v + 1] += g.rowPtr_[v];
-    }
+    });
+    std::partial_sum(g.colPtr_.begin(), g.colPtr_.end(), g.colPtr_.begin());
+    std::partial_sum(g.rowPtr_.begin(), g.rowPtr_.end(), g.rowPtr_.begin());
 
-    g.rowIdx_.resize(edges.size());
-    g.colIdx_.resize(edges.size());
-    std::vector<EdgeId> col_fill(g.colPtr_.begin(), g.colPtr_.end() - 1);
-    std::vector<EdgeId> row_fill(g.rowPtr_.begin(), g.rowPtr_.end() - 1);
-    for (const auto &[src, dst] : edges) {
-        g.rowIdx_[col_fill[dst]++] = src;
-        g.colIdx_[row_fill[src]++] = dst;
-    }
-
-    for (VertexId v = 0; v < num_vertices; ++v) {
-        std::sort(g.rowIdx_.begin() + g.colPtr_[v],
-                  g.rowIdx_.begin() + g.colPtr_[v + 1]);
-        std::sort(g.colIdx_.begin() + g.rowPtr_[v],
-                  g.colIdx_.begin() + g.rowPtr_[v + 1]);
-    }
+    // Counting sort in three scatters, each of which lays a vertex's
+    // neighbours down in the order it visits them. (1) Bucket
+    // destinations by source, in input order. (2) Walk sources in
+    // ascending order into the columns, so each column comes out
+    // sorted. (3) Walk destinations in ascending order back into the
+    // rows, replacing the unsorted buckets with sorted rows.
+    const EdgeId num_edges = g.colPtr_.back();
+    g.colIdx_.resize(num_edges);
+    g.rowIdx_.resize(num_edges);
+    std::vector<EdgeId> fill(g.rowPtr_.begin(), g.rowPtr_.end() - 1);
+    forEachEdge([&](VertexId src, VertexId dst) {
+        g.colIdx_[fill[src]++] = dst;
+    });
+    fill.assign(g.colPtr_.begin(), g.colPtr_.end() - 1);
+    for (VertexId src = 0; src < num_vertices; ++src)
+        for (VertexId dst : g.outNeighbors(src))
+            g.rowIdx_[fill[dst]++] = src;
+    fill.assign(g.rowPtr_.begin(), g.rowPtr_.end() - 1);
+    for (VertexId dst = 0; dst < num_vertices; ++dst)
+        for (VertexId src : g.inNeighbors(dst))
+            g.colIdx_[fill[src]++] = dst;
     return g;
 }
 
