@@ -139,6 +139,10 @@ EdgeList
 generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
 {
     assert(num_vertices >= 2);
+    const EdgeId max_edges =
+        static_cast<EdgeId>(num_vertices) * (num_vertices - 1) / 2;
+    if (num_edges > max_edges)
+        num_edges = max_edges;
     int levels = 0;
     while ((VertexId(1) << levels) < num_vertices)
         ++levels;

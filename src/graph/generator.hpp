@@ -33,7 +33,8 @@ EdgeList generateUniform(VertexId num_vertices, EdgeId num_edges, Rng &rng);
 /**
  * R-MAT power-law generator (a=0.57, b=c=0.19, d=0.05). Produces the
  * heavy-tailed degree distributions of social graphs such as Reddit.
- * Emits exactly @p num_edges distinct undirected edges.
+ * Emits exactly @p num_edges distinct undirected edges, clamped to
+ * the complete graph's num_vertices * (num_vertices - 1) / 2.
  */
 EdgeList generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng);
 

@@ -76,6 +76,16 @@ TEST(Dataset, RedditScaledPreservesAverageDegree)
     EXPECT_NEAR(avg_deg, target_avg_deg, target_avg_deg * 0.15);
 }
 
+TEST(Dataset, TinyScaleRedditSaturatesToCompleteGraph)
+{
+    // 233 vertices cannot hold Reddit's average degree: R-MAT clamps
+    // to the complete graph instead of searching for edges forever.
+    const Dataset rd = makeDataset(DatasetId::RD, 1, 0.001);
+    const EdgeId n = rd.numVertices();
+    EXPECT_EQ(n, 233u);
+    EXPECT_EQ(rd.numEdges(), n * (n - 1));
+}
+
 TEST(Dataset, ScaledDefaultShrinksOnlyReddit)
 {
     EXPECT_EQ(makeDatasetScaledDefault(DatasetId::CR).scale, 1.0);

@@ -57,6 +57,7 @@ refUniform(VertexId n, EdgeId num_edges, Rng &rng)
 EdgeList
 refRmat(VertexId n, EdgeId num_edges, Rng &rng, bool &topped_up)
 {
+    num_edges = std::min(num_edges, static_cast<EdgeId>(n) * (n - 1) / 2);
     int levels = 0;
     while ((VertexId(1) << levels) < n)
         ++levels;
@@ -177,6 +178,14 @@ TEST(Generator, UniformClampsToMaxEdges)
     EXPECT_EQ(edges.size(), 6u); // complete graph K4
 }
 
+TEST(Generator, RmatClampsToMaxEdges)
+{
+    Rng rng(3);
+    const EdgeList edges = generateRmat(16, 200, rng);
+    EXPECT_EQ(edges.size(), 120u); // complete graph K16
+    EXPECT_EQ(canonical(edges).size(), 120u);
+}
+
 TEST(Generator, RmatSkewExceedsUniform)
 {
     Rng u_rng(7), r_rng(7);
@@ -247,11 +256,20 @@ TEST(Generator, Deterministic)
 /** The flat dedupe set yields the reference edge lists exactly. */
 TEST(Generator, MatchesUnorderedSetReference)
 {
-    // Tiny and saturated graphs, vertex counts that are not powers of
-    // two, and sizes large enough for long probe chains. Community
-    // sets start small, so the larger sizes make them grow.
-    const std::vector<VertexId> vs = {2, 3, 16, 17, 20, 100, 1000, 5000};
-    const std::vector<EdgeId> es = {1, 3, 120, 100, 190, 300, 20000, 100000};
+    // Tiny, saturated and over-dense graphs, vertex counts that are
+    // not powers of two, and sizes large enough for long probe chains.
+    // The set keeps a bitmap when the n(n-1)/2 pair bits fit in the 64
+    // bits of each of the max(16, E + E/2 + 1) hash slots for E edges:
+    // 128 and 512 vertices sit exactly on that boundary at 84 and 1362
+    // edges, so one edge fewer is sparse and one more dense. 346
+    // vertices at 28101 edges is a COLLAB component (47% dense).
+    const std::vector<VertexId> vs = {2,   3,   16,   17,   20,   100,
+                                      1000, 5000, 16, 128, 128, 128,
+                                      512, 512, 512, 346};
+    const std::vector<EdgeId> es = {1,     3,      120, 100, 190,
+                                    300,   20000,  100000, 200, 83,
+                                    84,    85,     1361, 1362, 1363,
+                                    28101};
     int rmat_top_ups = 0;
     for (std::uint64_t seed : {1, 2, 77}) {
         for (std::size_t i = 0; i < vs.size(); ++i) {
@@ -277,8 +295,14 @@ TEST(Generator, MatchesUnorderedSetReference)
 
 TEST(Generator, AssembleComponentsMatchesReference)
 {
-    const std::vector<VertexId> sizes = {1, 2, 3, 40, 700, 9, 2500};
-    const std::vector<EdgeId> edges = {0, 1, 5, 400, 30000, 36, 60000};
+    // Components on both sides of the dense/sparse boundary (see
+    // MatchesUnorderedSetReference) and the largest COLLAB component.
+    const std::vector<VertexId> sizes = {1,   2,   3,   40,  700, 9,
+                                         2500, 128, 128, 128, 512, 512,
+                                         512, 1090};
+    const std::vector<EdgeId> edges = {0,    1,    5,    400,  30000,
+                                       36,   60000, 83,  84,   85,
+                                       1361, 1362, 1363, 279501};
     for (std::uint64_t seed : {3, 4}) {
         Rng lib(seed), ref(seed);
         std::vector<VertexId> boundaries;
