@@ -183,7 +183,7 @@ makeDataset(DatasetId id, std::uint64_t seed, double scale)
         break;
       }
     }
-    ds.graph = Graph::fromEdges(vertices, edges, true);
+    ds.graph = Graph::fromEdges(vertices, std::move(edges), true);
     return ds;
 }
 
@@ -242,7 +242,7 @@ replicateDataset(const Dataset &base, std::uint32_t copies)
         for (std::size_t b = 1; b < bounds.size(); ++b)
             out.graphBoundaries.push_back(offset + bounds[b]);
     }
-    out.graph = Graph::fromEdges(n * copies, edges, false);
+    out.graph = Graph::fromEdges(n * copies, std::move(edges), false);
     return out;
 }
 

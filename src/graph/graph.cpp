@@ -9,7 +9,7 @@ namespace hygcn {
 
 Graph
 Graph::fromEdges(VertexId num_vertices,
-                 const std::vector<std::pair<VertexId, VertexId>> &edges,
+                 std::vector<std::pair<VertexId, VertexId>> edges,
                  bool symmetrize)
 {
     for (const auto &[src, dst] : edges)
@@ -43,13 +43,15 @@ Graph::fromEdges(VertexId num_vertices,
     // ascending order into the columns, so each column comes out
     // sorted. (3) Walk destinations in ascending order back into the
     // rows, replacing the unsorted buckets with sorted rows.
-    const EdgeId num_edges = g.colPtr_.back();
-    g.colIdx_.resize(num_edges);
-    g.rowIdx_.resize(num_edges);
+    g.colIdx_.resize(g.colPtr_.back());
     std::vector<EdgeId> fill(g.rowPtr_.begin(), g.rowPtr_.end() - 1);
     forEachEdge([&](VertexId src, VertexId dst) {
         g.colIdx_[fill[src]++] = dst;
     });
+    // The buckets now hold every edge: free the list before the
+    // columns are allocated, so the two never coexist.
+    std::vector<std::pair<VertexId, VertexId>>().swap(edges);
+    g.rowIdx_.resize(g.colIdx_.size());
     fill.assign(g.colPtr_.begin(), g.colPtr_.end() - 1);
     for (VertexId src = 0; src < num_vertices; ++src)
         for (VertexId dst : g.outNeighbors(src))

@@ -64,10 +64,9 @@ class Graph
      * @param symmetrize If true, also insert (dst, src) for every edge
      *        (undirected graphs, the paper's default).
      */
-    static Graph fromEdges(
-        VertexId num_vertices,
-        const std::vector<std::pair<VertexId, VertexId>> &edges,
-        bool symmetrize);
+    static Graph fromEdges(VertexId num_vertices,
+                           std::vector<std::pair<VertexId, VertexId>> edges,
+                           bool symmetrize);
 
     /** Vertex count. */
     VertexId numVertices() const { return numVertices_; }
