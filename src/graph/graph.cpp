@@ -45,9 +45,8 @@ Graph::fromEdges(VertexId num_vertices,
     // rows, replacing the unsorted buckets with sorted rows.
     g.colIdx_.resize(g.colPtr_.back());
     std::vector<EdgeId> fill(g.rowPtr_.begin(), g.rowPtr_.end() - 1);
-    forEachEdge([&](VertexId src, VertexId dst) {
-        g.colIdx_[fill[src]++] = dst;
-    });
+    forEachEdge(
+        [&](VertexId src, VertexId dst) { g.colIdx_[fill[src]++] = dst; });
     // The buckets now hold every edge: free the list before the
     // columns are allocated, so the two never coexist.
     std::vector<std::pair<VertexId, VertexId>>().swap(edges);

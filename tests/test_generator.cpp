@@ -261,15 +261,15 @@ TEST(Generator, MatchesUnorderedSetReference)
     // The set keeps a bitmap when the n(n-1)/2 pair bits fit in the 64
     // bits of each of the max(16, E + E/2 + 1) hash slots for E edges:
     // 128 and 512 vertices sit exactly on that boundary at 84 and 1362
-    // edges, so one edge fewer is sparse and one more dense. 346
-    // vertices at 28101 edges is a COLLAB component (47% dense).
-    const std::vector<VertexId> vs = {2,   3,   16,   17,   20,   100,
-                                      1000, 5000, 16, 128, 128, 128,
-                                      512, 512, 512, 346};
-    const std::vector<EdgeId> es = {1,     3,      120, 100, 190,
-                                    300,   20000,  100000, 200, 83,
-                                    84,    85,     1361, 1362, 1363,
-                                    28101};
+    // edges, so one edge fewer is sparse and one more dense. The
+    // sparse community set for 128 vertices at 83 edges grows while
+    // the ring is laid. 346 vertices at 28101 edges is a COLLAB
+    // component (47% dense).
+    const std::vector<VertexId> vs = {2,  3,   16,  17,  20,  100, 1000, 5000,
+                                      16, 128, 128, 128, 512, 512, 512,  346};
+    const std::vector<EdgeId> es = {1,     3,      120,  100,  190, 300,
+                                    20000, 100000, 200,  83,   84,  85,
+                                    1361,  1362,   1363, 28101};
     int rmat_top_ups = 0;
     for (std::uint64_t seed : {1, 2, 77}) {
         for (std::size_t i = 0; i < vs.size(); ++i) {
@@ -297,12 +297,10 @@ TEST(Generator, AssembleComponentsMatchesReference)
 {
     // Components on both sides of the dense/sparse boundary (see
     // MatchesUnorderedSetReference) and the largest COLLAB component.
-    const std::vector<VertexId> sizes = {1,   2,   3,   40,  700, 9,
-                                         2500, 128, 128, 128, 512, 512,
-                                         512, 1090};
-    const std::vector<EdgeId> edges = {0,    1,    5,    400,  30000,
-                                       36,   60000, 83,  84,   85,
-                                       1361, 1362, 1363, 279501};
+    const std::vector<VertexId> sizes = {1,   2,   3,   40,  700, 9,   2500,
+                                         128, 128, 128, 512, 512, 512, 1090};
+    const std::vector<EdgeId> edges = {0,  1,  5,  400,  30000, 36,   60000,
+                                       83, 84, 85, 1361, 1362,  1363, 279501};
     for (std::uint64_t seed : {3, 4}) {
         Rng lib(seed), ref(seed);
         std::vector<VertexId> boundaries;

@@ -160,10 +160,10 @@ TEST(Graph, MatchesSortReference)
         bool skewed;
     };
     // Few vertices per edge force duplicates and self loops.
-    const Case cases[] = {
-        {0, 0, 0, false},     {1, 6, 1, false},    {2, 9, 2, false},
-        {5, 40, 5, false},    {50, 300, 30, false}, {300, 2000, 300, false},
-        {1000, 20000, 1000, true}, {4000, 5000, 2500, true}};
+    const Case cases[] = {{0, 0, 0, false},          {1, 6, 1, false},
+                          {2, 9, 2, false},          {5, 40, 5, false},
+                          {50, 300, 30, false},      {300, 2000, 300, false},
+                          {1000, 20000, 1000, true}, {4000, 5000, 2500, true}};
     for (std::uint64_t seed : {1, 2, 3}) {
         for (const Case &c : cases) {
             Rng rng(seed);
