@@ -9,6 +9,13 @@ namespace hygcn {
 
 namespace {
 
+/** Edge count of the complete graph on @p n vertices. */
+EdgeId
+completeEdges(VertexId n)
+{
+    return static_cast<EdgeId>(n) * (n - 1) / 2;
+}
+
 /**
  * Insert-only set of undirected edges over @p n vertices. It holds one
  * bit per vertex pair when the n(n-1)/2 bits fit in the open-addressing
@@ -21,7 +28,7 @@ class EdgeKeySet
   public:
     EdgeKeySet(VertexId n, std::size_t expected)
     {
-        const std::uint64_t pairs = std::uint64_t{n} * (n - 1) / 2;
+        const std::uint64_t pairs = completeEdges(n);
         const std::size_t slots = slotsFor(expected);
         dense_ = pairs <= 64 * std::uint64_t{slots};
         if (dense_)
@@ -116,10 +123,7 @@ EdgeList
 generateUniform(VertexId num_vertices, EdgeId num_edges, Rng &rng)
 {
     assert(num_vertices >= 2);
-    const EdgeId max_edges =
-        static_cast<EdgeId>(num_vertices) * (num_vertices - 1) / 2;
-    if (num_edges > max_edges)
-        num_edges = max_edges;
+    num_edges = std::min(num_edges, completeEdges(num_vertices));
 
     EdgeList edges;
     edges.reserve(num_edges);
@@ -139,10 +143,7 @@ EdgeList
 generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
 {
     assert(num_vertices >= 2);
-    const EdgeId max_edges =
-        static_cast<EdgeId>(num_vertices) * (num_vertices - 1) / 2;
-    if (num_edges > max_edges)
-        num_edges = max_edges;
+    num_edges = std::min(num_edges, completeEdges(num_vertices));
     int levels = 0;
     while ((VertexId(1) << levels) < num_vertices)
         ++levels;
@@ -193,9 +194,7 @@ generateCommunity(VertexId num_vertices, EdgeId num_edges, Rng &rng)
 {
     // Dense community: start from a ring (guarantees connectivity),
     // then fill with uniform random internal edges.
-    const EdgeId max_edges =
-        static_cast<EdgeId>(num_vertices) * (num_vertices - 1) / 2;
-    const EdgeId target = std::min<EdgeId>(num_edges, max_edges);
+    const EdgeId target = std::min(num_edges, completeEdges(num_vertices));
     EdgeList edges;
     EdgeKeySet seen(num_vertices, target);
     if (num_vertices >= 3) {
