@@ -9,8 +9,10 @@
  * one line per (policy, objective, lookahead, affinity, control,
  * stats) cell with a hash of its schedule and its stats object. A
  * CPU-model matrix pins the PyG-CPU cache replay one line per
- * (geometry, traversal, model, dataset) cell, and a dataset matrix
- * pins every synthesized Table 4 graph one line per (dataset, seed).
+ * (geometry, traversal, model, dataset) cell, a HyGCN matrix pins
+ * the full accelerator report one line per (config, model, dataset,
+ * co-batch, readout) cell, and a dataset matrix pins every
+ * synthesized Table 4 graph one line per (dataset, seed).
  *
  * Regenerate after an intentional change with tests/update_goldens.sh
  * (runs this binary with HYGCN_UPDATE_GOLDENS=1).
@@ -37,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/registry.hpp"
 #include "api/serve_session.hpp"
 #include "api/session.hpp"
 #include "baseline/cpu_model.hpp"
@@ -546,6 +549,61 @@ TEST(Goldens, CpuModelReportsAreStable)
     }
     EXPECT_EQ(lines.size(), 3u * 4u * 3u * 2u);
     compareLinesOrUpdate("cpu_model.json", lines, "\":");
+}
+
+TEST(Goldens, HygcnReportsAreStable)
+{
+    // The full accelerator's report, every counter (dram.ch*,
+    // dram.row_*, coord.*) and energy component at round-trip
+    // precision: every model on scaled multi-graph and citation
+    // datasets, under the default config and one off-default config
+    // per HBM-traffic path (uncoordinated interleave + high-bit
+    // mapping, N-PP spill/fill, the grid plan, streamed weights, a
+    // small Aggregation Buffer), each alone and as a 3-copy co-batch,
+    // and with Readout on the multi-graph datasets.
+    const std::pair<DatasetId, double> datasets[] = {
+        {DatasetId::IB, 0.25},
+        {DatasetId::CR, 0.2},
+        {DatasetId::CS, 0.1},
+        {DatasetId::CL, 0.05}};
+    const std::pair<const char *, std::pair<const char *, double>>
+        configs[] = {{"default", {"", 0.0}},
+                     {"uncoord", {"memoryCoordination", 0.0}},
+                     {"npp", {"interEnginePipeline", 0.0}},
+                     {"grid", {"sparsityElimination", 0.0}},
+                     {"wstream", {"weightBufBytes", 4096.0}},
+                     {"aggbuf", {"aggBufBytes", 1024.0 * 1024}}};
+    const auto platform = api::Registry::global().platforms.make("hygcn");
+
+    std::vector<std::string> lines;
+    for (const auto &[config, param] : configs)
+        for (const auto &[data, scale] : datasets)
+            for (ModelId id : allModels())
+                for (std::uint32_t copies : {1u, 3u})
+                    for (bool readout : {false, true}) {
+                        const bool multi_graph = data == DatasetId::IB ||
+                                                 data == DatasetId::CL;
+                        if (readout && !multi_graph)
+                            continue;
+                        api::RunSpec spec;
+                        spec.dataset = data;
+                        spec.datasetScale = scale;
+                        spec.model = id;
+                        spec.seed = 5;
+                        spec.batchCopies = copies;
+                        spec.withReadout = readout;
+                        if (*param.first != '\0')
+                            api::applyParam(spec, param.first,
+                                            param.second);
+                        lines.push_back(
+                            "\"" + std::string(config) + "/" +
+                            modelAbbrev(id) + "/" + datasetAbbrev(data) +
+                            "/x" + std::to_string(copies) +
+                            (readout ? "/readout" : "") + "\":" +
+                            exactReport(platform->run(spec).report));
+                    }
+    EXPECT_EQ(lines.size(), 6u * 4u * 2u * (2u + 2u * 2u));
+    compareLinesOrUpdate("hygcn_reports.json", lines, "\":");
 }
 
 TEST(Goldens, DatasetsAreStable)
