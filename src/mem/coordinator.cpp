@@ -14,12 +14,17 @@ MemoryCoordinator::MemoryCoordinator(HbmModel &hbm,
 Cycle
 MemoryCoordinator::issueBatch(std::vector<MemRequest> requests, Cycle now)
 {
-    if (requests.empty())
+    std::uint64_t lines = 0;
+    for (const MemRequest &req : requests)
+        lines += req.lines;
+    if (lines == 0)
         return now;
     stats_.add("coord.batches");
-    stats_.add("coord.requests", requests.size());
+    stats_.add("coord.requests", lines);
 
     if (config_.priorityReorder) {
+        // Each run has one type, so sorting runs orders their lines
+        // exactly as sorting the lines themselves would.
         std::stable_sort(requests.begin(), requests.end(),
                          [](const MemRequest &a, const MemRequest &b) {
                              return requestPriority(a.type) <
@@ -30,24 +35,35 @@ MemoryCoordinator::issueBatch(std::vector<MemRequest> requests, Cycle now)
 
     // Uncoordinated: the memory controller sees the four buffer
     // streams interleaved chunk-by-chunk, breaking address
-    // continuity and thus row-buffer locality.
+    // continuity and thus row-buffer locality. A chunk takes its
+    // stream's next lines, splitting runs where it ends.
     std::array<std::vector<MemRequest>, 5> streams;
     for (const MemRequest &req : requests)
         streams[static_cast<std::size_t>(req.type)].push_back(req);
 
-    std::vector<MemRequest> interleaved;
-    interleaved.reserve(requests.size());
-    std::array<std::size_t, 5> pos{};
-    bool progressed = true;
-    const std::size_t chunk = std::max<std::uint32_t>(
+    const std::uint64_t chunk = std::max<std::uint32_t>(
         1, config_.interleaveChunk);
+    std::vector<MemRequest> interleaved;
+    interleaved.reserve(requests.size() + lines / chunk);
+    std::array<std::size_t, 5> pos{};
+    std::array<std::uint64_t, 5> taken{}; // lines of the run at pos[s]
+    bool progressed = true;
     while (progressed) {
         progressed = false;
         for (std::size_t s = 0; s < streams.size(); ++s) {
             const auto &stream = streams[s];
-            for (std::size_t i = 0;
-                 i < chunk && pos[s] < stream.size(); ++i) {
-                interleaved.push_back(stream[pos[s]++]);
+            for (std::uint64_t want = chunk;
+                 want > 0 && pos[s] < stream.size();) {
+                MemRequest piece = stream[pos[s]];
+                piece.addr += taken[s] * kLineBytes;
+                piece.lines = std::min(want, piece.lines - taken[s]);
+                interleaved.push_back(piece);
+                want -= piece.lines;
+                taken[s] += piece.lines;
+                if (taken[s] == stream[pos[s]].lines) {
+                    ++pos[s];
+                    taken[s] = 0;
+                }
                 progressed = true;
             }
         }

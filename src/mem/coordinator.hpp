@@ -26,7 +26,7 @@ struct CoordinatorConfig
     bool priorityReorder = true;
     /**
      * Without coordination, streams are interleaved round-robin in
-     * chunks of this many requests, emulating uncoordinated buffers
+     * chunks of this many lines, emulating uncoordinated buffers
      * contending for the memory controller.
      */
     std::uint32_t interleaveChunk = 4;
@@ -39,10 +39,11 @@ class MemoryCoordinator
     MemoryCoordinator(HbmModel &hbm, const CoordinatorConfig &config);
 
     /**
-     * Issue a batch of requests gathered from one or more buffers.
-     * With priority reordering the batch is stably sorted by type;
-     * otherwise the streams are interleaved chunk-wise to model
-     * uncoordinated contention. Returns the batch finish cycle.
+     * Issue a batch of request runs gathered from one or more
+     * buffers. With priority reordering the batch is stably sorted
+     * by type; otherwise the streams are interleaved chunk-wise to
+     * model uncoordinated contention. "coord.requests" counts lines.
+     * Returns the batch finish cycle.
      */
     Cycle issueBatch(std::vector<MemRequest> requests, Cycle now);
 

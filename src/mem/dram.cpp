@@ -49,79 +49,114 @@ HbmModel::foldCounters() const
     }
 }
 
-void
-HbmModel::mapAddr(Addr addr, std::uint32_t &channel, std::uint32_t &bank,
-                  std::int64_t &row) const
+HbmModel::Segment
+HbmModel::segmentAt(Addr line) const
 {
-    const Addr line = addr / kLineBytes;
     const std::uint64_t lines_per_row = config_.rowBytes / kLineBytes;
+    Segment seg;
     if (config_.lowBitChannelInterleave) {
-        channel = static_cast<std::uint32_t>(line % config_.channels);
+        seg.channel = static_cast<std::uint32_t>(line % config_.channels);
         const Addr in_channel = line / config_.channels;
-        bank = static_cast<std::uint32_t>(
+        seg.bank = static_cast<std::uint32_t>(
             (in_channel / lines_per_row) % config_.banksPerChannel);
-        row = static_cast<std::int64_t>(
+        seg.row = static_cast<std::int64_t>(
             in_channel / (lines_per_row * config_.banksPerChannel));
+        seg.lines = lines_per_row - in_channel % lines_per_row;
     } else {
         // Channel from high bits: each 4 GiB region pins to a channel.
-        channel = static_cast<std::uint32_t>(
-            (addr >> 32) % config_.channels);
-        bank = static_cast<std::uint32_t>(
+        constexpr Addr kRegionLines = (Addr{1} << 32) / kLineBytes;
+        seg.channel = static_cast<std::uint32_t>(
+            (line / kRegionLines) % config_.channels);
+        seg.bank = static_cast<std::uint32_t>(
             (line / lines_per_row) % config_.banksPerChannel);
-        row = static_cast<std::int64_t>(
+        seg.row = static_cast<std::int64_t>(
             line / (lines_per_row * config_.banksPerChannel));
+        seg.lines = std::min(lines_per_row - line % lines_per_row,
+                             kRegionLines - line % kRegionLines);
     }
+    return seg;
 }
 
 Cycle
-HbmModel::serviceOne(const MemRequest &request, Cycle start)
+HbmModel::serviceSegment(const Segment &seg, std::uint64_t lines,
+                         std::uint32_t bytes, bool is_write, Cycle start)
 {
-    std::uint32_t ch_idx = 0, bank_idx = 0;
-    std::int64_t row = 0;
-    mapAddr(request.addr, ch_idx, bank_idx, row);
-    Channel &ch = channels_[ch_idx];
-    Bank &bank = ch.banks[bank_idx];
+    Channel &ch = channels_[seg.channel];
+    Bank &bank = ch.banks[seg.bank];
 
     // bank.ready is the earliest cycle the bank accepts its next
     // column command; CAS latency is pipelined (it delays the data,
     // not the next command), so back-to-back row hits stream at the
     // burst rate while a row miss pays precharge + activate.
     Cycle cas_issue = std::max(start, bank.ready);
-    if (bank.openRow == row) {
+    if (bank.openRow == seg.row) {
         ++counters_.rowHits;
     } else {
         cas_issue += config_.tRP + config_.tRCD;
         ++counters_.rowMisses;
-        bank.openRow = row;
+        bank.openRow = seg.row;
     }
     const Cycle burst =
-        (request.bytes + config_.bytesPerCycle - 1) / config_.bytesPerCycle;
+        (bytes + config_.bytesPerCycle - 1) / config_.bytesPerCycle;
     const Cycle data_start =
         std::max(cas_issue + config_.tCAS, ch.busFree);
-    const Cycle end = data_start + burst;
-
-    ch.busFree = end;
+    // The segment's other lines are row hits that stream at the burst
+    // rate: each issues as the bank frees (bank.ready >= start) and its
+    // data follows the previous burst (busFree >= cas + tCAS), so they
+    // apply in bulk, exactly.
+    const Cycle busy = lines * burst;
+    ch.busFree = data_start + busy;
     // Column-to-column gap equals the burst length (tCCD).
-    bank.ready = cas_issue + burst;
+    bank.ready = cas_issue + busy;
 
-    counters_.busyCycles += burst;
-    channelBytes_[ch_idx] += request.bytes;
-    if (request.isWrite) {
-        ++counters_.writes;
-        counters_.writeBytes += request.bytes;
+    counters_.rowHits += lines - 1;
+    counters_.busyCycles += busy;
+    const std::uint64_t total_bytes = lines * bytes;
+    channelBytes_[seg.channel] += total_bytes;
+    if (is_write) {
+        counters_.writes += lines;
+        counters_.writeBytes += total_bytes;
     } else {
-        ++counters_.reads;
-        counters_.readBytes += request.bytes;
+        counters_.reads += lines;
+        counters_.readBytes += total_bytes;
     }
-    return end;
+    return ch.busFree;
+}
+
+Cycle
+HbmModel::serviceOne(const MemRequest &request, Cycle start)
+{
+    return serviceBatch({&request, 1}, start);
 }
 
 Cycle
 HbmModel::serviceBatch(std::span<const MemRequest> requests, Cycle start)
 {
+    // A channel sees every channels-th line of a run under low-bit
+    // interleave and every line under high-bit mapping. Channels share
+    // no state, so each run is walked one channel at a time, in
+    // maximal segments of one (channel, bank, row); every channel
+    // still sees its lines in run order.
+    const std::uint64_t stride =
+        config_.lowBitChannelInterleave ? config_.channels : 1;
     Cycle finish = start;
-    for (const MemRequest &req : requests)
-        finish = std::max(finish, serviceOne(req, start));
+    for (const MemRequest &req : requests) {
+        // Lane j holds the run's lines j, j + stride, j + 2 * stride...
+        const std::uint64_t lanes = std::min(req.lines, stride);
+        for (std::uint64_t lane = 0; lane < lanes; ++lane) {
+            Addr line = req.addr / kLineBytes + lane;
+            std::uint64_t left = (req.lines - lane + stride - 1) / stride;
+            while (left > 0) {
+                const Segment seg = segmentAt(line);
+                const std::uint64_t lines = std::min(left, seg.lines);
+                finish = std::max(finish,
+                                  serviceSegment(seg, lines, req.bytes,
+                                                 req.isWrite, start));
+                line += lines * stride;
+                left -= lines;
+            }
+        }
+    }
     return finish;
 }
 

@@ -51,13 +51,13 @@ class HbmModel
     explicit HbmModel(const HbmConfig &config);
 
     /**
-     * Service @p requests in the given order starting no earlier than
-     * @p start. Returns the cycle the last data beat completes.
-     * Bank/row/bus state persists across batches.
+     * Service the lines of @p requests in the given order starting no
+     * earlier than @p start. Returns the cycle the last data beat
+     * completes. Bank/row/bus state persists across batches.
      */
     Cycle serviceBatch(std::span<const MemRequest> requests, Cycle start);
 
-    /** Convenience: service a single request. */
+    /** Convenience: service a single request run. */
     Cycle serviceOne(const MemRequest &request, Cycle start);
 
     /** Accumulated statistics (row hits/misses, bytes, busy cycles,
@@ -94,9 +94,28 @@ class HbmModel
         std::vector<Bank> banks;
     };
 
-    /** Decompose an address into (channel, bank, row). */
-    void mapAddr(Addr addr, std::uint32_t &channel, std::uint32_t &bank,
-                 std::int64_t &row) const;
+    /**
+     * Where a line lives, and how many of its channel's lines from it
+     * on (every channels-th line under low-bit interleave, every line
+     * under high-bit mapping) share its (channel, bank, row).
+     */
+    struct Segment
+    {
+        std::uint32_t channel = 0;
+        std::uint32_t bank = 0;
+        std::int64_t row = 0;
+        std::uint64_t lines = 0;
+    };
+
+    /** The segment that starts at line index @p line. */
+    Segment segmentAt(Addr line) const;
+
+    /**
+     * Service the first @p lines lines of @p seg, each of
+     * @p bytes bytes. Returns the cycle the last data beat completes.
+     */
+    Cycle serviceSegment(const Segment &seg, std::uint64_t lines,
+                         std::uint32_t bytes, bool is_write, Cycle start);
 
     /**
      * Fold the typed counters below into stats_: each "dram.*" key

@@ -10,11 +10,9 @@ emitLines(std::vector<MemRequest> &out, Addr base, std::uint64_t offset,
         return;
     const Addr first = (base + offset) / kLineBytes;
     const Addr last = (base + offset + bytes - 1) / kLineBytes;
-    out.reserve(out.size() + (last - first + 1));
-    for (Addr line = first; line <= last; ++line)
-        out.push_back({line * kLineBytes, static_cast<std::uint32_t>(
-                                              kLineBytes),
-                       is_write, type});
+    out.push_back({first * kLineBytes,
+                   static_cast<std::uint32_t>(kLineBytes), is_write, type,
+                   last - first + 1});
 }
 
 } // namespace hygcn

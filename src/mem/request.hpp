@@ -1,10 +1,10 @@
 /**
  * @file
- * Off-chip memory request types. Requests are generated at 64 B line
- * granularity from logical regions (edge array, feature matrices,
- * weights); the coordinator may reorder them by the paper's priority
- * (edges > input features > weights > output features) before the
- * HBM model services them.
+ * Off-chip memory request types. Requests are runs of consecutive
+ * 64 B lines generated from logical regions (edge array, feature
+ * matrices, weights); the coordinator may reorder them by the paper's
+ * priority (edges > input features > weights > output features)
+ * before the HBM model services them line by line in run order.
  */
 
 #ifndef HYGCN_MEM_REQUEST_HPP
@@ -34,13 +34,18 @@ requestPriority(RequestType type)
     return static_cast<int>(type);
 }
 
-/** One off-chip access of at most one line. */
+/**
+ * A run of @p lines consecutive off-chip line accesses of @p bytes
+ * each (at most one line), the first at @p addr: line i sits at
+ * addr + i * kLineBytes.
+ */
 struct MemRequest
 {
     Addr addr = 0;
     std::uint32_t bytes = kLineBytes;
     bool isWrite = false;
     RequestType type = RequestType::Edge;
+    std::uint64_t lines = 1;
 };
 
 /**
@@ -57,8 +62,8 @@ struct AddressMap
 };
 
 /**
- * Append line-granular requests covering [offset, offset+bytes) of a
- * region starting at @p base.
+ * Append the run of full lines covering [offset, offset+bytes) of a
+ * region starting at @p base (nothing when @p bytes is 0).
  */
 void emitLines(std::vector<MemRequest> &out, Addr base, std::uint64_t offset,
                std::uint64_t bytes, RequestType type, bool is_write);
