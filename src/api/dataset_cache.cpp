@@ -8,6 +8,11 @@ const Dataset &
 DatasetCache::get(DatasetId id, double scale, std::uint64_t seed)
 {
     const double norm_scale = scale <= 0.0 ? 0.0 : scale;
+    // Reject an unbuildable scale before the slot exists: a throw
+    // escaping the call_once below would wedge its once_flag (see the
+    // name-resolution comment in the named get()).
+    if (norm_scale != 0.0)
+        buildableOrThrow(id, norm_scale);
     const Key key{std::string(), static_cast<int>(id), norm_scale, seed,
                   1};
 

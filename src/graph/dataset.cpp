@@ -123,7 +123,32 @@ planComponents(VertexId total_vertices, EdgeId undirected_edges, int n,
     }
 }
 
+/** Vertex count makeDataset builds for @p spec at @p scale. */
+VertexId
+scaledVertices(const Spec &spec, double scale)
+{
+    return static_cast<VertexId>(
+        std::max(16.0, std::round(spec.vertices * scale)));
+}
+
 } // namespace
+
+void
+buildableOrThrow(DatasetId id, double scale)
+{
+    if (scale <= 0.0 || scale > 1.0)
+        throw std::invalid_argument("dataset scale must be in (0, 1]");
+    const Spec spec = specOf(id);
+    const VertexId vertices = scaledVertices(spec, scale);
+    // planComponents gives every component at least 3 vertices.
+    if (spec.kind == Spec::Kind::MultiGraph &&
+        vertices < 3 * static_cast<VertexId>(spec.components))
+        throw std::invalid_argument(
+            std::string("dataset ") + spec.abbrev + ": " +
+            std::to_string(vertices) + " vertices cannot hold " +
+            std::to_string(spec.components) +
+            " components of at least 3 vertices each");
+}
 
 std::vector<DatasetId>
 allDatasets()
@@ -147,12 +172,10 @@ datasetName(DatasetId id)
 Dataset
 makeDataset(DatasetId id, std::uint64_t seed, double scale)
 {
-    if (scale <= 0.0 || scale > 1.0)
-        throw std::invalid_argument("dataset scale must be in (0, 1]");
+    buildableOrThrow(id, scale);
     const Spec spec = specOf(id);
 
-    auto vertices = static_cast<VertexId>(
-        std::max(16.0, std::round(spec.vertices * scale)));
+    const VertexId vertices = scaledVertices(spec, scale);
     auto undirected = static_cast<EdgeId>(
         std::max(16.0, std::round(spec.directed_edges / 2.0 * scale)));
 

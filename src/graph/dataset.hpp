@@ -75,6 +75,15 @@ struct Dataset
 Dataset makeDataset(DatasetId id, std::uint64_t seed = 1, double scale = 1.0);
 
 /**
+ * Throws std::invalid_argument if makeDataset(id, seed, scale) would
+ * reject: @p scale outside (0, 1], or a multi-graph dataset scaled
+ * below 3 vertices per component. Callers that must not let the
+ * build itself throw — e.g. cache slots filling under a once_flag —
+ * validate here first.
+ */
+void buildableOrThrow(DatasetId id, double scale);
+
+/**
  * Dataset at the default benchmarking scale: full Table 4 size for
  * IB/CR/CS/CL/PB and a 1/20-scale Reddit (11,648 vertices, average
  * degree preserved). The substitution is recorded in README.md,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/dataset.hpp"
 
 using namespace hygcn;
@@ -115,6 +117,29 @@ TEST(Dataset, InvalidScaleRejected)
     EXPECT_THROW(makeDataset(DatasetId::CR, 1, 0.0),
                  std::invalid_argument);
     EXPECT_THROW(makeDataset(DatasetId::CR, 1, 1.5),
+                 std::invalid_argument);
+}
+
+TEST(Dataset, MultiGraphTooSmallForItsComponentsRejected)
+{
+    // 265 and 121 vertices cannot hold 128 components of at least 3
+    // vertices each.
+    EXPECT_THROW(makeDataset(DatasetId::CL, 1, 0.01),
+                 std::invalid_argument);
+    try {
+        makeDataset(DatasetId::IB, 1, 0.1);
+        ADD_FAILURE() << "IB at 0.1 scale was built";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("265 vertices"),
+                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("128 components"),
+                  std::string::npos);
+    }
+    // The bound is exact: 384 vertices build 128 triangles, 383 throw.
+    const Dataset tight = makeDataset(DatasetId::IB, 1, 384.0 / 2647);
+    EXPECT_EQ(tight.graphBoundaries.size(), 129u);
+    EXPECT_EQ(tight.numEdges(), 768u);
+    EXPECT_THROW(makeDataset(DatasetId::IB, 1, 383.0 / 2647),
                  std::invalid_argument);
 }
 

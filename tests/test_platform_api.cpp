@@ -457,6 +457,21 @@ TEST(Platform, InvalidConfigFailsFastBeforeDatasetConstruction)
                  std::invalid_argument);
 }
 
+TEST(Platform, UnbuildableDatasetScaleThrowsFromRunOne)
+{
+    // IB at 0.1 scale has fewer vertices than its 128 components
+    // need. The cache rejects it before creating a slot, so a retry
+    // throws again instead of waiting on a wedged once_flag.
+    const std::size_t cached_before = DatasetCache::global().size();
+    for (int attempt = 0; attempt < 2; ++attempt)
+        EXPECT_THROW(Session()
+                         .dataset(DatasetId::IB)
+                         .datasetScale(0.1)
+                         .runOne(),
+                     std::invalid_argument);
+    EXPECT_EQ(DatasetCache::global().size(), cached_before);
+}
+
 TEST(Platform, BaselinesRejectFunctionalMode)
 {
     // The pyg-gpu cost model and the agg-only mode are timing-only;
