@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 
 #include "api/dataset_cache.hpp"
@@ -87,6 +88,20 @@ jsonNumber(double v)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     return buf;
+}
+
+bool
+writeJson(const std::string &path, const std::string &doc)
+{
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file << doc << "\n";
+    file.close(); // flushes; a failed flush sets failbit
+    if (!file) {
+        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+        return false;
+    }
+    std::printf("wrote %s (%zu bytes)\n", path.c_str(), doc.size() + 1);
+    return true;
 }
 
 void

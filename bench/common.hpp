@@ -55,6 +55,13 @@ bool gpuWouldOomFullSize(ModelId m, DatasetId ds);
  */
 std::string jsonNumber(double v);
 
+/**
+ * Write @p doc plus a newline to @p path and print "wrote PATH (N
+ * bytes)". Returns false, after an "error:" line on stderr, if the
+ * file cannot be opened or the write or flush fails.
+ */
+bool writeJson(const std::string &path, const std::string &doc);
+
 /** Print the harness banner: figure/table id and description. */
 void banner(const std::string &experiment, const std::string &what);
 

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -194,16 +193,8 @@ main(int argc, char **argv)
                    "}";
         }
         out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        if (!writeJson(json_path, out))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
 
     if (!sweep_json_path.empty()) {
@@ -227,17 +218,8 @@ main(int argc, char **argv)
                         agg.p99LatencyCycles.stddev / 1e3,
                         agg.sloViolations.mean,
                         agg.sloViolations.stddev);
-        std::ofstream file(sweep_json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         sweep_json_path.c_str());
+        if (!writeJson(sweep_json_path, toJson(aggregates)))
             return 1;
-        }
-        const std::string out = toJson(aggregates);
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", sweep_json_path.c_str(),
-                    out.size() + 1);
     }
     return 0;
 }

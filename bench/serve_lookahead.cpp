@@ -29,7 +29,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -135,15 +134,11 @@ int
 main(int argc, char **argv)
 {
     std::string json_path;
-    bool as_baseline = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+        if ((std::strcmp(argv[i], "--json") == 0 ||
+             std::strcmp(argv[i], "--baseline") == 0) &&
+            i + 1 < argc)
             json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--baseline") == 0 &&
-                 i + 1 < argc) {
-            json_path = argv[++i];
-            as_baseline = true;
-        }
     }
 
     registerCluster();
@@ -226,17 +221,8 @@ main(int argc, char **argv)
                    std::to_string(s.affinityHits) + "}";
         }
         out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        if (!writeJson(json_path, out))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s%s (%zu bytes)\n", json_path.c_str(),
-                    as_baseline ? " as baseline" : "",
-                    out.size() + 1);
     }
     return 0;
 }

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -170,16 +169,8 @@ main(int argc, char **argv)
                    "}";
         }
         out += "]}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        if (!writeJson(json_path, out))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
     return 0;
 }

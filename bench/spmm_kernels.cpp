@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -274,16 +273,8 @@ main(int argc, char **argv)
         if (derate != 1.0)
             out += ",\"baseline_derate\":" + jsonNumber(derate);
         out += "}";
-        std::ofstream file(json_path,
-                           std::ios::binary | std::ios::trunc);
-        if (!file.good()) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         json_path.c_str());
+        if (!writeJson(json_path, out))
             return 1;
-        }
-        file << out << "\n";
-        std::printf("wrote %s (%zu bytes)\n", json_path.c_str(),
-                    out.size() + 1);
     }
 
     if (!ok) {
