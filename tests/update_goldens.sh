@@ -8,9 +8,12 @@
 # With --bench, also regenerate the CI bench baselines under
 # bench/baselines/ (BENCH_serve.json, BENCH_fig10.json,
 # BENCH_fig11.json, BENCH_fig12.json, BENCH_powercap.json,
-# BENCH_lookahead.json, BENCH_scale.json, BENCH_spmm.json, and the
-# Table 2 stdout table02.txt) from the same
+# BENCH_lookahead.json, BENCH_scale.json, BENCH_spmm.json, the
+# Table 2 stdout table02.txt and the Figs 2/10-14 stdout
+# paper_figures.txt) from the same
 # build, so golden and baseline refreshes land in one reviewed diff.
+# paper_figures runs inside bench/baselines with --json-dir ., so its
+# "wrote ./BENCH_fig1x.json" lines match the CI run's.
 # BENCH_scale.json records sim_rps derated 8x (serve_scale
 # --baseline): it gates wallclock throughput, so the baseline needs
 # headroom for CI hosts slower than the recording machine.
@@ -47,8 +50,7 @@ fi
 HYGCN_UPDATE_GOLDENS=1 "$BIN"
 
 if [ "$BENCH" = 1 ]; then
-    for bench in serve_latency fig10_speedup fig11_energy \
-                 fig12_energy_breakdown serve_powercap \
+    for bench in serve_latency paper_figures serve_powercap \
                  serve_lookahead serve_scale spmm_kernels \
                  table02_cpu_characterization; do
         if [ ! -x "$BUILD/bench/$bench" ]; then
@@ -58,10 +60,8 @@ if [ "$BENCH" = 1 ]; then
         fi
     done
     "$BUILD/bench/serve_latency" --json bench/baselines/BENCH_serve.json
-    "$BUILD/bench/fig10_speedup" --json bench/baselines/BENCH_fig10.json
-    "$BUILD/bench/fig11_energy" --json bench/baselines/BENCH_fig11.json
-    "$BUILD/bench/fig12_energy_breakdown" --json \
-        bench/baselines/BENCH_fig12.json
+    FIGURES=$(cd "$BUILD/bench" && pwd)/paper_figures
+    (cd bench/baselines && "$FIGURES" --json-dir . > paper_figures.txt)
     "$BUILD/bench/serve_powercap" --json \
         bench/baselines/BENCH_powercap.json
     "$BUILD/bench/serve_lookahead" --baseline \
