@@ -9,8 +9,8 @@
 # bench/baselines/ (BENCH_serve.json, BENCH_fig10.json,
 # BENCH_fig11.json, BENCH_fig12.json, BENCH_powercap.json,
 # BENCH_lookahead.json, BENCH_scale.json, BENCH_spmm.json, the
-# Table 2 stdout table02.txt and the Figs 2/10-14 stdout
-# paper_figures.txt) from the same
+# Table 2 and Table 4 stdouts table02.txt and table04.txt and the
+# Figs 2/10-14 stdout paper_figures.txt) from the same
 # build, so golden and baseline refreshes land in one reviewed diff.
 # paper_figures runs inside bench/baselines with --json-dir ., so its
 # "wrote ./BENCH_fig1x.json" lines match the CI run's.
@@ -52,7 +52,7 @@ HYGCN_UPDATE_GOLDENS=1 "$BIN"
 if [ "$BENCH" = 1 ]; then
     for bench in serve_latency paper_figures serve_powercap \
                  serve_lookahead serve_scale spmm_kernels \
-                 table02_cpu_characterization; do
+                 table02_cpu_characterization table04_datasets; do
         if [ ! -x "$BUILD/bench/$bench" ]; then
             echo "error: $BUILD/bench/$bench not built; run:" \
                  "cmake --build $BUILD -j --target $bench" >&2
@@ -72,4 +72,5 @@ if [ "$BENCH" = 1 ]; then
         bench/baselines/BENCH_spmm.json
     "$BUILD/bench/table02_cpu_characterization" \
         > bench/baselines/table02.txt
+    "$BUILD/bench/table04_datasets" > bench/baselines/table04.txt
 fi
