@@ -6,6 +6,7 @@
 #include "graph/partition.hpp"
 #include "graph/window.hpp"
 #include "model/layer.hpp"
+#include "sim/codegen.hpp"
 
 namespace hygcn {
 
@@ -116,7 +117,7 @@ replayAggregation(const CpuConfig &config, const CscView &view,
 
 CpuModel::CpuModel(CpuConfig config) : config_(config) {}
 
-SimReport
+HYGCN_ALIGN_HOT SimReport
 CpuModel::run(const Dataset &dataset, const ModelConfig &model,
               std::uint64_t sample_seed, const CpuRunOptions &options)
 {

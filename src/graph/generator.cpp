@@ -1,9 +1,12 @@
 #include "graph/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <vector>
+
+#include "sim/codegen.hpp"
 
 namespace hygcn {
 
@@ -43,17 +46,14 @@ class EdgeKeySet
         if (a > b)
             std::swap(a, b);
         if (dense_) {
-            // Pair {lo, hi} with lo < hi is bit hi(hi-1)/2 + lo.
-            const std::uint64_t bit = std::uint64_t{b} * (b - 1) / 2 + a;
+            const std::uint64_t bit = pairBit(a, b);
             std::uint64_t &word = bits_[bit / 64];
             const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
             const bool fresh = (word & mask) == 0;
             word |= mask;
             return fresh;
         }
-        // The smaller vertex goes in the high half, so kEmpty never
-        // collides with a key.
-        const std::uint64_t key = (std::uint64_t{a} << 32) | b;
+        const std::uint64_t key = pairKey(a, b);
         if (size_ + 1 > maxLoad(slots_.size()))
             rehash(slotsFor(2 * (size_ + 1)));
         std::size_t i = home(key, slots_.size());
@@ -68,8 +68,28 @@ class EdgeKeySet
         return true;
     }
 
+    /** Start loading what insert(a, b) will touch (a != b, both < n). */
+    void prefetch(VertexId a, VertexId b) const
+    {
+        if (a > b)
+            std::swap(a, b);
+        if (dense_)
+            __builtin_prefetch(&bits_[pairBit(a, b) / 64]);
+        else
+            __builtin_prefetch(&slots_[home(pairKey(a, b), slots_.size())]);
+    }
+
   private:
     static constexpr std::uint64_t kEmpty = 0xffffffff00000000ull;
+
+    /** Pair {lo, hi} with lo < hi is bit hi(hi-1)/2 + lo. */
+    static std::uint64_t pairBit(VertexId lo, VertexId hi)
+    { return std::uint64_t{hi} * (hi - 1) / 2 + lo; }
+
+    /** The smaller vertex goes in the high half, so kEmpty never
+     *  collides with a key. */
+    static std::uint64_t pairKey(VertexId lo, VertexId hi)
+    { return (std::uint64_t{lo} << 32) | hi; }
 
     /** Keys allowed in @p slots slots (load factor 2/3). */
     static std::size_t maxLoad(std::size_t slots) { return slots * 2 / 3; }
@@ -117,6 +137,121 @@ class EdgeKeySet
     std::size_t size_ = 0;
 };
 
+// ---- R-MAT attempts in vector lanes --------------------------------
+// Every R-MAT attempt draws exactly 2 * levels numbers, so attempt i
+// is a pure function of the caller's state advanced 2 * levels * i
+// draws. A round hands kLaneAttempts consecutive attempts to each of
+// kLanes lanes: lane j starts from the round's state jumped by
+// j * kLaneAttempts attempts' draws (Rng::jump). The lanes run the
+// scalar generator's exact integer and double operations, so a serial
+// pass over the round's buffer sees the serial generator's attempts.
+
+constexpr std::size_t kLanes = 8;
+constexpr std::size_t kLaneAttempts = 256;
+constexpr std::size_t kRoundAttempts = kLanes * kLaneAttempts;
+
+/** R-MAT quadrant probabilities a, b, c (d = 1 - a - b - c). */
+constexpr double kRmatA = 0.57, kRmatB = 0.19, kRmatC = 0.19;
+
+typedef std::uint64_t LaneU64 __attribute__((vector_size(8 * kLanes)));
+typedef double LaneF64 __attribute__((vector_size(8 * kLanes)));
+
+// The lane helpers return through reference parameters because a
+// vector return value would change the calling convention between
+// clones.
+
+/** Rng::next()'s state update in every lane; @p s holds the lanes'
+ *  state words. */
+__attribute__((always_inline)) inline void
+laneStep(LaneU64 (&s)[4])
+{
+    const LaneU64 t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = (s[3] << 45) | (s[3] >> 19);
+}
+
+/** Rng::nextDouble() in every lane, bit for bit. */
+__attribute__((always_inline)) inline void
+laneNextDouble(LaneU64 (&s)[4], LaneF64 &out)
+{
+    // next()'s multiplies by 5 and 9 as shift-adds: no 64-bit vector
+    // multiply exists below AVX-512DQ.
+    const LaneU64 x = s[1] + (s[1] << 2);
+    const LaneU64 r = (x << 7) | (x >> 57);
+    const LaneU64 result = r + (r << 3);
+    laneStep(s);
+
+    // (double)(result >> 11) without AVX-512DQ's conversion: a 52-bit
+    // value v converts exactly as the double 2^52 + v, whose bits are v
+    // ORed into those of 2^52, minus 2^52. The 53-bit result >> 11 is
+    // twice its top 52 bits plus its low bit; every step is exact.
+    constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ull;
+    const LaneF64 hi = (LaneF64)((result >> 12) | kTwo52Bits) - 0x1.0p52;
+    const LaneF64 lo = (LaneF64)(((result >> 11) & 1) | kTwo52Bits) - 0x1.0p52;
+    out = (hi * 2.0 + lo) * 0x1.0p-53;
+}
+
+/**
+ * Generate one round into @p out: lane j writes its kLaneAttempts
+ * attempts to out[j * kLaneAttempts ...], each as src << 32 | dst.
+ * @p lanes holds each lane's first state. On return it holds the next
+ * round's: each lane ends where the next one started, and @p skip then
+ * jumps it over the other lanes' share of the next round.
+ */
+HYGCN_TARGET_CLONES void
+rmatRound(Rng::State *lanes, const Rng::Jump &skip, int levels,
+          std::uint64_t *out)
+{
+    LaneU64 s[4];
+    for (std::size_t j = 0; j < kLanes; ++j)
+        for (int w = 0; w < 4; ++w)
+            s[w][j] = lanes[j][w];
+    for (std::size_t i = 0; i < kLaneAttempts; ++i) {
+        LaneU64 src = {}, dst = {};
+        for (int level = 0; level < levels; ++level) {
+            LaneF64 p, q;
+            laneNextDouble(s, p);
+            // Per-level noise so degrees are not perfectly nested.
+            laneNextDouble(s, q);
+            const LaneF64 aa = kRmatA + 0.05 * (q - 0.5);
+            const LaneF64 ab = aa + kRmatB;
+            // Quadrant [0, aa): none; [aa, aa+b): dst; [aa+b, aa+b+c):
+            // src; above: both. p < x is the sign bit of p - x, exactly
+            // for finite values; unlike a vector double compare, it
+            // vectorizes in every clone.
+            const LaneU64 lt_aa = (LaneU64)(p - aa) >> 63;
+            const LaneU64 lt_ab = (LaneU64)(p - ab) >> 63;
+            const LaneU64 lt_abc = (LaneU64)(p - (ab + kRmatC)) >> 63;
+            const LaneU64 dst_bit = (lt_aa ^ 1) & (lt_ab | (lt_abc ^ 1));
+            src = (src << 1) | (lt_ab ^ 1);
+            dst = (dst << 1) | dst_bit;
+        }
+        const LaneU64 packed = (src << 32) | dst;
+        for (std::size_t j = 0; j < kLanes; ++j)
+            out[j * kLaneAttempts + i] = packed[j];
+    }
+
+    // Rng::jump(skip) in every lane, with the word loop written out so
+    // the sums stay in registers.
+    const auto &poly = skip.polynomial();
+    LaneU64 sum[4] = {};
+    for (int i = 0; i < 256; ++i) {
+        const std::uint64_t take = 0 - ((poly[i / 64] >> (i % 64)) & 1);
+        sum[0] ^= s[0] & take;
+        sum[1] ^= s[1] & take;
+        sum[2] ^= s[2] & take;
+        sum[3] ^= s[3] & take;
+        laneStep(s);
+    }
+    for (std::size_t j = 0; j < kLanes; ++j)
+        for (int w = 0; w < 4; ++w)
+            lanes[j][w] = sum[w][j];
+}
+
 } // namespace
 
 EdgeList
@@ -148,34 +283,59 @@ generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng)
     while ((VertexId(1) << levels) < num_vertices)
         ++levels;
 
-    constexpr double a = 0.57, b = 0.19, c = 0.19;
     EdgeList edges;
     edges.reserve(num_edges);
     EdgeKeySet seen(num_vertices, num_edges);
 
+    // Rounds of lane-generated attempts, each deduped serially in
+    // attempt order. A round's last attempts may go unused; the
+    // caller's rng then ends just past the last attempt used.
+    const std::uint64_t draws = 2 * static_cast<std::uint64_t>(levels);
+    const std::uint64_t lane_draws = kLaneAttempts * draws;
+    const Rng::Jump next_lane(lane_draws);
+    std::array<Rng::State, kLanes> lanes;
+    Rng lane = rng;
+    for (Rng::State &start : lanes) {
+        start = lane.state();
+        lane.jump(next_lane);
+    }
+    const Rng::Jump skip((kLanes - 1) * lane_draws);
+    // How far ahead the dedupe pass prefetches an attempt's key.
+    constexpr std::size_t kAhead = 32;
+    std::vector<std::uint64_t> round(kRoundAttempts);
     std::uint64_t attempts = 0;
     const std::uint64_t max_attempts = num_edges * 64ull + 1024;
     while (edges.size() < num_edges && attempts < max_attempts) {
-        ++attempts;
-        VertexId src = 0, dst = 0;
-        for (int level = 0; level < levels; ++level) {
-            const double p = rng.nextDouble();
-            // Add per-level noise so degrees are not perfectly nested.
-            const double jitter = 0.05 * (rng.nextDouble() - 0.5);
-            const double aa = a + jitter;
-            // Quadrant [0, aa): none; [aa, aa+b): dst; [aa+b, aa+b+c):
-            // src; above: both. Selected without branches, since p is
-            // random and each branch would mispredict half the time.
-            const double ab = aa + b;
-            const VertexId src_bit = p >= ab;
-            const VertexId dst_bit = (p >= aa) & ((p < ab) | (p >= ab + c));
-            src = (src << 1) | src_bit;
-            dst = (dst << 1) | dst_bit;
+        const std::array<Rng::State, kLanes> starts = lanes;
+        rmatRound(lanes.data(), skip, levels, round.data());
+
+        // Use the attempts in order until the edges are found or the
+        // attempt budget is spent.
+        const std::uint64_t budget = max_attempts - attempts;
+        const auto limit = std::min<std::uint64_t>(kRoundAttempts, budget);
+        std::size_t used = 0;
+        for (; used < limit && edges.size() < num_edges; ++used) {
+            if (used + kAhead < kRoundAttempts) {
+                const std::uint64_t ahead = round[used + kAhead];
+                const auto s = static_cast<VertexId>(ahead >> 32);
+                const auto d = static_cast<VertexId>(ahead);
+                if (s < num_vertices && d < num_vertices && s != d)
+                    seen.prefetch(s, d);
+            }
+            const auto src = static_cast<VertexId>(round[used] >> 32);
+            const auto dst = static_cast<VertexId>(round[used]);
+            if (src >= num_vertices || dst >= num_vertices || src == dst)
+                continue;
+            if (seen.insert(src, dst))
+                edges.emplace_back(src, dst);
         }
-        if (src >= num_vertices || dst >= num_vertices || src == dst)
-            continue;
-        if (seen.insert(src, dst))
-            edges.emplace_back(src, dst);
+        attempts += used;
+        if (used == kRoundAttempts) {
+            rng = Rng(lanes[0]);
+        } else {
+            rng = Rng(starts[used / kLaneAttempts]);
+            rng.jump(used % kLaneAttempts * draws);
+        }
     }
     // Top up with uniform edges if R-MAT saturated (tiny graphs).
     while (edges.size() < num_edges) {

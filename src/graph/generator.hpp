@@ -34,7 +34,9 @@ EdgeList generateUniform(VertexId num_vertices, EdgeId num_edges, Rng &rng);
  * R-MAT power-law generator (a=0.57, b=c=0.19, d=0.05). Produces the
  * heavy-tailed degree distributions of social graphs such as Reddit.
  * Emits exactly @p num_edges distinct undirected edges, clamped to
- * the complete graph's num_vertices * (num_vertices - 1) / 2.
+ * the complete graph's num_vertices * (num_vertices - 1) / 2. The
+ * attempts are computed ahead in vector lanes, but the edges and the
+ * draws taken from @p rng are those of a plain serial attempt loop.
  */
 EdgeList generateRmat(VertexId num_vertices, EdgeId num_edges, Rng &rng);
 

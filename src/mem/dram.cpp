@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "sim/codegen.hpp"
+
 namespace hygcn {
 
 HbmModel::HbmModel(const HbmConfig &config) : config_(config)
@@ -77,7 +79,7 @@ HbmModel::segmentAt(Addr line) const
     return seg;
 }
 
-Cycle
+HYGCN_ALIGN_HOT Cycle
 HbmModel::serviceSegment(const Segment &seg, std::uint64_t lines,
                          std::uint32_t bytes, bool is_write, Cycle start)
 {
@@ -129,7 +131,7 @@ HbmModel::serviceOne(const MemRequest &request, Cycle start)
     return serviceBatch({&request, 1}, start);
 }
 
-Cycle
+HYGCN_ALIGN_HOT Cycle
 HbmModel::serviceBatch(std::span<const MemRequest> requests, Cycle start)
 {
     // A channel sees every channels-th line of a run under low-bit

@@ -8,30 +8,9 @@
 #include <stdexcept>
 
 #include "model/thread_pool.hpp"
+#include "sim/codegen.hpp"
 
 namespace hygcn::kernels {
-
-/**
- * Runtime ISA dispatch for the hot loops. The generic x86-64 baseline
- * the repo builds for is SSE2 (4 float lanes); the cloned functions
- * below also get AVX2 (8 lanes) and AVX-512 (16 lanes) bodies, with
- * the loader's IFUNC resolver picking the widest the host supports.
- * Bit-exactness is preserved across clones: feature lanes are
- * independent FP chains and the TU is compiled with -ffp-contract=off,
- * so every output element sees the identical mul/add sequence at any
- * vector width. On non-GCC or non-x86 builds the macro is empty and
- * the kernels compile once at the default ISA. Sanitizer builds also
- * compile once: IFUNC resolvers run during relocation, before the
- * TSAN/ASAN runtimes initialize, and the instrumented resolver
- * crashes there.
- */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define HYGCN_TARGET_CLONES \
-    __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define HYGCN_TARGET_CLONES
-#endif
 
 namespace {
 
@@ -167,7 +146,8 @@ windowSources(const CscView &view, VertexId dst, VertexId src_begin,
 // ---- ISA-dispatched row kernels -----------------------------------
 // One cloned function per aggregation flavor plus the GEMM row block;
 // the primitives above inline into each clone and vectorize at that
-// clone's width.
+// clone's width. Feature lanes are independent FP chains, so every
+// output element sees the identical mul/add sequence in every clone.
 
 HYGCN_TARGET_CLONES void
 aggRowAdd(float *__restrict out, const Matrix &x,

@@ -1,5 +1,9 @@
 #include "sim/rng.hpp"
 
+#include <bit>
+#include <cassert>
+#include <vector>
+
 namespace hygcn {
 
 namespace {
@@ -14,7 +18,104 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
+/** A polynomial over GF(2) of degree below 256; bit i is x^i. */
+using Poly = std::array<std::uint64_t, 4>;
+
+/**
+ * Coefficients of x^0..x^255 of xoshiro256's characteristic
+ * polynomial, whose x^256 coefficient is 1. Berlekamp-Massey recovers
+ * it from 512 steps of one state bit: the polynomial is primitive, so
+ * any nonzero bit sequence of the state has it as minimal polynomial.
+ */
+Poly
+deriveCharPoly()
+{
+    constexpr int kDegree = 256;
+    constexpr int kBits = 2 * kDegree;
+    std::vector<std::uint8_t> seq(kBits);
+    Rng rng;
+    for (auto &bit : seq) {
+        bit = rng.state()[0] & 1;
+        rng.next();
+    }
+    // Connection polynomial c with seq[n] = sum_{i=1..len} c[i]
+    // seq[n-i], and b, c's value before the last length change.
+    std::vector<std::uint8_t> c(kBits + 1, 0), b(kBits + 1, 0);
+    c[0] = b[0] = 1;
+    int len = 0, shift = 1;
+    for (int n = 0; n < kBits; ++n) {
+        std::uint8_t discrepancy = seq[n];
+        for (int i = 1; i <= len; ++i)
+            discrepancy ^= c[i] & seq[n - i];
+        if (discrepancy == 0) {
+            ++shift;
+            continue;
+        }
+        const std::vector<std::uint8_t> prev = c;
+        for (int i = 0; i + shift <= kBits; ++i)
+            c[i + shift] ^= b[i];
+        if (2 * len <= n) {
+            len = n + 1 - len;
+            b = prev;
+            shift = 1;
+        } else {
+            ++shift;
+        }
+    }
+    assert(len == kDegree);
+    // The characteristic polynomial is c reversed: x^256 c(1/x).
+    Poly poly{};
+    for (int j = 0; j < kDegree; ++j)
+        poly[j / 64] |= std::uint64_t{c[kDegree - j]} << (j % 64);
+    return poly;
+}
+
+const Poly &
+charPoly()
+{
+    static const Poly poly = deriveCharPoly();
+    return poly;
+}
+
+/** @p a times x, modulo the characteristic polynomial @p mod. */
+Poly
+timesX(Poly a, const Poly &mod)
+{
+    const std::uint64_t carry = 0 - (a[3] >> 63);
+    for (int w = 3; w > 0; --w)
+        a[w] = (a[w] << 1) | (a[w - 1] >> 63);
+    a[0] <<= 1;
+    for (int w = 0; w < 4; ++w)
+        a[w] ^= mod[w] & carry;
+    return a;
+}
+
+/** @p a times @p b, modulo the characteristic polynomial @p mod. */
+Poly
+product(const Poly &a, const Poly &b, const Poly &mod)
+{
+    Poly r{};
+    for (int i = 255; i >= 0; --i) {
+        r = timesX(r, mod);
+        const std::uint64_t take = 0 - ((b[i / 64] >> (i % 64)) & 1);
+        for (int w = 0; w < 4; ++w)
+            r[w] ^= a[w] & take;
+    }
+    return r;
+}
+
 } // namespace
+
+Rng::Jump::Jump(std::uint64_t n) : poly_{1, 0, 0, 0}
+{
+    // Square-and-multiply for x^n, from n's top bit down.
+    const Poly &mod = charPoly();
+    for (int bit = 63 - std::countl_zero(n); bit >= 0; --bit) {
+        poly_ = product(poly_, poly_, mod);
+        if ((n >> bit) & 1)
+            poly_ = timesX(poly_, mod);
+    }
+}
 
 Rng::Rng(std::uint64_t seed)
 {
@@ -27,6 +128,22 @@ float
 Rng::nextFloat(float lo, float hi)
 {
     return lo + static_cast<float>(nextDouble()) * (hi - lo);
+}
+
+void
+Rng::jump(const Jump &jump)
+{
+    // With T the one-step state map and x^n = sum c_i x^i modulo its
+    // characteristic polynomial p, T^n = sum c_i T^i since p(T) = 0.
+    const auto &poly = jump.polynomial();
+    State sum{};
+    for (int i = 0; i < 256; ++i) {
+        const std::uint64_t take = 0 - ((poly[i / 64] >> (i % 64)) & 1);
+        for (int w = 0; w < 4; ++w)
+            sum[w] ^= state_[w] & take;
+        next();
+    }
+    state_ = sum;
 }
 
 } // namespace hygcn

@@ -9,6 +9,7 @@
 #ifndef HYGCN_SIM_RNG_HPP
 #define HYGCN_SIM_RNG_HPP
 
+#include <array>
 #include <bit>
 #include <cstdint>
 
@@ -22,8 +23,39 @@ namespace hygcn {
 class Rng
 {
   public:
+    /** The four xoshiro256 state words. */
+    using State = std::array<std::uint64_t, 4>;
+
+    /**
+     * A jump by a fixed number of draws. It is precomputed once, so it
+     * can be applied to many states at the cost of 256 next() calls.
+     */
+    class Jump
+    {
+      public:
+        /** Jump by @p n draws. */
+        explicit Jump(std::uint64_t n);
+
+        /**
+         * x^n modulo xoshiro256's characteristic polynomial, bit i the
+         * coefficient of x^i. The state n draws ahead is the XOR of
+         * the states i draws ahead over every set bit i.
+         */
+        const std::array<std::uint64_t, 4> &polynomial() const
+        { return poly_; }
+
+      private:
+        std::array<std::uint64_t, 4> poly_;
+    };
+
     /** Construct from a 64-bit seed via splitmix64 expansion. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
+
+    /** Construct at @p state; Rng(r.state()) continues r's sequence. */
+    explicit Rng(const State &state) : state_(state) {}
+
+    /** The current state. */
+    const State &state() const { return state_; }
 
     /** Next raw 64-bit value. */
     std::uint64_t next()
@@ -60,8 +92,18 @@ class Rng
     /** Uniform float in [lo, hi). */
     float nextFloat(float lo, float hi);
 
+    /**
+     * Advance the state as @p n calls to next() would. xoshiro256 is
+     * linear over GF(2), so this takes O(log n) polynomial products
+     * rather than n steps.
+     */
+    void jump(std::uint64_t n) { jump(Jump(n)); }
+
+    /** Advance the state by @p jump's distance. */
+    void jump(const Jump &jump);
+
   private:
-    std::uint64_t state_[4];
+    State state_;
 };
 
 } // namespace hygcn

@@ -53,9 +53,13 @@ refUniform(VertexId n, EdgeId num_edges, Rng &rng)
     return edges;
 }
 
-/** @param topped_up Set if the uniform top-up loop had to run. */
+/**
+ * @param topped_up Set if the uniform top-up loop had to run.
+ * @param attempts Set to the number of R-MAT attempts made.
+ */
 EdgeList
-refRmat(VertexId n, EdgeId num_edges, Rng &rng, bool &topped_up)
+refRmat(VertexId n, EdgeId num_edges, Rng &rng, bool &topped_up,
+        std::uint64_t &attempts)
 {
     num_edges = std::min(num_edges, static_cast<EdgeId>(n) * (n - 1) / 2);
     int levels = 0;
@@ -63,7 +67,7 @@ refRmat(VertexId n, EdgeId num_edges, Rng &rng, bool &topped_up)
         ++levels;
     EdgeList edges;
     std::unordered_set<std::uint64_t> seen;
-    std::uint64_t attempts = 0;
+    attempts = 0;
     const std::uint64_t max_attempts = num_edges * 64ull + 1024;
     while (edges.size() < num_edges && attempts < max_attempts) {
         ++attempts;
@@ -253,7 +257,8 @@ TEST(Generator, Deterministic)
     EXPECT_EQ(generateRmat(256, 1000, a), generateRmat(256, 1000, b));
 }
 
-/** The flat dedupe set yields the reference edge lists exactly. */
+/** The flat dedupe set and the lanes yield the reference edge lists
+ *  exactly. */
 TEST(Generator, MatchesUnorderedSetReference)
 {
     // Tiny, saturated and over-dense graphs, vertex counts that are
@@ -265,12 +270,25 @@ TEST(Generator, MatchesUnorderedSetReference)
     // sparse community set for 128 vertices at 83 edges grows while
     // the ring is laid. 346 vertices at 28101 edges is a COLLAB
     // component (47% dense).
-    const std::vector<VertexId> vs = {2,  3,   16,  17,  20,  100, 1000, 5000,
-                                      16, 128, 128, 128, 512, 512, 512,  346};
-    const std::vector<EdgeId> es = {1,     3,      120,  100,  190, 300,
-                                    20000, 100000, 200,  83,   84,  85,
-                                    1361,  1362,   1363, 28101};
-    int rmat_top_ups = 0;
+    //
+    // generateRmat makes its attempts in rounds of kRound (below). At
+    // 3000 vertices and 12000 edges it takes several rounds. At 1502
+    // and 4721 under seed 1, after the draws made before it below, its
+    // last edge comes from the last attempt of round 3. K40's 780 edges
+    // saturate it, so it stops at max_attempts (64 * 780 + 1024) in
+    // the middle of round 25.
+    const std::vector<VertexId> vs = {2,    3,   16,   17,   20,  100, 1000,
+                                      5000, 16,  128,  128,  128, 512, 512,
+                                      512,  346, 3000, 1502, 40};
+    const std::vector<EdgeId> es = {1,     3,     120,    100,  190,
+                                    300,   20000, 100000, 200,  83,
+                                    84,    85,    1361,   1362, 1363,
+                                    28101, 12000, 4721,   780};
+    // generateRmat's lanes times attempts per lane. The counts below
+    // check that the cases above still reach the round boundaries.
+    constexpr std::uint64_t kRound = 8 * 256;
+    int rmat_top_ups = 0, multi_round = 0;
+    int ends_on_round = 0, stops_mid_round = 0;
     for (std::uint64_t seed : {1, 2, 77}) {
         for (std::size_t i = 0; i < vs.size(); ++i) {
             SCOPED_TRACE(testing::Message() << seed << "/" << i);
@@ -282,15 +300,24 @@ TEST(Generator, MatchesUnorderedSetReference)
             EXPECT_EQ(lib.next(), ref.next());
 
             bool topped_up = false;
-            EXPECT_EQ(generateRmat(v, e, lib), refRmat(v, e, ref, topped_up));
+            std::uint64_t attempts = 0;
+            const EdgeList want = refRmat(v, e, ref, topped_up, attempts);
+            EXPECT_EQ(generateRmat(v, e, lib), want);
             EXPECT_EQ(lib.next(), ref.next());
             rmat_top_ups += topped_up;
+            const bool mid_round = attempts % kRound != 0;
+            multi_round += attempts > 2 * kRound;
+            ends_on_round += !topped_up && attempts > kRound && !mid_round;
+            stops_mid_round += topped_up && attempts > kRound && mid_round;
 
             EXPECT_EQ(generateCommunity(v, e, lib), refCommunity(v, e, ref));
             EXPECT_EQ(lib.next(), ref.next());
         }
     }
     EXPECT_GT(rmat_top_ups, 0) << "no case reached RMAT's uniform top-up";
+    EXPECT_GT(multi_round, 0) << "no case took several RMAT rounds";
+    EXPECT_GT(ends_on_round, 0) << "no case ended on a round's last attempt";
+    EXPECT_GT(stops_mid_round, 0) << "no case ran out of attempts mid-round";
 }
 
 TEST(Generator, AssembleComponentsMatchesReference)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "sim/rng.hpp"
 
@@ -73,6 +74,37 @@ TEST(Rng, FloatRespectsBounds)
         EXPECT_GE(f, -2.5f);
         EXPECT_LT(f, 3.5f);
     }
+}
+
+/** jump(n) lands where n calls to next() do. */
+TEST(Rng, JumpMatchesRepeatedNext)
+{
+    std::vector<std::uint64_t> ns = {0, 1, 2};
+    for (int k = 2; k <= 20; ++k) {
+        const std::uint64_t pow = std::uint64_t{1} << k;
+        ns.insert(ns.end(), {pow - 1, pow, pow + 1});
+    }
+    Rng pick(5);
+    for (int i = 0; i < 16; ++i)
+        ns.push_back(pick.nextBounded(std::uint64_t{1} << 20));
+    for (const std::uint64_t n : ns) {
+        SCOPED_TRACE(n);
+        Rng jumped(42), stepped(42);
+        jumped.jump(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            stepped.next();
+        EXPECT_EQ(jumped.state(), stepped.state());
+        EXPECT_EQ(jumped.next(), stepped.next());
+    }
+
+    // Jumps compose: one of 2^40 lands where two of 2^39 do.
+    Rng once(7), twice(7);
+    once.jump(std::uint64_t{1} << 40);
+    const Rng::Jump half(std::uint64_t{1} << 39);
+    twice.jump(half);
+    twice.jump(half);
+    EXPECT_EQ(once.state(), twice.state());
+    EXPECT_NE(once.state(), Rng(7).state());
 }
 
 class RngBoundParam : public ::testing::TestWithParam<std::uint64_t>
