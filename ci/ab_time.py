@@ -24,10 +24,12 @@ For each metric it prints the median [q1, q3] of each side, how many
 pairs the change won, the parent's interquartile range (IQR), and the
 verdict of the 9-in-10 rule: the change wins at least 9 of every 10
 pairs and its median beats the parent's by more than the parent's IQR.
-Lower is better unless the metric is named with --higher.
+Lower is better, except for rates: a metric whose unit ends in "/s"
+is better higher.
 
 Every run's stdout and every --output file must equal, byte for byte,
-those of the first parent run. --ignore-stdout skips stdout for
+those of the first parent run. Each --output file is deleted before
+every run, so a run that does not write it fails the compare. --ignore-stdout skips stdout for
 commands that print host timings; --same METRIC then requires a json
 metric (a simulated count, say) to be equal instead.
 
@@ -51,6 +53,7 @@ build failed; 2 bad usage or git failure.
 """
 
 import argparse
+import contextlib
 import difflib
 import json
 import math
@@ -84,6 +87,11 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
+
+
+def higher_is_better(unit):
+    """Rates (1/s, B/s) improve upward; times, sizes and counts down."""
+    return unit.endswith("/s")
 
 
 def summarize(parent, change, higher_better=False):
@@ -131,7 +139,11 @@ def format_table(summaries):
 # ---- running -------------------------------------------------------
 
 def run_once(command, cwd, env, source, outputs):
-    """Run command once. Returns (metrics, stdout bytes, {file: bytes})."""
+    """Run command once. Returns ({metric: (value, unit)}, stdout bytes,
+    {file: bytes, or None if the run did not write it})."""
+    for path in outputs:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(cwd, path))
     start = time.perf_counter()
     proc = subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.PIPE)
     wall = time.perf_counter() - start
@@ -139,14 +151,15 @@ def run_once(command, cwd, env, source, outputs):
         raise RunError("%s exited with %d in %s"
                        % (shlex.join(command), proc.returncode, cwd))
     if source == "wall":
-        metrics = {"wall_s": wall}
+        metrics = {"wall_s": (wall, "s")}
     else:
         lines = proc.stdout.decode(errors="replace").strip().splitlines()
         try:
             result = json.loads(lines[-1])
-            metrics = {k: v["value"] for k, v in result["metrics"].items()}
-            metrics["attempted"] = result["attempted"]
-            metrics["failed"] = result["failed"]
+            metrics = {k: (v["value"], v["unit"])
+                        for k, v in result["metrics"].items()}
+            metrics["attempted"] = (result["attempted"], "count")
+            metrics["failed"] = (result["failed"], "count")
             correct = result["correct"]
         except (IndexError, ValueError, KeyError, TypeError) as err:
             raise RunError("no result object on stdout (%s)" % err)
@@ -194,10 +207,11 @@ class Mismatches:
                 self.found += describe_diff(tag + " " + path,
                                             want_files[path], data)
         for name in self.same:
-            if metrics.get(name) != want_metrics.get(name):
+            got = metrics.get(name, (None, ""))[0]
+            want = want_metrics.get(name, (None, ""))[0]
+            if got != want:
                 self.found.append("%s %s: %r, first parent run %r"
-                                  % (tag, name, metrics.get(name),
-                                     want_metrics.get(name)))
+                                  % (tag, name, got, want))
 
 
 def compare(parent_dir, change_dir, args):
@@ -220,22 +234,16 @@ def compare(parent_dir, change_dir, args):
             samples[side].append(metrics)
         log("pair %d/%d: %s" % (i + 1, args.pairs, "  ".join(
             "%s %s" % (side, " ".join(
-                "%s=%.4g" % (k, samples[side][-1][k])
-                for k in selected(samples[side][-1], args.metric)))
+                "%s=%.4g" % (k, v)
+                for k, (v, _) in sorted(samples[side][-1].items())))
             for side in ("parent", "change"))))
     summaries = {}
-    for name in selected(samples["parent"][0], args.metric):
+    for name, (_, unit) in sorted(samples["parent"][0].items()):
         summaries[name] = summarize(
-            [m[name] for m in samples["parent"]],
-            [m[name] for m in samples["change"]],
-            higher_better=name in args.higher)
+            [m[name][0] for m in samples["parent"]],
+            [m[name][0] for m in samples["change"]],
+            higher_better=higher_is_better(unit))
     return summaries, mismatches.found
-
-
-def selected(metrics, wanted):
-    if wanted:
-        return [name for name in wanted if name in metrics]
-    return sorted(metrics)
 
 
 def build(command, cwd):
@@ -270,10 +278,6 @@ def parse_args(argv):
     parser.add_argument("--ignore-stdout", action="store_true")
     parser.add_argument("--same", action="append", default=[],
                         help="json metric that must be equal in every run")
-    parser.add_argument("--metric", action="append", default=[],
-                        help="report only these metrics")
-    parser.add_argument("--higher", action="append", default=[],
-                        help="metric for which higher is better")
     parser.add_argument("--cpus", default="",
                         help="CPU list for taskset -c")
     parser.add_argument("command", nargs=argparse.REMAINDER)

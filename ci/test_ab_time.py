@@ -19,20 +19,22 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import ab_time  # noqa: E402
 
 # Prints a perfbench-style result whose metric is read from value.txt
-# in the working directory, writes out.txt, and appends the tree's name
-# to the log file named by AB_LOG.
+# in the working directory, writes out.txt unless payload.txt is
+# missing, and appends the tree's name to the log file named by AB_LOG.
 EMIT = """
 import json, os
 with open("value.txt") as f:
     value = float(f.read())
-with open("out.txt", "w") as f:
-    f.write(open("payload.txt").read())
+if os.path.exists("payload.txt"):
+    with open("out.txt", "w") as f:
+        f.write(open("payload.txt").read())
 with open(os.environ["AB_LOG"], "a") as f:
     f.write(open("name.txt").read() + "\\n")
 print("report line")
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
                   "metrics": {"x_s": {"value": value, "unit": "s"},
-                              "count": {"value": 7, "unit": "count"}}}))
+                              "count": {"value": 7, "unit": "count"},
+                              "rate": {"value": value, "unit": "1/s"}}}))
 """
 
 
@@ -82,6 +84,12 @@ class Statistics(unittest.TestCase):
         s = ab_time.summarize(parent, worse, higher_better=True)
         self.assertEqual((s["wins"], s["verdict"]), (10, "gain"))
 
+    def test_rates_are_better_higher(self):
+        for unit in ("1/s", "B/s"):
+            self.assertTrue(ab_time.higher_is_better(unit), unit)
+        for unit in ("s", "MiB", "count", "cycles", "J"):
+            self.assertFalse(ab_time.higher_is_better(unit), unit)
+
     def test_table_names_every_metric(self):
         s = {"wall_s": ab_time.summarize([2.0, 2.0], [1.0, 1.0])}
         table = ab_time.format_table(s)
@@ -125,9 +133,12 @@ class Compare(unittest.TestCase):
         write_tree(self.change, "change", 1.0)
         with contextlib.redirect_stderr(io.StringIO()):
             summaries, mismatches = ab_time.compare(
-                self.parent, self.change, self.args("--metric", "x_s"))
-        self.assertEqual(list(summaries), ["x_s"])
+                self.parent, self.change, self.args())
+        self.assertEqual(sorted(summaries),
+                         ["attempted", "count", "failed", "rate", "x_s"])
         self.assertEqual(summaries["x_s"]["verdict"], "gain")
+        # The rate fell with x_s, and a lower rate is worse.
+        self.assertEqual(summaries["rate"]["verdict"], "loss")
         self.assertEqual(mismatches, [])
 
     def test_output_file_difference_is_caught(self):
@@ -138,6 +149,20 @@ class Compare(unittest.TestCase):
                                             self.args())
         self.assertTrue(any("out.txt differs" in m for m in mismatches))
         self.assertTrue(any("+other" in m for m in mismatches))
+
+    def test_stale_output_file_is_not_compared(self):
+        # The change no longer writes out.txt, but an earlier run left
+        # an identical copy in its tree.
+        write_tree(self.parent, "parent", 1.0)
+        write_tree(self.change, "change", 1.0)
+        os.remove(os.path.join(self.change, "payload.txt"))
+        with open(os.path.join(self.change, "out.txt"), "w") as f:
+            f.write("same")
+        with contextlib.redirect_stderr(io.StringIO()):
+            _, mismatches = ab_time.compare(self.parent, self.change,
+                                            self.args())
+        self.assertTrue(any("out.txt: missing" in m for m in mismatches),
+                        mismatches)
 
     def test_stdout_difference_is_caught_unless_ignored(self):
         # value.txt differs, so the JSON line on stdout differs.

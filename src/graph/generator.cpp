@@ -153,8 +153,13 @@ constexpr std::size_t kRoundAttempts = kLanes * kLaneAttempts;
 /** R-MAT quadrant probabilities a, b, c (d = 1 - a - b - c). */
 constexpr double kRmatA = 0.57, kRmatB = 0.19, kRmatC = 0.19;
 
-typedef std::uint64_t LaneU64 __attribute__((vector_size(8 * kLanes)));
-typedef double LaneF64 __attribute__((vector_size(8 * kLanes)));
+/** W lanes of 64-bit words and of doubles. */
+template <std::size_t W>
+struct Lanes
+{
+    typedef std::uint64_t U64 __attribute__((vector_size(8 * W)));
+    typedef double F64 __attribute__((vector_size(8 * W)));
+};
 
 // The lane helpers return through reference parameters because a
 // vector return value would change the calling convention between
@@ -162,10 +167,11 @@ typedef double LaneF64 __attribute__((vector_size(8 * kLanes)));
 
 /** Rng::next()'s state update in every lane; @p s holds the lanes'
  *  state words. */
+template <typename U64>
 __attribute__((always_inline)) inline void
-laneStep(LaneU64 (&s)[4])
+laneStep(U64 (&s)[4])
 {
-    const LaneU64 t = s[1] << 17;
+    const U64 t = s[1] << 17;
     s[2] ^= s[0];
     s[3] ^= s[1];
     s[1] ^= s[2];
@@ -175,14 +181,15 @@ laneStep(LaneU64 (&s)[4])
 }
 
 /** Rng::nextDouble() in every lane, bit for bit. */
+template <typename U64, typename F64>
 __attribute__((always_inline)) inline void
-laneNextDouble(LaneU64 (&s)[4], LaneF64 &out)
+laneNextDouble(U64 (&s)[4], F64 &out)
 {
     // next()'s multiplies by 5 and 9 as shift-adds: no 64-bit vector
     // multiply exists below AVX-512DQ.
-    const LaneU64 x = s[1] + (s[1] << 2);
-    const LaneU64 r = (x << 7) | (x >> 57);
-    const LaneU64 result = r + (r << 3);
+    const U64 x = s[1] + (s[1] << 2);
+    const U64 r = (x << 7) | (x >> 57);
+    const U64 result = r + (r << 3);
     laneStep(s);
 
     // (double)(result >> 11) without AVX-512DQ's conversion: a 52-bit
@@ -190,9 +197,63 @@ laneNextDouble(LaneU64 (&s)[4], LaneF64 &out)
     // ORed into those of 2^52, minus 2^52. The 53-bit result >> 11 is
     // twice its top 52 bits plus its low bit; every step is exact.
     constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ull;
-    const LaneF64 hi = (LaneF64)((result >> 12) | kTwo52Bits) - 0x1.0p52;
-    const LaneF64 lo = (LaneF64)(((result >> 11) & 1) | kTwo52Bits) - 0x1.0p52;
+    const F64 hi = (F64)((result >> 12) | kTwo52Bits) - 0x1.0p52;
+    const F64 lo = (F64)(((result >> 11) & 1) | kTwo52Bits) - 0x1.0p52;
     out = (hi * 2.0 + lo) * 0x1.0p-53;
+}
+
+/** rmatRound() for the W lanes at @p lanes, writing from @p out. */
+template <std::size_t W>
+__attribute__((always_inline)) inline void
+rmatLanes(Rng::State *lanes, const Rng::Jump &skip, int levels,
+          std::uint64_t *out)
+{
+    using U64 = typename Lanes<W>::U64;
+    using F64 = typename Lanes<W>::F64;
+    U64 s[4];
+    for (std::size_t j = 0; j < W; ++j)
+        for (int w = 0; w < 4; ++w)
+            s[w][j] = lanes[j][w];
+    for (std::size_t i = 0; i < kLaneAttempts; ++i) {
+        U64 src = {}, dst = {};
+        for (int level = 0; level < levels; ++level) {
+            F64 p, q;
+            laneNextDouble(s, p);
+            // Per-level noise so degrees are not perfectly nested.
+            laneNextDouble(s, q);
+            const F64 aa = kRmatA + 0.05 * (q - 0.5);
+            const F64 ab = aa + kRmatB;
+            // Quadrant [0, aa): none; [aa, aa+b): dst; [aa+b, aa+b+c):
+            // src; above: both. p < x is the sign bit of p - x, exactly
+            // for finite values; unlike a vector double compare, it
+            // vectorizes in every clone.
+            const U64 lt_aa = (U64)(p - aa) >> 63;
+            const U64 lt_ab = (U64)(p - ab) >> 63;
+            const U64 lt_abc = (U64)(p - (ab + kRmatC)) >> 63;
+            const U64 dst_bit = (lt_aa ^ 1) & (lt_ab | (lt_abc ^ 1));
+            src = (src << 1) | (lt_ab ^ 1);
+            dst = (dst << 1) | dst_bit;
+        }
+        const U64 packed = (src << 32) | dst;
+        for (std::size_t j = 0; j < W; ++j)
+            out[j * kLaneAttempts + i] = packed[j];
+    }
+
+    // Rng::jump(skip) in every lane, with the word loop written out so
+    // the sums stay in registers.
+    const auto &poly = skip.polynomial();
+    U64 sum[4] = {};
+    for (int i = 0; i < 256; ++i) {
+        const std::uint64_t take = 0 - ((poly[i / 64] >> (i % 64)) & 1);
+        sum[0] ^= s[0] & take;
+        sum[1] ^= s[1] & take;
+        sum[2] ^= s[2] & take;
+        sum[3] ^= s[3] & take;
+        laneStep(s);
+    }
+    for (std::size_t j = 0; j < W; ++j)
+        for (int w = 0; w < 4; ++w)
+            lanes[j][w] = sum[w][j];
 }
 
 /**
@@ -206,50 +267,15 @@ HYGCN_TARGET_CLONES void
 rmatRound(Rng::State *lanes, const Rng::Jump &skip, int levels,
           std::uint64_t *out)
 {
-    LaneU64 s[4];
-    for (std::size_t j = 0; j < kLanes; ++j)
-        for (int w = 0; w < 4; ++w)
-            s[w][j] = lanes[j][w];
-    for (std::size_t i = 0; i < kLaneAttempts; ++i) {
-        LaneU64 src = {}, dst = {};
-        for (int level = 0; level < levels; ++level) {
-            LaneF64 p, q;
-            laneNextDouble(s, p);
-            // Per-level noise so degrees are not perfectly nested.
-            laneNextDouble(s, q);
-            const LaneF64 aa = kRmatA + 0.05 * (q - 0.5);
-            const LaneF64 ab = aa + kRmatB;
-            // Quadrant [0, aa): none; [aa, aa+b): dst; [aa+b, aa+b+c):
-            // src; above: both. p < x is the sign bit of p - x, exactly
-            // for finite values; unlike a vector double compare, it
-            // vectorizes in every clone.
-            const LaneU64 lt_aa = (LaneU64)(p - aa) >> 63;
-            const LaneU64 lt_ab = (LaneU64)(p - ab) >> 63;
-            const LaneU64 lt_abc = (LaneU64)(p - (ab + kRmatC)) >> 63;
-            const LaneU64 dst_bit = (lt_aa ^ 1) & (lt_ab | (lt_abc ^ 1));
-            src = (src << 1) | (lt_ab ^ 1);
-            dst = (dst << 1) | dst_bit;
-        }
-        const LaneU64 packed = (src << 32) | dst;
-        for (std::size_t j = 0; j < kLanes; ++j)
-            out[j * kLaneAttempts + i] = packed[j];
+    // Eight lanes' state is one register per word at AVX-512 width.
+    // Narrower registers would spill it, so they take the lanes four
+    // at a time.
+    if (HYGCN_CLONE_HAS("avx512f")) {
+        rmatLanes<8>(lanes, skip, levels, out);
+    } else {
+        rmatLanes<4>(lanes, skip, levels, out);
+        rmatLanes<4>(lanes + 4, skip, levels, out + 4 * kLaneAttempts);
     }
-
-    // Rng::jump(skip) in every lane, with the word loop written out so
-    // the sums stay in registers.
-    const auto &poly = skip.polynomial();
-    LaneU64 sum[4] = {};
-    for (int i = 0; i < 256; ++i) {
-        const std::uint64_t take = 0 - ((poly[i / 64] >> (i % 64)) & 1);
-        sum[0] ^= s[0] & take;
-        sum[1] ^= s[1] & take;
-        sum[2] ^= s[2] & take;
-        sum[3] ^= s[3] & take;
-        laneStep(s);
-    }
-    for (std::size_t j = 0; j < kLanes; ++j)
-        for (int w = 0; w < 4; ++w)
-            lanes[j][w] = sum[w][j];
 }
 
 } // namespace

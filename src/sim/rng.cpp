@@ -90,18 +90,71 @@ timesX(Poly a, const Poly &mod)
     return a;
 }
 
-/** @p a times @p b, modulo the characteristic polynomial @p mod. */
-Poly
-product(const Poly &a, const Poly &b, const Poly &mod)
+/** Bits 0..31 of @p w spread to the even bits: bit i moves to 2i. */
+std::uint64_t
+spreadHalf(std::uint64_t w)
 {
-    Poly r{};
-    for (int i = 255; i >= 0; --i) {
-        r = timesX(r, mod);
-        const std::uint64_t take = 0 - ((b[i / 64] >> (i % 64)) & 1);
-        for (int w = 0; w < 4; ++w)
-            r[w] ^= a[w] & take;
+    w &= 0xffffffffull;
+    w = (w | (w << 16)) & 0x0000ffff0000ffffull;
+    w = (w | (w << 8)) & 0x00ff00ff00ff00ffull;
+    w = (w | (w << 4)) & 0x0f0f0f0f0f0f0f0full;
+    w = (w | (w << 2)) & 0x3333333333333333ull;
+    w = (w | (w << 1)) & 0x5555555555555555ull;
+    return w;
+}
+
+/**
+ * Reduction table for squaring: entry [k][v] is v x^(256 + 4k) modulo
+ * the characteristic polynomial, for each nibble position k of a
+ * product's upper 256 bits and each nibble value v (32 KiB).
+ */
+using NibbleTable = std::array<std::array<Poly, 16>, 64>;
+
+const NibbleTable &
+highNibbles()
+{
+    static const NibbleTable table = [] {
+        const Poly &mod = charPoly();
+        NibbleTable t{};
+        // p = x^256 + mod over GF(2), so x^256 = mod modulo p.
+        Poly power = mod;
+        for (auto &row : t) {
+            for (int b = 0; b < 4; ++b) {
+                row[1 << b] = power;
+                power = timesX(power, mod);
+            }
+            for (int v = 3; v < 16; ++v) {
+                const int low = v & -v;
+                if (v != low)
+                    for (int w = 0; w < 4; ++w)
+                        row[v][w] = row[low][w] ^ row[v - low][w];
+            }
+        }
+        return t;
+    }();
+    return table;
+}
+
+/** @p a squared, modulo the characteristic polynomial. Squaring over
+ *  GF(2) moves bit i to bit 2i; the upper half then folds back down
+ *  one nibble at a time. */
+Poly
+square(const Poly &a)
+{
+    Poly low, high;
+    for (int w = 0; w < 2; ++w) {
+        low[2 * w] = spreadHalf(a[w]);
+        low[2 * w + 1] = spreadHalf(a[w] >> 32);
+        high[2 * w] = spreadHalf(a[w + 2]);
+        high[2 * w + 1] = spreadHalf(a[w + 2] >> 32);
     }
-    return r;
+    const NibbleTable &table = highNibbles();
+    for (int k = 0; k < 64; ++k) {
+        const Poly &fold = table[k][(high[k / 16] >> (4 * (k % 16))) & 15];
+        for (int w = 0; w < 4; ++w)
+            low[w] ^= fold[w];
+    }
+    return low;
 }
 
 } // namespace
@@ -111,7 +164,7 @@ Rng::Jump::Jump(std::uint64_t n) : poly_{1, 0, 0, 0}
     // Square-and-multiply for x^n, from n's top bit down.
     const Poly &mod = charPoly();
     for (int bit = 63 - std::countl_zero(n); bit >= 0; --bit) {
-        poly_ = product(poly_, poly_, mod);
+        poly_ = square(poly_);
         if ((n >> bit) & 1)
             poly_ = timesX(poly_, mod);
     }

@@ -94,7 +94,7 @@ class Rng
 
     /**
      * Advance the state as @p n calls to next() would. xoshiro256 is
-     * linear over GF(2), so this takes O(log n) polynomial products
+     * linear over GF(2), so this takes O(log n) polynomial squarings
      * rather than n steps.
      */
     void jump(std::uint64_t n) { jump(Jump(n)); }
