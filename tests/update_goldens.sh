@@ -9,13 +9,11 @@
 # bench/baselines/ (BENCH_serve.json, BENCH_fig10.json,
 # BENCH_fig11.json, BENCH_fig12.json, BENCH_powercap.json,
 # BENCH_lookahead.json, BENCH_scale.json, BENCH_spmm.json, the
-# Table 2 and Table 4 stdouts table02.txt and table04.txt, the
 # stdout of every paper figure and table paper_figures.txt and the
 # cost-curve calibration's stdout calibration.txt) from the same
 # build, so golden and baseline refreshes land in one reviewed diff.
 # paper_figures runs inside bench/baselines with --json-dir ., so its
-# "wrote ./BENCH_fig1x.json" lines match the CI run's; the Fig 15-18,
-# Table 2-7 and ablation binaries append to its stdout.
+# "wrote ./BENCH_fig1x.json" lines match the CI run's.
 # BENCH_scale.json records sim_rps derated 8x (serve_scale
 # --baseline): it gates wallclock throughput, so the baseline needs
 # headroom for CI hosts slower than the recording machine.
@@ -52,13 +50,9 @@ fi
 HYGCN_UPDATE_GOLDENS=1 "$BIN"
 
 if [ "$BENCH" = 1 ]; then
-    PAPER="fig15_sparsity fig16_pipeline fig17_coordination
-           fig18_scalability table02_cpu_characterization
-           table03_patterns table04_datasets table06_config
-           table07_area_power ablation_design_choices"
     for bench in serve_latency paper_figures serve_powercap \
                  serve_lookahead serve_scale spmm_kernels \
-                 calibration_cost_curves $PAPER; do
+                 calibration_cost_curves; do
         if [ ! -x "$BUILD/bench/$bench" ]; then
             echo "error: $BUILD/bench/$bench not built; run:" \
                  "cmake --build $BUILD -j --target $bench" >&2
@@ -68,9 +62,6 @@ if [ "$BENCH" = 1 ]; then
     "$BUILD/bench/serve_latency" --json bench/baselines/BENCH_serve.json
     FIGURES=$(cd "$BUILD/bench" && pwd)/paper_figures
     (cd bench/baselines && "$FIGURES" --json-dir . > paper_figures.txt)
-    for bench in $PAPER; do
-        "$BUILD/bench/$bench" >> bench/baselines/paper_figures.txt
-    done
     "$BUILD/bench/serve_powercap" --json \
         bench/baselines/BENCH_powercap.json
     "$BUILD/bench/serve_lookahead" --baseline \
@@ -79,9 +70,6 @@ if [ "$BENCH" = 1 ]; then
         bench/baselines/BENCH_scale.json
     "$BUILD/bench/spmm_kernels" --baseline \
         bench/baselines/BENCH_spmm.json
-    "$BUILD/bench/table02_cpu_characterization" \
-        > bench/baselines/table02.txt
-    "$BUILD/bench/table04_datasets" > bench/baselines/table04.txt
     "$BUILD/bench/calibration_cost_curves" \
         > bench/baselines/calibration.txt
 fi
