@@ -130,8 +130,10 @@ void
 header(const std::string &label, const std::vector<std::string> &columns)
 {
     std::printf("%-22s", label.c_str());
+    // The space keeps labels of 10 or more characters apart; labels
+    // of up to 9 still fill exactly 10 columns.
     for (const auto &c : columns)
-        std::printf("%10s", c.c_str());
+        std::printf(" %9s", c.c_str());
     std::printf("\n");
 }
 

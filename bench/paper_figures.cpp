@@ -53,8 +53,7 @@
  *  Ablation: mechanisms the paper only evaluates together (README.md,
  *      "Modelling substitutions"): window sliding alone vs
  *      sliding+shrinking, vertex-disperse vs vertex-concentrated SIMD
- *      scheduling, memory coordination on vs off, and the two Sampler
- *      modes of section 4.2.
+ *      scheduling, and the two Sampler modes of section 4.2.
  *
  * GPU cells that would exhaust V100 memory at full Table 4 scale are
  * marked OoM.
@@ -741,7 +740,7 @@ loadedRows(DatasetId ds_id, WindowMode mode)
 }
 
 void
-ablation(const Runs &agg_mode, const Runs &coordination)
+ablation(const Runs &agg_mode)
 {
     banner("Ablation", "decomposing HyGCN's design choices");
 
@@ -762,15 +761,6 @@ ablation(const Runs &agg_mode, const Runs &coordination)
         const double td = perDataset(agg_mode, i)[0].report.seconds();
         const double tc = perDataset(agg_mode, i)[1].report.seconds();
         row(datasetAbbrev(kStudyDatasets[i]), {tc / td * 100.0});
-    }
-
-    std::printf("\n(3) execution time vs fully-coordinated (%%): "
-                "reorder-only and remap-only\n");
-    header("dataset", {"both", "none"});
-    for (std::size_t i = 0; i < kStudyDatasets.size(); ++i) {
-        const double tb = perDataset(coordination, i)[0].report.seconds();
-        const double tn = perDataset(coordination, i)[1].report.seconds();
-        row(datasetAbbrev(kStudyDatasets[i]), {100.0, tn / tb * 100.0});
     }
 
     std::printf("\n(4) sampler modes at factor 4: kept edges and "
@@ -837,6 +827,6 @@ main(int argc, char **argv)
     table04();
     table06();
     table07();
-    ablation(runs[kAblationAggMode], runs[kFig17]);
+    ablation(runs[kAblationAggMode]);
     return ok ? 0 : 1;
 }
