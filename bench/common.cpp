@@ -31,22 +31,10 @@ session()
     return s;
 }
 
-SimReport
-report(const std::string &platform, ModelId m, DatasetId ds)
-{
-    return session().platform(platform).model(m).dataset(ds).report();
-}
-
 const Dataset &
 dataset(DatasetId id)
 {
     return api::DatasetCache::global().get(id);
-}
-
-ModelConfig
-model(ModelId id, DatasetId ds)
-{
-    return makeModel(id, dataset(ds).featureLen);
 }
 
 bool

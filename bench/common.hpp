@@ -31,14 +31,8 @@ std::vector<DatasetId> diffpoolDatasets();
 /** A Session pre-seeded with kSeed — the start of every harness run. */
 api::Session session();
 
-/** One kSeed timing run of (platform, model, dataset) through the API. */
-SimReport report(const std::string &platform, ModelId m, DatasetId ds);
-
 /** Cached dataset at the default benchmarking scale. */
 const Dataset &dataset(DatasetId id);
-
-/** Cached model configuration for (model, dataset). */
-ModelConfig model(ModelId id, DatasetId ds);
 
 /**
  * True if the *full-size* (Table 4) dataset would exceed V100 memory

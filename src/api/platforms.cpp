@@ -154,7 +154,7 @@ class AggOnlyPlatform : public Platform
         const PartitionDims dims = computePartitionDims(pc);
         const WindowPlan plan = buildWindowPlan(
             edges.view(), dims.intervalSize, dims.windowHeight,
-            dims.maxEdgesPerWindow, config.sparsityElimination);
+            dims.maxEdgesPerWindow, config.windowMode());
 
         const AddressMap amap;
         const EdgeCoefFn one(EdgeCoefKind::One, {}, 0.0f);
@@ -178,7 +178,7 @@ class AggOnlyPlatform : public Platform
         // Reduction relative to the grid plan at the same geometry.
         const WindowPlan grid = buildWindowPlan(
             edges.view(), dims.intervalSize, dims.windowHeight,
-            dims.maxEdgesPerWindow, false);
+            dims.maxEdgesPerWindow, WindowMode::Grid);
         out.report.stats.set(
             "agg.sparsity_reduction",
             grid.loadedRows > 0

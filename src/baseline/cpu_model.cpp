@@ -75,8 +75,9 @@ replayAggregation(const CpuConfig &config, const CscView &view,
         const VertexId rows = static_cast<VertexId>(std::max<std::uint64_t>(
             1, (config.l2.capacityBytes / 2) / std::max<std::uint64_t>(
                                                    1, feat_bytes)));
-        const WindowPlan plan = buildWindowPlan(
-            view, rows, rows, static_cast<EdgeId>(-1), true);
+        const WindowPlan plan =
+            buildWindowPlan(view, rows, rows, static_cast<EdgeId>(-1),
+                            WindowMode::SlideShrink);
         for (const IntervalWork &work : plan.intervals) {
             if ((work.dstBegin / std::max<VertexId>(1, rows)) % stride != 0)
                 continue;

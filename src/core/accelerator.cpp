@@ -287,7 +287,7 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
                                                  layer.inFeatures);
             const WindowPlan plan = buildWindowPlan(
                 edges.view(), dims.intervalSize, dims.windowHeight,
-                dims.maxEdgesPerWindow, config_.sparsityElimination);
+                dims.maxEdgesPerWindow, config_.windowMode());
             const EdgeCoefFn coef(layer.coef, inv_sqrt_deg, layer.epsilon);
 
             const Addr in_base =
@@ -352,7 +352,7 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
         const PartitionDims dims = layerDims(config_, pool.inFeatures);
         const WindowPlan plan = buildWindowPlan(
             edges.view(), dims.intervalSize, dims.windowHeight,
-            dims.maxEdgesPerWindow, config_.sparsityElimination);
+            dims.maxEdgesPerWindow, config_.windowMode());
         const EdgeCoefFn coef_pool(pool.coef, inv_sqrt_deg, pool.epsilon);
         const EdgeCoefFn coef_embed(embed.coef, inv_sqrt_deg,
                                     embed.epsilon);
@@ -378,7 +378,7 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
         const PartitionDims adims = layerDims(config_, model.clusters);
         const WindowPlan aplan = buildWindowPlan(
             adj.view(), adims.intervalSize, adims.windowHeight,
-            adims.maxEdgesPerWindow, config_.sparsityElimination);
+            adims.maxEdgesPerWindow, config_.windowMode());
         Matrix ac;
         if (functional)
             ac = Matrix(graph.numVertices(), model.clusters);

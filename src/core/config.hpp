@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "graph/window.hpp"
 #include "mem/coordinator.hpp"
 #include "mem/dram.hpp"
 #include "sim/energy.hpp"
@@ -96,6 +97,13 @@ struct HyGCNConfig
      * (zero-sized engines or buffers). Throws std::invalid_argument.
      */
     void validate() const;
+
+    /** Window plan mode honoring the sparsity-elimination flag. */
+    WindowMode windowMode() const
+    {
+        return sparsityElimination ? WindowMode::SlideShrink
+                                   : WindowMode::Grid;
+    }
 
     /** Derived HBM config honoring the coordination flag. */
     HbmConfig effectiveHbm() const

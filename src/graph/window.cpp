@@ -110,17 +110,6 @@ buildEffectualWindows(const std::vector<RowCount> &rows, VertexId height,
 WindowPlan
 buildWindowPlan(const CscView &view, VertexId interval_size,
                 VertexId window_height, EdgeId max_edges_per_window,
-                bool eliminate_sparsity)
-{
-    return buildWindowPlan(view, interval_size, window_height,
-                           max_edges_per_window,
-                           eliminate_sparsity ? WindowMode::SlideShrink
-                                              : WindowMode::Grid);
-}
-
-WindowPlan
-buildWindowPlan(const CscView &view, VertexId interval_size,
-                VertexId window_height, EdgeId max_edges_per_window,
                 WindowMode mode)
 {
     assert(interval_size >= 1);

@@ -98,12 +98,6 @@ WindowPlan buildWindowPlan(const CscView &view, VertexId interval_size,
                            VertexId window_height,
                            EdgeId max_edges_per_window, WindowMode mode);
 
-/** Convenience overload: true = SlideShrink, false = Grid. */
-WindowPlan buildWindowPlan(const CscView &view, VertexId interval_size,
-                           VertexId window_height,
-                           EdgeId max_edges_per_window,
-                           bool eliminate_sparsity);
-
 } // namespace hygcn
 
 #endif // HYGCN_GRAPH_WINDOW_HPP

@@ -66,7 +66,7 @@ TEST(AggregationEngine, FunctionalMatchesReferencePerInterval)
     x.fillRandom(rng);
     const EdgeCoefFn one(EdgeCoefKind::One, {}, 0.0f);
     const WindowPlan plan =
-        buildWindowPlan(es.view(), 40, 16, 1 << 20, true);
+        buildWindowPlan(es.view(), 40, 16, 1 << 20, WindowMode::SlideShrink);
     const Matrix golden = aggregateFull(es.view(), AggOp::Add, one, x);
 
     const AddressMap amap;
@@ -93,7 +93,7 @@ TEST(AggregationEngine, TimingAdvancesAndCountsEdges)
     HyGCNConfig config;
     Fixture f(config);
     const WindowPlan plan =
-        buildWindowPlan(es.view(), 64, 32, 1 << 20, true);
+        buildWindowPlan(es.view(), 64, 32, 1 << 20, WindowMode::SlideShrink);
     const AddressMap amap;
     Cycle now = 0;
     for (const IntervalWork &work : plan.intervals) {
@@ -118,11 +118,11 @@ TEST(AggregationEngine, SparsityEliminationReducesTraffic)
     const AddressMap amap;
     Cycle t_grid = 0, t_elim = 0;
     std::uint64_t bytes_grid = 0, bytes_elim = 0;
-    for (bool eliminate : {false, true}) {
+    for (WindowMode mode : {WindowMode::Grid, WindowMode::SlideShrink}) {
         HyGCNConfig config;
         Fixture f(config);
         const WindowPlan plan = buildWindowPlan(es.view(), 250, 16,
-                                                1 << 20, eliminate);
+                                                1 << 20, mode);
         Cycle now = 0;
         for (const IntervalWork &work : plan.intervals) {
             now = f.engine
@@ -133,7 +133,7 @@ TEST(AggregationEngine, SparsityEliminationReducesTraffic)
                                        amap)
                       .finish;
         }
-        if (eliminate) {
+        if (mode == WindowMode::SlideShrink) {
             t_elim = now;
             bytes_elim = f.hbm.stats().get("dram.read_bytes");
         } else {
@@ -157,7 +157,7 @@ TEST(AggregationEngine, MeanFinalizationDividesFunctionalResult)
     const Matrix golden = aggregateFull(es.view(), AggOp::Mean, one, x);
 
     const WindowPlan plan =
-        buildWindowPlan(es.view(), 30, 8, 1 << 20, true);
+        buildWindowPlan(es.view(), 30, 8, 1 << 20, WindowMode::SlideShrink);
     const AddressMap amap;
     ASSERT_EQ(plan.intervals.size(), 1u);
     Matrix acc(30, 4);

@@ -119,16 +119,16 @@ TEST_P(PlanConservation, EdgesConservedAndLoadsBounded)
     const VertexId height = 1 + rng.nextBounded(v);
     const EdgeId cap = 1 + rng.nextBounded(256);
 
-    for (bool eliminate : {false, true}) {
-        const WindowPlan plan = buildWindowPlan(es.view(), interval,
-                                                height, cap, eliminate);
+    for (WindowMode mode : {WindowMode::Grid, WindowMode::SlideShrink}) {
+        const WindowPlan plan =
+            buildWindowPlan(es.view(), interval, height, cap, mode);
         EXPECT_EQ(plan.totalEdges, es.numEdges());
         EXPECT_LE(plan.loadedRows, plan.gridRows);
         for (const IntervalWork &work : plan.intervals) {
             for (const Window &w : work.windows) {
                 EXPECT_LT(w.srcBegin, w.srcEnd);
                 EXPECT_LE(w.srcEnd, v);
-                if (eliminate) {
+                if (mode == WindowMode::SlideShrink) {
                     EXPECT_LE(w.loadedRows(), height);
                 }
             }

@@ -40,7 +40,7 @@ TEST(Window, GridCoversAllRowsEachInterval)
 {
     const EdgeSet es = randomEdgeSet(100, 300, 1);
     const WindowPlan plan = buildWindowPlan(es.view(), 32, 16,
-                                            1 << 20, false);
+                                            1 << 20, WindowMode::Grid);
     ASSERT_EQ(plan.intervals.size(), 4u);
     for (const IntervalWork &work : plan.intervals) {
         EXPECT_EQ(work.windows.size(), 7u); // ceil(100/16)
@@ -59,7 +59,7 @@ TEST(Window, EliminationConservesEdges)
 {
     const EdgeSet es = randomEdgeSet(200, 150, 2); // sparse
     const WindowPlan plan = buildWindowPlan(es.view(), 64, 16,
-                                            1 << 20, true);
+                                            1 << 20, WindowMode::SlideShrink);
     expectEdgeConservation(es.view(), plan);
 }
 
@@ -68,9 +68,9 @@ TEST(Window, EliminationNeverLoadsMoreThanGrid)
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
         const EdgeSet es = randomEdgeSet(300, 100 + seed * 200, seed);
         const WindowPlan grid = buildWindowPlan(es.view(), 64, 16,
-                                                1 << 20, false);
-        const WindowPlan elim = buildWindowPlan(es.view(), 64, 16,
-                                                1 << 20, true);
+                                                1 << 20, WindowMode::Grid);
+        const WindowPlan elim = buildWindowPlan(
+            es.view(), 64, 16, 1 << 20, WindowMode::SlideShrink);
         EXPECT_LE(elim.loadedRows, grid.loadedRows) << "seed " << seed;
         EXPECT_GE(elim.sparsityReduction(), 0.0);
     }
@@ -80,7 +80,8 @@ TEST(Window, WindowsStartAndEndOnOccupiedRows)
 {
     const EdgeSet es = randomEdgeSet(256, 120, 3);
     const CscView view = es.view();
-    const WindowPlan plan = buildWindowPlan(view, 64, 16, 1 << 20, true);
+    const WindowPlan plan =
+        buildWindowPlan(view, 64, 16, 1 << 20, WindowMode::SlideShrink);
     for (const IntervalWork &work : plan.intervals) {
         for (const Window &w : work.windows) {
             // The top and bottom rows must hold at least one edge
@@ -106,7 +107,7 @@ TEST(Window, WindowsRespectHeightAndOrder)
 {
     const EdgeSet es = randomEdgeSet(512, 2000, 4);
     const WindowPlan plan = buildWindowPlan(es.view(), 128, 32,
-                                            1 << 20, true);
+                                            1 << 20, WindowMode::SlideShrink);
     for (const IntervalWork &work : plan.intervals) {
         VertexId prev_end = 0;
         for (const Window &w : work.windows) {
@@ -123,9 +124,9 @@ TEST(Window, EdgeBufferCapSplitsWindows)
     // without the cap.
     const EdgeSet es = randomEdgeSet(64, 1500, 5);
     const WindowPlan capped = buildWindowPlan(es.view(), 64, 64, 50,
-                                              true);
-    const WindowPlan uncapped = buildWindowPlan(es.view(), 64, 64,
-                                                1 << 20, true);
+                                              WindowMode::SlideShrink);
+    const WindowPlan uncapped = buildWindowPlan(
+        es.view(), 64, 64, 1 << 20, WindowMode::SlideShrink);
     EXPECT_GT(capped.intervals[0].windows.size(),
               uncapped.intervals[0].windows.size());
     expectEdgeConservation(es.view(), capped);
@@ -141,7 +142,8 @@ TEST(Window, EmptyGraphYieldsNoEffectualWindows)
 {
     const EdgeSet es = EdgeSet::fromColumns(10, {{}, {}, {}, {}, {},
                                                  {}, {}, {}, {}, {}});
-    const WindowPlan plan = buildWindowPlan(es.view(), 4, 4, 100, true);
+    const WindowPlan plan =
+        buildWindowPlan(es.view(), 4, 4, 100, WindowMode::SlideShrink);
     for (const IntervalWork &work : plan.intervals)
         EXPECT_TRUE(work.windows.empty());
     EXPECT_EQ(plan.loadedRows, 0u);
@@ -151,7 +153,8 @@ TEST(Window, SingleEdgeSingleWindow)
 {
     const EdgeSet es = EdgeSet::fromColumns(8, {{}, {}, {}, {5}, {},
                                                 {}, {}, {}});
-    const WindowPlan plan = buildWindowPlan(es.view(), 8, 4, 100, true);
+    const WindowPlan plan =
+        buildWindowPlan(es.view(), 8, 4, 100, WindowMode::SlideShrink);
     ASSERT_EQ(plan.intervals.size(), 1u);
     ASSERT_EQ(plan.intervals[0].windows.size(), 1u);
     const Window &w = plan.intervals[0].windows[0];
@@ -169,9 +172,9 @@ TEST_P(WindowProperty, ConservationAcrossGeometries)
 {
     const auto [interval, height, seed] = GetParam();
     const EdgeSet es = randomEdgeSet(400, 1200, seed);
-    for (bool eliminate : {false, true}) {
+    for (WindowMode mode : {WindowMode::Grid, WindowMode::SlideShrink}) {
         const WindowPlan plan = buildWindowPlan(
-            es.view(), interval, height, 1 << 20, eliminate);
+            es.view(), interval, height, 1 << 20, mode);
         EXPECT_EQ(plan.totalEdges, es.numEdges());
     }
 }

@@ -222,19 +222,6 @@ TEST(WindowModes, SlideOnlyClampsAtGraphEnd)
     EXPECT_EQ(slide.intervals[0].windows[0].srcEnd, 10u);
 }
 
-TEST(WindowModes, BoolOverloadMatchesEnum)
-{
-    const EdgeSet es = sparseEdges(300, 500, 2);
-    const auto a = buildWindowPlan(es.view(), 100, 16, 1 << 20, true);
-    const auto b = buildWindowPlan(es.view(), 100, 16, 1 << 20,
-                                   WindowMode::SlideShrink);
-    EXPECT_EQ(a.loadedRows, b.loadedRows);
-    const auto c = buildWindowPlan(es.view(), 100, 16, 1 << 20, false);
-    const auto d = buildWindowPlan(es.view(), 100, 16, 1 << 20,
-                                   WindowMode::Grid);
-    EXPECT_EQ(c.loadedRows, d.loadedRows);
-}
-
 TEST(WindowModes, SamplerIndexIntervalDeterministic)
 {
     Rng rng(3);
