@@ -463,8 +463,9 @@ figure15(const Runs &runs)
            "sparsity elimination (Aggregation Engine only, GCN layer 1)");
     header("dataset", {"time %", "DRAM %", "spars red %", "speedup"});
     for (std::size_t i = 0; i < kStudyDatasets.size(); ++i) {
-        const SimReport &off = perDataset(runs, i)[0].report;
-        const SimReport &on = perDataset(runs, i)[1].report;
+        const auto pair = perDataset(runs, i);
+        const SimReport &off = pair[0].report;
+        const SimReport &on = pair[1].report;
         row(datasetAbbrev(kStudyDatasets[i]),
             {on.seconds() / off.seconds() * 100.0,
              static_cast<double>(on.dramBytes()) /
@@ -483,8 +484,9 @@ figure16(const Runs &pipeline, const Runs &mode)
     std::printf("\n(a,b) pipelined (PP) vs phase-by-phase (N-PP)\n");
     header("dataset", {"time %", "DRAM %"});
     for (std::size_t i = 0; i < kStudyDatasets.size(); ++i) {
-        const SimReport &rp = perDataset(pipeline, i)[0].report;
-        const SimReport &rn = perDataset(pipeline, i)[1].report;
+        const auto pair = perDataset(pipeline, i);
+        const SimReport &rp = pair[0].report;
+        const SimReport &rn = pair[1].report;
         row(datasetAbbrev(kStudyDatasets[i]),
             {rp.seconds() / rn.seconds() * 100.0,
              static_cast<double>(rp.dramBytes()) /
@@ -495,8 +497,9 @@ figure16(const Runs &pipeline, const Runs &mode)
     std::printf("\n(c,d) latency-aware vs energy-aware pipeline\n");
     header("dataset", {"Lpipe lat%", "Epipe en%"});
     for (std::size_t i = 0; i < kStudyDatasets.size(); ++i) {
-        const api::RunResult &rl = perDataset(mode, i)[0];
-        const api::RunResult &re = perDataset(mode, i)[1];
+        const auto pair = perDataset(mode, i);
+        const api::RunResult &rl = pair[0];
+        const api::RunResult &re = pair[1];
         const double lat_ratio =
             rl.avgVertexLatency / re.avgVertexLatency * 100.0;
         const double energy_ratio =
@@ -515,8 +518,9 @@ figure17(const Runs &runs)
     header("dataset", {"time %", "BW boost x"});
     double tsum = 0.0, bsum = 0.0;
     for (std::size_t i = 0; i < kStudyDatasets.size(); ++i) {
-        const SimReport &r_on = perDataset(runs, i)[0].report;
-        const SimReport &r_off = perDataset(runs, i)[1].report;
+        const auto pair = perDataset(runs, i);
+        const SimReport &r_on = pair[0].report;
+        const SimReport &r_off = pair[1].report;
         const double t = r_on.seconds() / r_off.seconds() * 100.0;
         const double b = r_on.stats.gauge("dram.bandwidth_utilization") /
                          r_off.stats.gauge("dram.bandwidth_utilization");
@@ -536,8 +540,9 @@ void
 aggSweepRows(const Runs &runs, Label label)
 {
     for (std::size_t i = 0; i < kStudyDatasets.size(); ++i) {
-        const SimReport &base = perDataset(runs, i)[0].report;
-        for (const api::RunResult &r : perDataset(runs, i)) {
+        const auto group = perDataset(runs, i);
+        const SimReport &base = group[0].report;
+        for (const api::RunResult &r : group) {
             row(datasetAbbrev(kStudyDatasets[i]) + "/" + label(r),
                 {r.report.seconds() / base.seconds() * 100.0,
                  static_cast<double>(r.report.dramBytes()) /
@@ -758,8 +763,9 @@ ablation(const Runs &agg_mode)
                 "to vertex-disperse (%%)\n");
     header("dataset", {"concentr %"});
     for (std::size_t i = 0; i < kStudyDatasets.size(); ++i) {
-        const double td = perDataset(agg_mode, i)[0].report.seconds();
-        const double tc = perDataset(agg_mode, i)[1].report.seconds();
+        const auto pair = perDataset(agg_mode, i);
+        const double td = pair[0].report.seconds();
+        const double tc = pair[1].report.seconds();
         row(datasetAbbrev(kStudyDatasets[i]), {tc / td * 100.0});
     }
 
