@@ -6,9 +6,10 @@
  * datasets, plus DiffPool on IB/CL as in the paper: 100 runs. The
  * Fig 15-18 and ablation sweeps flip one HyGCN knob at a time on
  * CR/CS/PB. Every sweep is expanded onto one parallel worker pool
- * over the shared dataset cache, so the small sweeps fill workers
- * while Reddit synthesizes. Every run is deterministic in its spec,
- * so the tables do not depend on the worker count. Printed in order:
+ * over the shared dataset cache, so the small sweeps fill the workers
+ * beside the long Reddit runs. Every run is deterministic in its
+ * spec, so the tables do not depend on the worker count. Printed in
+ * order:
  *
  *  Figure 2: Aggregation vs Combination time on PyG-CPU. Paper: both
  *      phases significant; Aggregation dominates for GIN and the
