@@ -12,7 +12,8 @@
  * (geometry, traversal, model, dataset) cell, a HyGCN matrix pins
  * the full accelerator report one line per (config, model, dataset,
  * co-batch, readout) cell, and a dataset matrix pins every
- * synthesized Table 4 graph one line per (dataset, seed).
+ * synthesized Table 4 graph one line per (dataset, seed), with its
+ * co-batch replicas and its neighbour-sampled edge sets.
  *
  * Regenerate after an intentional change with tests/update_goldens.sh
  * (runs this binary with HYGCN_UPDATE_GOLDENS=1).
@@ -44,6 +45,9 @@
 #include "api/session.hpp"
 #include "baseline/cpu_model.hpp"
 #include "graph/dataset.hpp"
+#include "graph/sampling.hpp"
+#include "model/layer.hpp"
+#include "model/models.hpp"
 #include "serve/scheduler.hpp"
 #include "sim/json.hpp"
 
@@ -612,7 +616,8 @@ TEST(Goldens, DatasetsAreStable)
     // the harness seed (bench::kSeed) and the library default seed,
     // plus Reddit at 1/100 scale: vertex and edge counts and a hash
     // of each CSC, CSR and component-boundary array. Any change to
-    // the generators, their RNG draws or the graph build moves a line.
+    // the generators, their RNG draws, the graph build, co-batch
+    // replication or neighbour sampling moves a line.
     constexpr std::uint64_t kBenchSeed = 20200222; // bench::kSeed
     auto hashOf = [](const auto &values) {
         Fnv1a h;
@@ -641,15 +646,53 @@ TEST(Goldens, DatasetsAreStable)
                "\"}";
     };
 
+    auto edgeLine = [&](const std::string &key, const EdgeSet &edges) {
+        const CscView csc = edges.view();
+        return "\"" + key + "\":{\"v\":" +
+               std::to_string(csc.numVertices) +
+               ",\"e\":" + std::to_string(csc.numEdges()) +
+               ",\"col_ptr\":\"" + hashOf(csc.colPtr) +
+               "\",\"row_idx\":\"" + hashOf(csc.rowIdx) + "\"}";
+    };
+
     std::vector<std::string> lines;
+    std::vector<Dataset> bench_datasets;
     for (std::uint64_t seed : {kBenchSeed, std::uint64_t{1}})
-        for (DatasetId id : allDatasets())
+        for (DatasetId id : allDatasets()) {
+            Dataset ds = makeDatasetScaledDefault(id, seed);
             lines.push_back(line(datasetAbbrev(id) + "/default/" +
                                      std::to_string(seed),
-                                 makeDatasetScaledDefault(id, seed)));
+                                 ds));
+            if (seed == kBenchSeed)
+                bench_datasets.push_back(std::move(ds));
+        }
     lines.push_back(line("RD/0.01/" + std::to_string(kBenchSeed),
                          makeDataset(DatasetId::RD, kBenchSeed, 0.01)));
-    EXPECT_EQ(lines.size(), 2u * 6u + 1u);
+    // The co-batch replicas the serving tier prices: copies 2-4 of
+    // the datasets its scenarios use.
+    for (const Dataset &ds : bench_datasets) {
+        if (ds.id == DatasetId::IB || ds.id == DatasetId::RD)
+            continue;
+        for (std::uint32_t copies : {2u, 3u, 4u})
+            lines.push_back(line(ds.abbrev + "/x" + std::to_string(copies) +
+                                     "/" + std::to_string(kBenchSeed),
+                                 replicateDataset(ds, copies)));
+    }
+    // The neighbour-sampled edge sets: GraphSage's two 25-neighbour
+    // layers with their per-layer seeds, and Fig 18's factor-4 keep.
+    for (const Dataset &ds : bench_datasets) {
+        const ModelConfig gsc = makeModel(ModelId::GSC, ds.featureLen);
+        for (std::size_t li = 0; li < gsc.layers.size(); ++li)
+            lines.push_back(edgeLine(
+                ds.abbrev + "/GSC/L" + std::to_string(li) + "/" +
+                    std::to_string(kBenchSeed),
+                buildLayerEdges(ds.graph, gsc.layers[li],
+                                layerSampleSeed(kBenchSeed, li))));
+        lines.push_back(edgeLine(
+            ds.abbrev + "/factor4/" + std::to_string(kBenchSeed),
+            NeighborSampler::sampleByFactor(ds.graph.csc(), 4, kBenchSeed)));
+    }
+    EXPECT_EQ(lines.size(), 2u * 6u + 1u + 4u * 3u + 6u * 3u);
     // The marker closes every line, so HYGCN_GOLDEN_RTOL relaxes
     // nothing: counts and hashes never drift within a tolerance.
     compareLinesOrUpdate("datasets.json", lines, "}");
