@@ -235,20 +235,6 @@ replicateDataset(const Dataset &base, std::uint32_t copies)
     replicableOrThrow(base, copies);
     const VertexId n = base.graph.numVertices();
 
-    // The base graph is already symmetrized; lift its directed CSC
-    // edges verbatim per copy so the union is byte-equivalent to
-    // `copies` independent instances laid out back to back.
-    const CscView view = base.graph.csc();
-    EdgeList edges;
-    edges.reserve(static_cast<std::size_t>(base.graph.numEdges()) *
-                  copies);
-    for (std::uint32_t c = 0; c < copies; ++c) {
-        const VertexId offset = c * n;
-        for (VertexId v = 0; v < n; ++v)
-            for (VertexId src : view.sources(v))
-                edges.emplace_back(offset + src, offset + v);
-    }
-
     Dataset out;
     out.id = base.id;
     out.name = base.name;
@@ -265,7 +251,7 @@ replicateDataset(const Dataset &base, std::uint32_t copies)
         for (std::size_t b = 1; b < bounds.size(); ++b)
             out.graphBoundaries.push_back(offset + bounds[b]);
     }
-    out.graph = Graph::fromEdges(n * copies, std::move(edges), false);
+    out.graph = base.graph.blockDiagonal(copies);
     return out;
 }
 

@@ -97,7 +97,8 @@ Dataset makeDatasetScaledDefault(DatasetId id, std::uint64_t seed = 1);
  * the same scenario in one accelerator pass. Component boundaries
  * are preserved per copy (so Readout still reduces per original
  * component), features and scale carry over, and copies <= 1 returns
- * @p base unchanged.
+ * @p base unchanged. The graph is Graph::blockDiagonal(): the base
+ * CSC and CSR arrays tiled with offsets, about the cost of a copy.
  */
 Dataset replicateDataset(const Dataset &base, std::uint32_t copies);
 

@@ -62,6 +62,48 @@ Graph::fromEdges(VertexId num_vertices,
     return g;
 }
 
+Graph
+Graph::blockDiagonal(std::uint32_t copies) const
+{
+    if (copies == 0)
+        throw std::invalid_argument("graph: copies must be positive");
+    const VertexId n = numVertices_;
+    if (n > 0 && copies > (kInvalidVertex - 1) / n)
+        throw std::invalid_argument(
+            "graph: block-diagonal vertex count overflows VertexId");
+    const EdgeId m = numEdges();
+    Graph g;
+    g.numVertices_ = n * copies;
+    if (n == 0) {
+        g.colPtr_ = g.rowPtr_ = {0};
+        return g;
+    }
+
+    // Copy c's offsets are the base offsets shifted by c * m and its
+    // indices the base indices shifted by c * n; the leading 0 is
+    // shared.
+    auto tile = [&](const std::vector<EdgeId> &ptr,
+                    const std::vector<VertexId> &idx,
+                    std::vector<EdgeId> &out_ptr,
+                    std::vector<VertexId> &out_idx) {
+        out_ptr.resize(static_cast<std::size_t>(n) * copies + 1);
+        out_idx.resize(static_cast<std::size_t>(m) * copies);
+        out_ptr[0] = 0;
+        for (std::uint32_t c = 0; c < copies; ++c) {
+            const EdgeId edge_offset = c * m;
+            const VertexId vertex_offset = c * n;
+            std::transform(ptr.begin() + 1, ptr.end(),
+                           out_ptr.begin() + c * n + 1,
+                           [=](EdgeId e) { return e + edge_offset; });
+            std::transform(idx.begin(), idx.end(), out_idx.begin() + c * m,
+                           [=](VertexId v) { return v + vertex_offset; });
+        }
+    };
+    tile(colPtr_, rowIdx_, g.colPtr_, g.rowIdx_);
+    tile(rowPtr_, colIdx_, g.rowPtr_, g.colIdx_);
+    return g;
+}
+
 bool
 Graph::hasEdge(VertexId src, VertexId dst) const
 {

@@ -68,6 +68,18 @@ class Graph
                            std::vector<std::pair<VertexId, VertexId>> edges,
                            bool symmetrize);
 
+    /**
+     * Disjoint union of @p copies copies of this graph, copy c taking
+     * vertices [c * n, (c + 1) * n): the CSC and CSR arrays tiled with
+     * vertex and edge offsets, so every column and row stays sorted.
+     * Equal, array for array, to fromEdges() over each copy's edges
+     * with symmetrize = false.
+     *
+     * @throws std::invalid_argument if @p copies is 0 or the vertex
+     *         count overflows VertexId.
+     */
+    Graph blockDiagonal(std::uint32_t copies) const;
+
     /** Vertex count. */
     VertexId numVertices() const { return numVertices_; }
 

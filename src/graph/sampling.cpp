@@ -1,7 +1,8 @@
 #include "graph/sampling.hpp"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -13,36 +14,47 @@ namespace {
 
 /**
  * Shared implementation: @p keep_of(deg) returns how many neighbors
- * of a degree-deg vertex survive. Selection is a partial
- * Fisher-Yates over the column, then re-sorted.
+ * of a degree-deg vertex survive. Selection is a partial Fisher-Yates
+ * over the column's positions; the kept positions are marked in a
+ * bitmap and emitted in ascending order, which keeps the already
+ * sorted column sorted without a sort.
  */
+template <typename KeepOf>
 EdgeSet
-sampleColumns(const CscView &view,
-              const std::function<EdgeId(EdgeId)> &keep_of,
-              std::uint64_t seed)
+sampleColumns(const CscView &view, KeepOf keep_of, std::uint64_t seed)
 {
     std::vector<EdgeId> col_ptr(view.numVertices + 1, 0);
-    std::vector<VertexId> row_idx;
+    for (VertexId dst = 0; dst < view.numVertices; ++dst) {
+        const EdgeId deg = view.inDegree(dst);
+        col_ptr[dst + 1] =
+            col_ptr[dst] + std::min<EdgeId>(deg, keep_of(deg));
+    }
+    std::vector<VertexId> row_idx(col_ptr.back());
 
     Rng rng(seed);
-    std::vector<VertexId> scratch;
+    std::vector<EdgeId> positions;
+    std::vector<std::uint64_t> kept;
     for (VertexId dst = 0; dst < view.numVertices; ++dst) {
         auto srcs = view.sources(dst);
         const EdgeId deg = srcs.size();
-        const EdgeId keep = std::min<EdgeId>(deg, keep_of(deg));
+        const EdgeId keep = col_ptr[dst + 1] - col_ptr[dst];
+        VertexId *out = row_idx.data() + col_ptr[dst];
         if (keep == deg) {
-            row_idx.insert(row_idx.end(), srcs.begin(), srcs.end());
-        } else {
-            scratch.assign(srcs.begin(), srcs.end());
-            for (EdgeId i = 0; i < keep; ++i) {
-                const EdgeId j = i + rng.nextBounded(scratch.size() - i);
-                std::swap(scratch[i], scratch[j]);
-            }
-            std::sort(scratch.begin(), scratch.begin() + keep);
-            row_idx.insert(row_idx.end(), scratch.begin(),
-                           scratch.begin() + keep);
+            std::copy(srcs.begin(), srcs.end(), out);
+            continue;
         }
-        col_ptr[dst + 1] = row_idx.size();
+        positions.resize(deg);
+        std::iota(positions.begin(), positions.end(), EdgeId{0});
+        kept.assign((deg + 63) / 64, 0);
+        for (EdgeId i = 0; i < keep; ++i) {
+            const EdgeId j = i + rng.nextBounded(deg - i);
+            std::swap(positions[i], positions[j]);
+            const EdgeId p = positions[i];
+            kept[p / 64] |= std::uint64_t{1} << (p % 64);
+        }
+        for (std::size_t w = 0; w < kept.size(); ++w)
+            for (std::uint64_t bits = kept[w]; bits != 0; bits &= bits - 1)
+                *out++ = srcs[w * 64 + std::countr_zero(bits)];
     }
     return EdgeSet::fromRaw(view.numVertices, std::move(col_ptr),
                             std::move(row_idx));

@@ -16,7 +16,14 @@
 
 namespace hygcn {
 
-/** Deterministic uniform neighbor samplers. */
+/**
+ * Deterministic uniform neighbor samplers. The random samplers draw,
+ * per column in destination order, a partial Fisher-Yates shuffle of
+ * the column's positions from one Rng seeded with @p seed (no draws
+ * for a column kept whole), and emit the kept sources in column
+ * order: sorted, because the input column is, with no per-column
+ * sort. The selection depends only on the seed and the degrees.
+ */
 class NeighborSampler
 {
   public:

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/dataset.hpp"
 
@@ -33,6 +36,50 @@ const Expected kTable4[] = {
 void PrintTo(const Expected &e, std::ostream *os)
 {
     *os << e.abbrev;
+}
+
+/**
+ * Reference replication: lift every copy's CSC edges, shifted by the
+ * copy's vertex offset, into one edge list and rebuild it with
+ * Graph::fromEdges; boundaries are each copy's, shifted likewise.
+ */
+Dataset
+refReplicate(const Dataset &base, std::uint32_t copies)
+{
+    const VertexId n = base.graph.numVertices();
+    const CscView view = base.graph.csc();
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (std::uint32_t c = 0; c < copies; ++c)
+        for (VertexId v = 0; v < n; ++v)
+            for (VertexId src : view.sources(v))
+                edges.emplace_back(c * n + src, c * n + v);
+    Dataset out;
+    out.graph = Graph::fromEdges(n * copies, std::move(edges), false);
+    const std::vector<VertexId> bounds =
+        base.graphBoundaries.empty() ? std::vector<VertexId>{0, n}
+                                     : base.graphBoundaries;
+    out.graphBoundaries = {0};
+    for (std::uint32_t c = 0; c < copies; ++c)
+        for (std::size_t b = 1; b < bounds.size(); ++b)
+            out.graphBoundaries.push_back(c * n + bounds[b]);
+    return out;
+}
+
+/** @p got and @p want hold equal CSC, CSR and boundary arrays. */
+void
+expectSameArrays(const Dataset &got, const Dataset &want)
+{
+    const CscView g = got.graph.csc();
+    const CscView w = want.graph.csc();
+    ASSERT_EQ(g.numVertices, w.numVertices);
+    EXPECT_TRUE(std::ranges::equal(g.colPtr, w.colPtr)) << "colPtr";
+    EXPECT_TRUE(std::ranges::equal(g.rowIdx, w.rowIdx)) << "rowIdx";
+    bool csr_equal = true;
+    for (VertexId v = 0; csr_equal && v < g.numVertices; ++v)
+        csr_equal = std::ranges::equal(got.graph.outNeighbors(v),
+                                       want.graph.outNeighbors(v));
+    EXPECT_TRUE(csr_equal) << "rowPtr/colIdx";
+    EXPECT_EQ(got.graphBoundaries, want.graphBoundaries);
 }
 
 } // namespace
@@ -148,4 +195,58 @@ TEST(Dataset, AllDatasetsEnumerates6)
     EXPECT_EQ(allDatasets().size(), 6u);
     EXPECT_EQ(datasetAbbrev(DatasetId::RD), "RD");
     EXPECT_EQ(datasetName(DatasetId::CL), "COLLAB");
+}
+
+TEST(Dataset, ReplicaEqualsEdgeListRebuild)
+{
+    // Every Table 4 dataset at its benchmarking scale, Reddit at 1/100
+    // to keep the reference's edge list small.
+    for (DatasetId id : allDatasets()) {
+        const Dataset base = id == DatasetId::RD
+                                 ? makeDataset(id, 1, 0.01)
+                                 : makeDatasetScaledDefault(id, 1);
+        for (std::uint32_t copies : {2u, 3u, 4u}) {
+            SCOPED_TRACE(base.abbrev + " x" + std::to_string(copies));
+            expectSameArrays(replicateDataset(base, copies),
+                             refReplicate(base, copies));
+        }
+    }
+}
+
+TEST(Dataset, ReplicaOfHandBuiltGraphsEqualsEdgeListRebuild)
+{
+    struct Case
+    {
+        const char *name;
+        VertexId n;
+        std::vector<std::pair<VertexId, VertexId>> edges;
+        bool symmetrize;
+        std::vector<VertexId> boundaries;
+    };
+    const Case cases[] = {
+        {"self loop", 3, {{0, 0}, {0, 1}, {2, 2}}, true, {}},
+        {"duplicate edge", 3, {{0, 1}, {0, 1}, {1, 2}}, false, {}},
+        {"isolated vertices", 5, {{1, 2}, {2, 3}}, true, {}},
+        {"components", 6, {{0, 1}, {2, 3}, {3, 4}}, true, {0, 2, 5, 6}},
+        {"zero vertices", 0, {}, true, {}},
+    };
+    for (const Case &c : cases) {
+        Dataset base;
+        base.graph = Graph::fromEdges(c.n, c.edges, c.symmetrize);
+        base.graphBoundaries = c.boundaries;
+        for (std::uint32_t copies : {2u, 3u, 4u}) {
+            SCOPED_TRACE(std::string(c.name) + " x" +
+                         std::to_string(copies));
+            expectSameArrays(replicateDataset(base, copies),
+                             refReplicate(base, copies));
+        }
+    }
+}
+
+TEST(Dataset, BlockDiagonalRejectsZeroCopiesAndOverflow)
+{
+    const Graph g = Graph::fromEdges(70000, {{0, 1}}, true);
+    EXPECT_THROW(g.blockDiagonal(0), std::invalid_argument);
+    EXPECT_THROW(g.blockDiagonal(70000), std::invalid_argument);
+    EXPECT_EQ(g.blockDiagonal(1).numEdges(), g.numEdges());
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "graph/generator.hpp"
 #include "graph/sampling.hpp"
@@ -16,6 +19,72 @@ randomGraph(VertexId v, EdgeId e, std::uint64_t seed)
 {
     Rng rng(seed);
     return Graph::fromEdges(v, generateUniform(v, e, rng), true);
+}
+
+/**
+ * Reference sampler: copy each column, partial Fisher-Yates over the
+ * copied values, then sort the kept prefix.
+ */
+template <typename KeepOf>
+EdgeSet
+refSample(const CscView &view, KeepOf keep_of, std::uint64_t seed)
+{
+    std::vector<EdgeId> col_ptr(view.numVertices + 1, 0);
+    std::vector<VertexId> row_idx;
+    Rng rng(seed);
+    std::vector<VertexId> scratch;
+    for (VertexId dst = 0; dst < view.numVertices; ++dst) {
+        auto srcs = view.sources(dst);
+        const EdgeId deg = srcs.size();
+        const EdgeId keep = std::min<EdgeId>(deg, keep_of(deg));
+        scratch.assign(srcs.begin(), srcs.end());
+        if (keep < deg) {
+            for (EdgeId i = 0; i < keep; ++i) {
+                const EdgeId j = i + rng.nextBounded(scratch.size() - i);
+                std::swap(scratch[i], scratch[j]);
+            }
+            std::sort(scratch.begin(), scratch.begin() + keep);
+        }
+        row_idx.insert(row_idx.end(), scratch.begin(),
+                       scratch.begin() + keep);
+        col_ptr[dst + 1] = row_idx.size();
+    }
+    return EdgeSet::fromRaw(view.numVertices, std::move(col_ptr),
+                            std::move(row_idx));
+}
+
+bool
+sameEdges(const EdgeSet &a, const EdgeSet &b)
+{
+    return a.numVertices() == b.numVertices() &&
+           std::ranges::equal(a.view().colPtr, b.view().colPtr) &&
+           std::ranges::equal(a.view().rowIdx, b.view().rowIdx);
+}
+
+/**
+ * A 200-vertex edge set whose columns have the given in-degrees, each
+ * column a random sorted set of distinct sources; with @p with_self
+ * every non-empty column also holds its own destination.
+ */
+EdgeSet
+columnsOfDegrees(const std::vector<EdgeId> &degrees, bool with_self,
+                 std::uint64_t seed)
+{
+    constexpr VertexId kN = 200;
+    Rng rng(seed);
+    std::vector<std::vector<VertexId>> cols(kN);
+    for (VertexId v = 0; v < kN; ++v) {
+        const EdgeId deg = degrees[v % degrees.size()];
+        std::vector<VertexId> pool(kN);
+        std::iota(pool.begin(), pool.end(), VertexId{0});
+        if (with_self && deg > 0)
+            std::swap(pool[0], pool[v]);
+        for (EdgeId i = with_self ? 1 : 0; i < deg; ++i)
+            std::swap(pool[i], pool[i + rng.nextBounded(kN - i)]);
+        cols[v].assign(pool.begin(), pool.begin() + deg);
+        std::sort(cols[v].begin(), cols[v].end());
+    }
+    return EdgeSet::fromColumns(kN, cols);
 }
 
 } // namespace
@@ -137,4 +206,73 @@ TEST(Sampling, ZeroArgumentsRejected)
                  std::invalid_argument);
     EXPECT_THROW(NeighborSampler::sampleByFactor(g.csc(), 0, 1),
                  std::invalid_argument);
+}
+
+TEST(Sampling, MatchesSortingReferenceAtBitmapWordEdges)
+{
+    // Column degrees around the keep count and around the kept-position
+    // bitmap's 64-bit word edges.
+    for (std::uint32_t keep : {1u, 25u, 64u}) {
+        const std::vector<EdgeId> degrees = {
+            0, keep - 1, keep, keep + 1, 63, 64, 65, 128, 129, 199};
+        for (bool with_self : {false, true}) {
+            for (std::uint64_t seed : {1, 2, 3, 20200222}) {
+                SCOPED_TRACE(testing::Message()
+                             << "keep " << keep << " self " << with_self
+                             << " seed " << seed);
+                const EdgeSet edges =
+                    columnsOfDegrees(degrees, with_self, seed);
+                const EdgeSet got = NeighborSampler::sampleMaxNeighbors(
+                    edges.view(), keep, seed);
+                const EdgeSet want = refSample(
+                    edges.view(), [keep](EdgeId) { return keep; }, seed);
+                EXPECT_TRUE(sameEdges(got, want));
+                EXPECT_TRUE(
+                    sameEdges(EdgeSet::fromView(got.view(), true),
+                              EdgeSet::fromView(want.view(), true)));
+            }
+        }
+    }
+}
+
+TEST(Sampling, ByFactorMatchesSortingReference)
+{
+    const std::vector<EdgeId> degrees = {1, 2, 3, 63, 64, 65, 128, 129};
+    for (std::uint32_t factor : {1u, 2u, 3u, 4u, 16u}) {
+        for (bool with_self : {false, true}) {
+            for (std::uint64_t seed : {1, 2, 3, 20200222}) {
+                SCOPED_TRACE(testing::Message()
+                             << "factor " << factor << " self "
+                             << with_self << " seed " << seed);
+                const EdgeSet edges =
+                    columnsOfDegrees(degrees, with_self, seed);
+                const EdgeSet got = NeighborSampler::sampleByFactor(
+                    edges.view(), factor, seed);
+                const EdgeSet want = refSample(
+                    edges.view(),
+                    [factor](EdgeId deg) {
+                        return (deg + factor - 1) / factor;
+                    },
+                    seed);
+                EXPECT_TRUE(sameEdges(got, want));
+                EXPECT_TRUE(
+                    sameEdges(EdgeSet::fromView(got.view(), true),
+                              EdgeSet::fromView(want.view(), true)));
+            }
+        }
+    }
+}
+
+TEST(Sampling, RandomGraphsMatchSortingReference)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        const Graph g = randomGraph(500, 20000, seed);
+        EXPECT_TRUE(sameEdges(
+            NeighborSampler::sampleMaxNeighbors(g.csc(), 25, seed),
+            refSample(g.csc(), [](EdgeId) { return 25; }, seed)));
+        EXPECT_TRUE(sameEdges(
+            NeighborSampler::sampleByFactor(g.csc(), 4, seed),
+            refSample(g.csc(),
+                      [](EdgeId deg) { return (deg + 3) / 4; }, seed)));
+    }
 }
