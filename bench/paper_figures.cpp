@@ -93,6 +93,7 @@
 #include "graph/partition.hpp"
 #include "graph/sampling.hpp"
 #include "graph/window.hpp"
+#include "sim/json.hpp"
 
 using namespace hygcn;
 using namespace hygcn::bench;
@@ -182,31 +183,52 @@ sweeps()
 using Runs = std::vector<api::RunResult>;
 
 /**
- * Expand every sweep and run all their specs on one worker pool.
- * Returns each sweep's results, indexed like @p sweeps.
+ * Expand every sweep and run each distinct spec once on one worker
+ * pool. Specs are keyed by their JSON with the `varied` annotation
+ * cleared: a sweep point that sets a knob to its default (Fig 16's
+ * pipelined runs, Fig 17's coordinated runs, ...) is the grid's
+ * HyGCN cell again. Every slot gets the shared result under its own
+ * spec. Returns each sweep's results, indexed like @p sweeps.
  */
 std::vector<Runs>
 runSweeps(const std::vector<api::Session> &sweeps)
 {
     std::vector<Runs> out(sweeps.size());
-    std::vector<std::pair<api::RunSpec, api::RunResult *>> jobs;
+    std::vector<std::pair<api::RunSpec, api::RunResult *>> slots;
     for (std::size_t s = 0; s < sweeps.size(); ++s) {
         std::vector<api::RunSpec> specs = sweeps[s].expand();
         out[s].resize(specs.size());
         for (std::size_t i = 0; i < specs.size(); ++i)
-            jobs.emplace_back(std::move(specs[i]), &out[s][i]);
+            slots.emplace_back(std::move(specs[i]), &out[s][i]);
     }
     // Reddit's runs are claimed first: its synthesis, then PyG-CPU
     // GIN on it, is the longest chain, and every other run fits on
     // the remaining workers beside it.
-    std::stable_partition(jobs.begin(), jobs.end(), [](const auto &job) {
-        return job.first.dataset == DatasetId::RD;
+    std::stable_partition(slots.begin(), slots.end(), [](const auto &slot) {
+        return slot.first.dataset == DatasetId::RD;
     });
+    std::vector<const api::RunSpec *> jobs;
+    std::vector<std::size_t> job_of_slot;
+    std::map<std::string, std::size_t> job_of_key;
+    for (const auto &[spec, result] : slots) {
+        api::RunSpec key = spec;
+        key.varied.clear();
+        const auto [it, fresh] = job_of_key.emplace(toJson(key), jobs.size());
+        if (fresh)
+            jobs.push_back(&spec);
+        job_of_slot.push_back(it->second);
+    }
+    std::vector<api::RunResult> results(jobs.size());
     api::parallelFor(jobs.size(), 0, [&](std::size_t i) {
-        const auto &[spec, result] = jobs[i];
-        *result =
-            api::Registry::global().platforms.make(spec.platform)->run(spec);
+        results[i] = api::Registry::global()
+                         .platforms.make(jobs[i]->platform)
+                         ->run(*jobs[i]);
     });
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        auto &[spec, result] = slots[i];
+        *result = results[job_of_slot[i]];
+        result->spec = std::move(spec);
+    }
     return out;
 }
 
