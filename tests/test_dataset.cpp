@@ -79,6 +79,8 @@ expectSameArrays(const Dataset &got, const Dataset &want)
         csr_equal = std::ranges::equal(got.graph.outNeighbors(v),
                                        want.graph.outNeighbors(v));
     EXPECT_TRUE(csr_equal) << "rowPtr/colIdx";
+    // Array sizes, including the row offsets of a zero-vertex graph.
+    EXPECT_EQ(got.graph.storageBytes(), want.graph.storageBytes());
     EXPECT_EQ(got.graphBoundaries, want.graphBoundaries);
 }
 
