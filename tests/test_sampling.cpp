@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -260,19 +259,5 @@ TEST(Sampling, ByFactorMatchesSortingReference)
                               EdgeSet::fromView(want.view(), true)));
             }
         }
-    }
-}
-
-TEST(Sampling, RandomGraphsMatchSortingReference)
-{
-    for (std::uint64_t seed : {1, 2, 3}) {
-        const Graph g = randomGraph(500, 20000, seed);
-        EXPECT_TRUE(sameEdges(
-            NeighborSampler::sampleMaxNeighbors(g.csc(), 25, seed),
-            refSample(g.csc(), [](EdgeId) { return 25; }, seed)));
-        EXPECT_TRUE(sameEdges(
-            NeighborSampler::sampleByFactor(g.csc(), 4, seed),
-            refSample(g.csc(),
-                      [](EdgeId deg) { return (deg + 3) / 4; }, seed)));
     }
 }
