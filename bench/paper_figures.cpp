@@ -5,7 +5,7 @@
  * PyG-GPU, PyG-GPU-OP, HyGCN) x {GCN, GSC, GIN} x the six Table 4
  * datasets, plus DiffPool on IB/CL as in the paper: 100 runs. The
  * Fig 15-18 and ablation sweeps flip one HyGCN knob at a time on
- * CR/CS/PB. Every sweep is expanded onto one parallel worker pool
+ * CR/CS/PB. Every sweep is expanded onto the process's ThreadPool
  * over the shared dataset cache, so the small sweeps fill the workers
  * beside the long Reddit runs. Every run is deterministic in its
  * spec, so the tables do not depend on the worker count. Printed in
@@ -83,7 +83,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/parallel.hpp"
 #include "api/registry.hpp"
 #include "baseline/cpu_model.hpp"
 #include "baseline/gpu_model.hpp"
@@ -94,6 +93,7 @@
 #include "graph/sampling.hpp"
 #include "graph/window.hpp"
 #include "sim/json.hpp"
+#include "sim/thread_pool.hpp"
 
 using namespace hygcn;
 using namespace hygcn::bench;
@@ -183,7 +183,7 @@ sweeps()
 using Runs = std::vector<api::RunResult>;
 
 /**
- * Expand every sweep and run each distinct spec once on one worker
+ * Expand every sweep and run each distinct spec once on the thread
  * pool. Specs are keyed by their JSON with the `varied` annotation
  * cleared: a sweep point that sets a knob to its default (Fig 16's
  * pipelined runs, Fig 17's coordinated runs, ...) is the grid's
@@ -219,11 +219,13 @@ runSweeps(const std::vector<api::Session> &sweeps)
         job_of_slot.push_back(it->second);
     }
     std::vector<api::RunResult> results(jobs.size());
-    api::parallelFor(jobs.size(), 0, [&](std::size_t i) {
-        results[i] = api::Registry::global()
-                         .platforms.make(jobs[i]->platform)
-                         ->run(*jobs[i]);
-    });
+    auto run = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            results[i] = api::Registry::global()
+                             .platforms.make(jobs[i]->platform)
+                             ->run(*jobs[i]);
+    };
+    ThreadPool::global().parallelFor(0, jobs.size(), 1, run);
     for (std::size_t i = 0; i < slots.size(); ++i) {
         auto &[spec, result] = slots[i];
         *result = results[job_of_slot[i]];

@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "api/parallel.hpp"
 #include "api/registry.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace hygcn::api {
 
@@ -279,9 +279,11 @@ ServeSweep::runAll() const
 {
     const std::vector<serve::ServeConfig> configs = expand();
     std::vector<serve::ServeResult> results(configs.size());
-    parallelFor(configs.size(), threads_, [&](std::size_t i) {
-        results[i] = serve::runServe(configs[i]);
-    });
+    auto run = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            results[i] = serve::runServe(configs[i]);
+    };
+    ThreadPool::global().parallelFor(threads_, configs.size(), 1, run);
     return results;
 }
 

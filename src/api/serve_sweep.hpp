@@ -6,7 +6,7 @@
  * policy x batch cost model x routing objective x routing lookahead
  * x affinity margin x cluster shape x max batch size x arrival rate
  * x arrival process x scaling policy x power cap x kernel threads x
- * seed, executing the expansion on a std::thread worker pool:
+ * seed, executing the expansion on the process's ThreadPool:
  *
  *   auto results = ServeSweep(session.config())
  *                      .policies({"fifo", "edf"})
@@ -147,7 +147,13 @@ class ServeSweep
      */
     ServeSweep &seeds(std::vector<std::uint64_t> seeds);
 
-    /** Worker threads for runAll (0 = hardware concurrency). */
+    /**
+     * Threads runAll asks the ThreadPool for (0 = hardware
+     * concurrency; at most ThreadPool::kMaxThreads, never more than
+     * there are configs). If the pool is busy with another job, such
+     * as a concurrent sweep, the whole sweep runs inline on the
+     * calling thread instead.
+     */
     ServeSweep &threads(unsigned count);
 
     /** Number of runs expand() will produce. */
@@ -164,9 +170,10 @@ class ServeSweep
     std::vector<serve::ServeConfig> expand() const;
 
     /**
-     * Execute every expanded config on a worker pool. Results are in
-     * expansion order; the first worker exception (e.g. an unknown
-     * policy failing at run) is rethrown after the pool drains.
+     * Execute every expanded config on the ThreadPool. Results are in
+     * expansion order. The first run that throws (e.g. an unknown
+     * policy failing at run) stops further runs from starting, and
+     * its exception is rethrown once the runs in flight have finished.
      */
     std::vector<serve::ServeResult> runAll() const;
 

@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
-#include "api/parallel.hpp"
 #include "api/registry.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace hygcn::api {
 
@@ -219,11 +219,13 @@ Session::runAll() const
 {
     const std::vector<RunSpec> specs = expand();
     std::vector<RunResult> results(specs.size());
-    parallelFor(specs.size(), threads_, [&](std::size_t i) {
-        results[i] = Registry::global()
-                         .platforms.make(specs[i].platform)
-                         ->run(specs[i]);
-    });
+    auto run = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            results[i] = Registry::global()
+                             .platforms.make(specs[i].platform)
+                             ->run(specs[i]);
+    };
+    ThreadPool::global().parallelFor(threads_, specs.size(), 1, run);
     return results;
 }
 

@@ -3,8 +3,8 @@
  * Fluent entry point of the unified API. A Session describes a
  * parameter sweep — a base RunSpec plus the cartesian product of
  * platforms x datasets x models x varied parameters — and executes
- * the expansion on a std::thread worker pool over the shared
- * thread-safe dataset cache:
+ * the expansion on the process's ThreadPool (sim/thread_pool.hpp)
+ * over the shared thread-safe dataset cache:
  *
  *   auto results = Session()
  *                      .platform("hygcn")
@@ -60,12 +60,20 @@ class Session
     /**
      * Kernel threads for functional-mode runs (RunSpec::threads):
      * > 0 exact, 0 = auto via HYGCN_THREADS. Distinct from threads(),
-     * which sizes the runAll worker pool. Functional outputs are
-     * byte-identical at any setting.
+     * which sizes runAll. The kernels run on the same ThreadPool as
+     * runAll, so inside a multi-threaded runAll they run inline on
+     * each run's thread. Functional outputs are byte-identical at any
+     * setting.
      */
     Session &kernelThreads(int count);
 
-    /** Worker threads for runAll (0 = hardware concurrency). */
+    /**
+     * Threads runAll asks the ThreadPool for (0 = hardware
+     * concurrency; at most ThreadPool::kMaxThreads, never more than
+     * there are runs). If the pool is busy with another job, such as
+     * a concurrent sweep, the whole sweep runs inline on the calling
+     * thread instead.
+     */
     Session &threads(unsigned count);
 
     /**
@@ -76,9 +84,10 @@ class Session
     std::vector<RunSpec> expand() const;
 
     /**
-     * Execute every expanded spec on a worker pool. Results are in
-     * expansion order; the first worker exception (e.g. an invalid
-     * config failing fast) is rethrown after the pool drains.
+     * Execute every expanded spec on the ThreadPool. Results are in
+     * expansion order. The first run that throws (e.g. an invalid
+     * config failing fast) stops further runs from starting, and its
+     * exception is rethrown once the runs in flight have finished.
      */
     std::vector<RunResult> runAll() const;
 

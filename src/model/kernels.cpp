@@ -7,8 +7,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "model/thread_pool.hpp"
 #include "sim/codegen.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace hygcn::kernels {
 
@@ -359,7 +359,7 @@ resolveThreads(int requested)
                 threads = parsed;
         }
     }
-    return std::clamp(threads, 1, 64);
+    return std::clamp(threads, 1, static_cast<int>(ThreadPool::kMaxThreads));
 }
 
 void

@@ -38,7 +38,7 @@ namespace hygcn::kernels {
  * Resolve a requested kernel thread count: > 0 selects exactly that
  * many participants; 0 ("auto") reads the HYGCN_THREADS environment
  * knob, defaulting to 1 (the bit-exact scalar-equivalent baseline)
- * when unset or unparsable. Clamped to the pool's worker cap.
+ * when unset or unparsable. Clamped to ThreadPool::kMaxThreads.
  */
 int resolveThreads(int requested);
 

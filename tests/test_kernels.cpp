@@ -13,15 +13,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "graph/generator.hpp"
 #include "model/kernels.hpp"
 #include "model/reference.hpp"
-#include "model/thread_pool.hpp"
 #include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
 
 using namespace hygcn;
 
@@ -463,6 +467,156 @@ TEST(ThreadPool, FreshPoolsShutDownCleanly)
     // Destroying an idle, never-used pool is also clean.
     ThreadPool idle;
     (void)idle;
+}
+
+namespace {
+
+/** Thread ids that ran chunks of one job. */
+struct ThreadIds
+{
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+
+    void add()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+    }
+};
+
+/** Spin (yielding) until @p flag is set. */
+void
+awaitFlag(const std::atomic<bool> &flag)
+{
+    while (!flag.load())
+        std::this_thread::yield();
+}
+
+} // namespace
+
+TEST(ThreadPool, SmallerJobAfterGrowthUsesAtMostItsThreads)
+{
+    // Slow chunks give every parked worker time to claim one, so a
+    // job that woke all of them would see many ids.
+    auto slow_job = [](ThreadPool &pool, unsigned threads) {
+        ThreadIds seen;
+        pool.parallelFor(threads, 64, 1, [&](std::size_t, std::size_t) {
+            seen.add();
+            std::this_thread::sleep_for(std::chrono::microseconds(500));
+        });
+        return seen.ids.size();
+    };
+    ThreadPool pool;
+    slow_job(pool, 8);
+    ASSERT_EQ(pool.workerCount(), 7u);
+    EXPECT_LE(slow_job(pool, 2), 2u);
+    EXPECT_LE(slow_job(pool, 3), 3u);
+}
+
+TEST(ThreadPool, NoMoreWorkersThanChunks)
+{
+    ThreadPool pool;
+    std::vector<std::atomic<int>> hits(30);
+    pool.parallelFor(8, hits.size(), 10, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i)
+            hits[i].fetch_add(1);
+    });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+    EXPECT_LE(pool.workerCount(), 2u); // 3 chunks: caller + 2
+}
+
+namespace {
+
+/** Run a 4-thread job on @p pool whose chunks throw on the caller or
+ *  on the workers, and count how often parallelFor throws. */
+int
+throwingJob(ThreadPool &pool, bool throw_on_caller)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> thrown{false};
+    int caught = 0;
+    try {
+        pool.parallelFor(4, 256, 1, [&](std::size_t, std::size_t) {
+            const bool on_caller = std::this_thread::get_id() == caller;
+            if (on_caller == throw_on_caller) {
+                thrown.store(true);
+                throw std::runtime_error("chunk failed");
+            }
+            // Hold this chunk until the other side has thrown, so
+            // both a worker and the caller take part for certain.
+            awaitFlag(thrown);
+        });
+    } catch (const std::runtime_error &) {
+        ++caught;
+    }
+    return caught;
+}
+
+/** The next job on @p pool covers [0, 1000) exactly once. */
+void
+expectCoversOnce(ThreadPool &pool)
+{
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallelFor(4, hits.size(), 7, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i)
+            hits[i].fetch_add(1);
+    });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+} // namespace
+
+TEST(ThreadPool, WorkerExceptionRethrownOnceAndPoolStaysUsable)
+{
+    ThreadPool pool;
+    EXPECT_EQ(throwingJob(pool, false), 1);
+    expectCoversOnce(pool);
+}
+
+TEST(ThreadPool, CallerExceptionRethrownOnceAndPoolStaysUsable)
+{
+    ThreadPool pool;
+    EXPECT_EQ(throwingJob(pool, true), 1);
+    expectCoversOnce(pool);
+}
+
+TEST(ThreadPool, NestedCallsRunInline)
+{
+    // Every outer chunk makes a nested call on the same pool. After
+    // its call, the caller's chunk waits until a worker has made one
+    // and the workers' chunks wait until the caller has, so both
+    // kinds of nesting happen; each nested call must run its whole
+    // range inline on the thread that made it.
+    ThreadPool pool;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> worker_nested{false};
+    std::atomic<bool> caller_nested{false};
+    std::atomic<int> inline_calls{0};
+    std::vector<std::atomic<int>> hits(64 * 16);
+    pool.parallelFor(4, 64, 1, [&](std::size_t b, std::size_t) {
+        const std::thread::id self = std::this_thread::get_id();
+        pool.parallelFor(4, 16, 1, [&](std::size_t ib, std::size_t ie) {
+            if (ib == 0 && ie == 16 && std::this_thread::get_id() == self)
+                inline_calls.fetch_add(1);
+            for (std::size_t i = ib; i < ie; ++i)
+                hits[b * 16 + i].fetch_add(1);
+        });
+        if (self == caller) {
+            caller_nested.store(true);
+            awaitFlag(worker_nested);
+        } else {
+            worker_nested.store(true);
+            awaitFlag(caller_nested);
+        }
+    });
+    EXPECT_TRUE(worker_nested.load());
+    EXPECT_TRUE(caller_nested.load());
+    EXPECT_EQ(inline_calls.load(), 64);
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+    expectCoversOnce(pool);
 }
 
 TEST(ThreadPool, AcceleratorManySmallWindowsStress)

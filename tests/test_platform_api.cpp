@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -361,23 +362,42 @@ TEST(Sweep, OutOfRangeParametersThrow)
 
 TEST(Sweep, ParallelRunAllMatchesSequentialJson)
 {
-    auto sweep = [](unsigned threads) {
-        return Session()
-            .platforms({"hygcn", "hygcn-agg"})
-            .dataset(DatasetId::CR)
-            .datasetScale(kScale)
-            .model(ModelId::GCN)
-            .seed(11)
-            .vary("aggBufBytes", {1 << 20, 2 << 20})
-            .vary("sparsityElimination", {0.0, 1.0})
-            .threads(threads)
-            .runAll();
+    // The functional sweep asks for 4 kernel threads. On 1 runAll
+    // worker its kernels run on the pool; on 4 they nest inside the
+    // sweep's job and run inline. Outputs must match byte for byte.
+    auto sweep = [](unsigned threads, bool functional) {
+        Session session;
+        session.dataset(DatasetId::CR).datasetScale(kScale).seed(11);
+        session.vary("aggBufBytes", {1 << 20, 2 << 20});
+        session.vary("sparsityElimination", {0.0, 1.0}).threads(threads);
+        if (functional) {
+            session.platform("hygcn").models({ModelId::GCN, ModelId::GIN});
+            session.functional().kernelThreads(4);
+        } else {
+            session.platforms({"hygcn", "hygcn-agg"}).model(ModelId::GCN);
+        }
+        return session.runAll();
     };
-    const std::vector<RunResult> sequential = sweep(1);
-    const std::vector<RunResult> parallel = sweep(4);
-    ASSERT_EQ(sequential.size(), 8u); // >= 8 runs on >= 4 threads
-    ASSERT_EQ(parallel.size(), 8u);
-    EXPECT_EQ(toJson(sequential), toJson(parallel));
+    for (bool functional : {false, true}) {
+        const std::vector<RunResult> sequential = sweep(1, functional);
+        const std::vector<RunResult> parallel = sweep(4, functional);
+        ASSERT_EQ(sequential.size(), 8u); // >= 8 runs on >= 4 threads
+        ASSERT_EQ(parallel.size(), 8u);
+        EXPECT_EQ(toJson(sequential), toJson(parallel));
+        for (std::size_t i = 0; i < sequential.size(); ++i) {
+            const auto &want = sequential[i].layerOutputs;
+            const auto &got = parallel[i].layerOutputs;
+            EXPECT_EQ(want.empty(), !functional);
+            ASSERT_EQ(want.size(), got.size());
+            for (std::size_t l = 0; l < want.size(); ++l) {
+                ASSERT_TRUE(want[l].sameShape(got[l]));
+                const auto want_bytes = std::as_bytes(want[l].data());
+                const auto got_bytes = std::as_bytes(got[l].data());
+                EXPECT_TRUE(std::ranges::equal(want_bytes, got_bytes))
+                    << "run " << i << " layer " << l;
+            }
+        }
+    }
 }
 
 TEST(Sweep, JsonEchoesSpecPerRun)
