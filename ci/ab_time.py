@@ -13,6 +13,10 @@ MALLOC_MMAP_THRESHOLD_ pinned, so glibc's heap layout does not drift
 between runs, and runs under `taskset -c CPUS` when --cpus is given.
 COMMAND runs with the tree's root as its working directory.
 
+Every build and run starts in a process group of its own. On the way
+out, including on SIGTERM, the tool kills the group of a child still
+running and removes the worktree and its temporary directory.
+
 Metrics come from --source:
 
 - wall: the command's wall time, as the metric wall_s;
@@ -49,7 +53,7 @@ Examples:
         -- python3 perfbench/run.py --workload paper-grid --seed 1
 
 Exit codes: 0 every output matched; 1 an output differed or a run or
-build failed; 2 bad usage or git failure.
+build failed; 2 bad usage or git failure; 143 stopped by SIGTERM.
 """
 
 import argparse
@@ -60,6 +64,7 @@ import math
 import os
 import shlex
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -138,6 +143,25 @@ def format_table(summaries):
 
 # ---- running -------------------------------------------------------
 
+def run_child(command, **kwargs):
+    """subprocess.run(command, **kwargs), with the child in a process
+    group of its own that is killed whole if this process leaves before
+    the child is done, so its own children are not left running."""
+    with subprocess.Popen(command, start_new_session=True, **kwargs) as proc:
+        try:
+            stdout, _ = proc.communicate()
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout)
+
+
+def exit_on_sigterm(signum, _frame):
+    """Leave through SystemExit, so every `finally` clean-up runs."""
+    sys.exit(128 + signum)
+
+
 def run_once(command, cwd, env, source, outputs):
     """Run command once. Returns ({metric: (value, unit)}, stdout bytes,
     {file: bytes, or None if the run did not write it})."""
@@ -145,7 +169,7 @@ def run_once(command, cwd, env, source, outputs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(cwd, path))
     start = time.perf_counter()
-    proc = subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.PIPE)
+    proc = run_child(command, cwd=cwd, env=env, stdout=subprocess.PIPE)
     wall = time.perf_counter() - start
     if proc.returncode != 0:
         raise RunError("%s exited with %d in %s"
@@ -250,8 +274,8 @@ def build(command, cwd):
     if not command:
         return
     log("build in %s: %s" % (cwd, command))
-    proc = subprocess.run(command, shell=True, cwd=cwd, text=True,
-                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    proc = run_child(command, shell=True, cwd=cwd, text=True,
+                     stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     if proc.returncode != 0:
         log(proc.stdout)
         raise RunError("build failed in %s" % cwd)
@@ -293,6 +317,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     try:
         root = git(os.getcwd(), "rev-parse", "--show-toplevel")
         rev = git(root, "rev-parse", "--verify", args.parent + "^{commit}")

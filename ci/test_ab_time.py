@@ -9,9 +9,11 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -36,6 +38,40 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
                               "count": {"value": 7, "unit": "count"},
                               "rate": {"value": value, "unit": "1/s"}}}))
 """
+
+
+# Starts a sleeping child of its own, writes that child's pid to the
+# file named by AB_PID and waits for it.
+SLEEP = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open(os.environ["AB_PID"] + ".tmp", "w") as f:
+    f.write(str(child.pid))
+os.rename(os.environ["AB_PID"] + ".tmp", os.environ["AB_PID"])
+child.wait()
+"""
+
+
+def alive(pid):
+    """Whether pid names a live process (a zombie counts as dead)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open("/proc/%d/stat" % pid) as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def wait_until(predicate, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 def write_tree(path, name, value, payload="same"):
@@ -239,11 +275,45 @@ class EndToEnd(unittest.TestCase):
         self.assertIn("OUTPUTS DIFFER", out)
         self.assertIn("+changed", out)
 
-    def test_worktree_is_removed(self):
-        self.main()
+    def worktrees(self):
         listing = subprocess.run(["git", "worktree", "list"], check=True,
                                  stdout=subprocess.PIPE, text=True).stdout
-        self.assertEqual(len(listing.strip().splitlines()), 1)
+        return listing.strip().splitlines()
+
+    def test_worktree_is_removed(self):
+        self.main()
+        self.assertEqual(len(self.worktrees()), 1)
+
+    def test_sigterm_cleans_up_and_kills_the_run(self):
+        with open("sleep.py", "w") as f:
+            f.write(SLEEP)
+        self.git("add", "sleep.py")
+        self.git("commit", "-q", "-m", "sleep")
+        tmpdir = os.path.join(self.tmp.name, "tmpdir")
+        os.mkdir(tmpdir)
+        pid_file = os.path.join(self.tmp.name, "child.pid")
+        env = dict(os.environ, TMPDIR=tmpdir, AB_PID=pid_file)
+        tool = subprocess.Popen(
+            [sys.executable, ab_time.__file__, "--parent", "HEAD",
+             "--pairs", "1", "--", sys.executable, "sleep.py"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            self.assertTrue(wait_until(lambda: os.path.exists(pid_file)))
+            with open(pid_file) as f:
+                child = int(f.read())
+            self.addCleanup(lambda: alive(child)
+                            and os.kill(child, signal.SIGKILL))
+            self.assertEqual(len(self.worktrees()), 2)
+            tool.send_signal(signal.SIGTERM)
+            self.assertEqual(tool.wait(timeout=30), 128 + signal.SIGTERM)
+        finally:
+            tool.kill()
+            tool.wait()
+        self.assertEqual(len(self.worktrees()), 1)
+        self.assertEqual([d for d in os.listdir(tmpdir)
+                          if d.startswith("ab_time.")], [])
+        self.assertTrue(wait_until(lambda: not alive(child), 10.0),
+                        "the run's child %d is still running" % child)
 
 
 if __name__ == "__main__":
