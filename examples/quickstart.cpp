@@ -47,7 +47,10 @@ main()
                                          golden.layerOutputs.back());
     std::printf("functional check vs reference: max |diff| = %g %s\n",
                 static_cast<double>(err),
-                err == 0.0f ? "(bit-exact)" : "");
+                Matrix::bytesEqual(result.layerOutputs.back(),
+                                   golden.layerOutputs.back())
+                    ? "(bit-exact)"
+                    : "");
 
     // 5. Report.
     const SimReport &r = result.report;

@@ -78,18 +78,28 @@ replayAggregation(const CpuConfig &config, const CscView &view,
         const WindowPlan plan =
             buildWindowPlan(view, rows, rows, static_cast<EdgeId>(-1),
                             WindowMode::SlideShrink);
+        // The windows of an interval are disjoint, ascending and hold
+        // every source of the interval, so one cursor per destination
+        // walks its sorted sources window by window. The cursor is
+        // copied to a local for the edge loop: read and written back
+        // through a reference per edge, it made the paper grid 14%
+        // slower than the binary searches it replaces.
+        const VertexId *row_idx = view.rowIdx.data();
+        std::vector<const VertexId *> cursor;
         for (const IntervalWork &work : plan.intervals) {
             if ((work.dstBegin / std::max<VertexId>(1, rows)) % stride != 0)
                 continue;
+            cursor.clear();
+            for (VertexId dst = work.dstBegin; dst < work.dstEnd; ++dst)
+                cursor.push_back(row_idx + view.colPtr[dst]);
             for (const Window &w : work.windows) {
                 for (VertexId dst = work.dstBegin; dst < work.dstEnd;
                      ++dst) {
-                    auto srcs = view.sources(dst);
-                    auto lo = std::lower_bound(srcs.begin(), srcs.end(),
-                                               w.srcBegin);
-                    auto hi = std::lower_bound(lo, srcs.end(), w.srcEnd);
-                    for (auto it = lo; it != hi; ++it)
+                    const VertexId *it = cursor[dst - work.dstBegin];
+                    const VertexId *end = row_idx + view.colPtr[dst + 1];
+                    for (; it != end && *it < w.srcEnd; ++it)
                         touch_edge(*it);
+                    cursor[dst - work.dstBegin] = it;
                 }
             }
         }

@@ -121,13 +121,13 @@ AggregationEngine::processInterval(
         stats_.add("agg.edges", window.edges);
         stats_.add("agg.windows");
         stats_.add("agg.loaded_rows", window.loadedRows());
+    }
 
-        // --- Functional path: identical traversal order.
-        if (x && acc && touch) {
-            aggregateWindow(view, op, coef, *x, work.dstBegin, work.dstEnd,
-                            window.srcBegin, window.srcEnd, *acc, *touch,
-                            functionalThreads_);
-        }
+    // --- Functional path: the whole interval in one call (see the
+    // doc comment for why this equals the window-by-window folds).
+    if (x && acc && touch) {
+        aggregateWindow(view, op, coef, *x, work.dstBegin, work.dstEnd, 0,
+                        view.numVertices, *acc, *touch, functionalThreads_);
     }
 
     // Mean finalization (divide by fold count) on the SIMD cores.

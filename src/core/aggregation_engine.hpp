@@ -7,9 +7,8 @@
  * (all lanes cooperate on one vertex's feature elements).
  *
  * The engine is execution-driven: alongside the cycle/energy model
- * it optionally computes the actual aggregation values through the
- * exact same window traversal, enabling bit-exact comparison with
- * the reference executor.
+ * it optionally computes the actual aggregation values, enabling
+ * bit-exact comparison with the reference executor.
  */
 
 #ifndef HYGCN_CORE_AGGREGATION_ENGINE_HPP
@@ -51,7 +50,20 @@ class AggregationEngine
                       StatGroup &stats);
 
     /**
-     * Aggregate one destination interval.
+     * Aggregate one destination interval. The window loop drives the
+     * timing, buffer, energy and stats model; the functional values
+     * (when @p x, @p acc and @p touch are all given) come from one
+     * aggregateWindow call over every source of the interval.
+     *
+     * That single call is exactly the window-by-window traversal:
+     * the windows of @p work are disjoint source ranges in ascending
+     * order that together hold every source of every destination in
+     * the interval, and each destination's sources are sorted. So per
+     * row, the in-window source lists joined in window order are the
+     * row's full source list in the same order. Rows are independent
+     * and feature lanes are independent FP chains, so every output
+     * byte, every @p touch count and the Max/Min first-row copy are
+     * the same either way.
      *
      * @param view Layer edge set (destination-major).
      * @param work The interval's effectual shards.

@@ -97,8 +97,12 @@ buildEffectualWindows(const std::vector<RowCount> &rows, VertexId height,
             w.srcEnd = last_row + 1;
         } else {
             // Sliding only: the window keeps its full height (clamped
-            // to the graph); bottom-side sparsity remains loaded.
+            // to the graph); bottom-side sparsity remains loaded. When
+            // the edge cap closed it early, it stops at the next
+            // window's top row, so windows never overlap.
             w.srcEnd = std::min<VertexId>(limit_row + 1, num_vertices);
+            if (pos < rows.size())
+                w.srcEnd = std::min(w.srcEnd, rows[pos].row);
         }
         work.windows.push_back(w);
         work.totalEdges += w.edges;

@@ -47,10 +47,12 @@ int resolveThreads(int requested);
  * [dst_begin, dst_end): for every destination row, fold the
  * coefficient-scaled features of its in-window sources into @p acc
  * (offset by dst_begin) with @p op, counting folded edges in
- * @p touch. Semantically identical to the scalar aggregateWindow
- * loop — same clipping, same ascending source order, same
- * first-touch Max/Min initialization — and byte-identical in output
- * for 1..N threads.
+ * @p touch. Semantically identical to the scalar per-edge loop —
+ * same clipping, same ascending source order, same first-touch
+ * Max/Min initialization — and byte-identical in output for 1..N
+ * threads. Callers outside the tests pass the full source range
+ * [0, numVertices); a sub-window folds into the same @p acc/@p touch
+ * exactly as one piece of that full range.
  */
 void spmmWindow(const CscView &view, AggOp op, const EdgeCoefFn &coef,
                 const Matrix &x, VertexId dst_begin, VertexId dst_end,

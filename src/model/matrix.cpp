@@ -1,6 +1,7 @@
 #include "model/matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -99,6 +100,17 @@ Matrix::maxAbsDiff(const Matrix &a, const Matrix &b)
     for (std::size_t i = 0; i < a.data_.size(); ++i)
         mx = std::max(mx, std::fabs(a.data_[i] - b.data_[i]));
     return mx;
+}
+
+bool
+Matrix::bytesEqual(const Matrix &a, const Matrix &b)
+{
+    auto same_bits = [](float x, float y) {
+        return std::bit_cast<std::uint32_t>(x) ==
+               std::bit_cast<std::uint32_t>(y);
+    };
+    return a.sameShape(b) && std::equal(a.data_.begin(), a.data_.end(),
+                                        b.data_.begin(), same_bits);
 }
 
 } // namespace hygcn

@@ -67,6 +67,12 @@ class Matrix
     /** Max |a-b| over all elements; matrices must be same shape. */
     static float maxAbsDiff(const Matrix &a, const Matrix &b);
 
+    /**
+     * Same shape and the same bytes. Stricter than a zero maxAbsDiff,
+     * which cannot see a NaN or a -0.0/+0.0 difference.
+     */
+    static bool bytesEqual(const Matrix &a, const Matrix &b);
+
     bool sameShape(const Matrix &other) const
     { return rows_ == other.rows_ && cols_ == other.cols_; }
 

@@ -26,8 +26,12 @@ namespace hygcn {
  * row per destination, offset by dst_begin). @p touch counts edges
  * folded per destination: Max/Min use it for first-touch init, Mean
  * for the final divide. Sources are visited in ascending order, so
- * window-by-window traversal reproduces the full-range result
- * bit-exactly for every operator.
+ * calls over ascending, disjoint source sub-ranges reproduce the
+ * one-call result bit-exactly for every operator. Callers pass whole
+ * source ranges: the accelerator's functional path one call per
+ * destination interval (AggregationEngine::processInterval), the
+ * golden path one call per layer (aggregateFull). Only the tests
+ * that pin this equivalence pass sub-windows.
  *
  * Backed by the vectorized kernels::spmmWindow; @p threads > 1
  * parallelizes over destination rows with byte-identical results.

@@ -52,9 +52,8 @@ TEST_P(AcceleratorModelParam, FunctionalBitExactVsReference)
 
     ASSERT_EQ(r.layerOutputs.size(), golden.layerOutputs.size());
     for (std::size_t i = 0; i < r.layerOutputs.size(); ++i) {
-        EXPECT_EQ(Matrix::maxAbsDiff(r.layerOutputs[i],
-                                     golden.layerOutputs[i]),
-                  0.0f)
+        EXPECT_TRUE(Matrix::bytesEqual(r.layerOutputs[i],
+                                       golden.layerOutputs[i]))
             << modelAbbrev(id) << " layer " << i;
     }
     if (model.isDiffPool) {
@@ -68,7 +67,7 @@ TEST_P(AcceleratorModelParam, FunctionalBitExactVsReference)
                       1e-4f);
         }
     } else {
-        EXPECT_EQ(Matrix::maxAbsDiff(r.readout, golden.readout), 0.0f);
+        EXPECT_TRUE(Matrix::bytesEqual(r.readout, golden.readout));
     }
 }
 
@@ -136,9 +135,8 @@ TEST(Accelerator, NonPipelinedFunctionalStillExact)
     const auto r = accel.run(ds, model, params, &x0, 7);
     const ReferenceExecutor ref(ds.graph);
     const auto golden = ref.run(model, params, x0, 7);
-    EXPECT_EQ(Matrix::maxAbsDiff(r.layerOutputs.back(),
-                                 golden.layerOutputs.back()),
-              0.0f);
+    EXPECT_TRUE(Matrix::bytesEqual(r.layerOutputs.back(),
+                                   golden.layerOutputs.back()));
 }
 
 TEST(Accelerator, CoordinationImprovesTime)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/aggregation_engine.hpp"
 #include "graph/generator.hpp"
 #include "graph/window.hpp"
@@ -25,12 +27,74 @@ struct Fixture
     AggregationEngine engine;
 };
 
+Graph
+randomGraph(VertexId v, EdgeId e, std::uint64_t seed)
+{
+    Rng rng(seed);
+    return Graph::fromEdges(v, generateUniform(v, e, rng), true);
+}
+
 EdgeSet
 randomEdges(VertexId v, EdgeId e, std::uint64_t seed)
 {
-    Rng rng(seed);
-    return EdgeSet::fromGraph(
-        Graph::fromEdges(v, generateUniform(v, e, rng), true), true);
+    return EdgeSet::fromGraph(randomGraph(v, e, seed), true);
+}
+
+/**
+ * The functional loop processInterval ran before it folded each
+ * interval in one call: one aggregateWindow call per window, then
+ * the Mean divide.
+ */
+void
+perWindowAggregate(const CscView &view, const IntervalWork &work, AggOp op,
+                   const EdgeCoefFn &coef, const Matrix &x, Matrix &acc,
+                   std::vector<std::uint32_t> &touch, int threads)
+{
+    for (const Window &w : work.windows) {
+        aggregateWindow(view, op, coef, x, work.dstBegin, work.dstEnd,
+                        w.srcBegin, w.srcEnd, acc, touch, threads);
+    }
+    finalizeAggregation(op, acc, touch);
+}
+
+/**
+ * Run @p plan through processInterval twice, with functional buffers
+ * and timing-only, and check the values against perWindowAggregate
+ * byte for byte and the timing, stats and energy against each other.
+ */
+void
+expectIntervalCallMatches(const CscView &view, const WindowPlan &plan,
+                          AggOp op, const EdgeCoefFn &coef, const Matrix &x,
+                          int threads)
+{
+    const HyGCNConfig config;
+    const AddressMap amap;
+    const int feats = static_cast<int>(x.cols());
+    Fixture functional(config), timing(config);
+    functional.engine.setFunctionalThreads(threads);
+    Cycle now = 0;
+    for (const IntervalWork &work : plan.intervals) {
+        const VertexId rows = work.numVertices();
+        Matrix acc(rows, feats), want(rows, feats);
+        std::vector<std::uint32_t> touch(rows, 0), want_touch(rows, 0);
+        const AggIntervalTiming tf = functional.engine.processInterval(
+            view, work, feats, op, coef, &x, &acc, &touch, now, amap);
+        const AggIntervalTiming tt = timing.engine.processInterval(
+            view, work, feats, op, coef, nullptr, nullptr, nullptr, now,
+            amap);
+        perWindowAggregate(view, work, op, coef, x, want, want_touch,
+                           threads);
+        ASSERT_TRUE(Matrix::bytesEqual(acc, want))
+            << "interval at " << work.dstBegin;
+        ASSERT_EQ(touch, want_touch) << "interval at " << work.dstBegin;
+        ASSERT_EQ(tf.finish, tt.finish);
+        ASSERT_EQ(tf.computeCycles, tt.computeCycles);
+        now = tf.finish;
+    }
+    EXPECT_EQ(functional.stats.counters(), timing.stats.counters());
+    EXPECT_EQ(functional.ledger.components(), timing.ledger.components());
+    EXPECT_EQ(functional.hbm.stats().counters(),
+              timing.hbm.stats().counters());
 }
 
 } // namespace
@@ -165,7 +229,7 @@ TEST(AggregationEngine, MeanFinalizationDividesFunctionalResult)
     f.engine.processInterval(es.view(), plan.intervals[0], 4,
                              AggOp::Mean, one, &x, &acc, &touch, 0,
                              amap);
-    EXPECT_EQ(Matrix::maxAbsDiff(acc, golden), 0.0f);
+    EXPECT_TRUE(Matrix::bytesEqual(acc, golden));
 }
 
 TEST(AggregationEngine, MoreLanesFewerCycles)
@@ -177,4 +241,63 @@ TEST(AggregationEngine, MoreLanesFewerCycles)
     Fixture fn(narrow), fw(wide);
     EXPECT_GT(fn.engine.windowComputeCycles(100, 1024, 1.0),
               fw.engine.windowComputeCycles(100, 1024, 1.0));
+}
+
+/**
+ * One aggregateWindow call per interval gives the bytes of the
+ * window-by-window loop, in every window mode, for plans that split
+ * intervals into many windows, for every operator and coefficient,
+ * on inputs holding -0.0, NaN and +-inf, at 1 and 4 kernel threads.
+ */
+TEST(AggregationEngine, IntervalCallMatchesPerWindowLoop)
+{
+    const Graph graph = randomGraph(150, 900, 7);
+    const EdgeSet es = EdgeSet::fromGraph(graph, true);
+    const std::vector<float> inv_sqrt_deg = invSqrtDegreesPlusSelf(graph);
+    // One 16-lane feature block and a ragged tail.
+    Matrix x(150, 20);
+    Rng rng(8);
+    x.fillRandom(rng);
+    const float specials[] = {-0.0f, std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+    for (VertexId v = 0; v < 150; v += 3)
+        x.at(v, (v / 3) % 20) = specials[(v / 3) % 4];
+
+    std::size_t max_windows = 0;
+    for (WindowMode mode : {WindowMode::Grid, WindowMode::SlideOnly,
+                            WindowMode::SlideShrink}) {
+        for (VertexId interval : {7u, 64u}) {
+            for (VertexId height : {1u, 5u, 16u}) {
+                for (EdgeId cap : {EdgeId{3}, EdgeId{1} << 20}) {
+                    const WindowPlan plan = buildWindowPlan(
+                        es.view(), interval, height, cap, mode);
+                    for (const IntervalWork &work : plan.intervals)
+                        max_windows =
+                            std::max(max_windows, work.windows.size());
+                    for (int op = 0; op < 4; ++op) {
+                        for (int kind = 0; kind < 3; ++kind) {
+                            const EdgeCoefFn coef(
+                                static_cast<EdgeCoefKind>(kind),
+                                inv_sqrt_deg, 0.25f);
+                            for (int threads : {1, 4}) {
+                                SCOPED_TRACE(
+                                    testing::Message()
+                                    << "mode " << static_cast<int>(mode)
+                                    << ", interval " << interval
+                                    << ", height " << height << ", cap "
+                                    << cap << ", op " << op << ", coef "
+                                    << kind << ", threads " << threads);
+                                expectIntervalCallMatches(
+                                    es.view(), plan, static_cast<AggOp>(op),
+                                    coef, x, threads);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The plans above split intervals into many windows.
+    EXPECT_GE(max_windows, 50u);
 }

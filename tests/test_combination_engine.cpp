@@ -63,7 +63,7 @@ TEST(CombinationEngine, FunctionalMatchesCombineRows)
                              amap.outputBase, 0, 100);
     const Matrix golden = combineRows(agg, mlp.weights, mlp.biases,
                                       Activation::ReLU);
-    EXPECT_EQ(Matrix::maxAbsDiff(out, golden), 0.0f);
+    EXPECT_TRUE(Matrix::bytesEqual(out, golden));
 }
 
 TEST(CombinationEngine, MacCountExact)

@@ -113,9 +113,8 @@ TEST(Integration, FullCoraModelEndToEndFunctional)
     const AcceleratorResult r = accel.run(ds, m, p, &x0, 7);
     const ReferenceExecutor ref(ds.graph);
     const ReferenceResult golden = ref.run(m, p, x0, 7);
-    EXPECT_EQ(Matrix::maxAbsDiff(r.layerOutputs.back(),
-                                 golden.layerOutputs.back()),
-              0.0f);
+    EXPECT_TRUE(Matrix::bytesEqual(r.layerOutputs.back(),
+                                   golden.layerOutputs.back()));
 }
 
 TEST(Integration, MultiGraphGinReadoutEndToEnd)
@@ -129,7 +128,7 @@ TEST(Integration, MultiGraphGinReadoutEndToEnd)
     const ReferenceExecutor ref(ds.graph, ds.graphBoundaries);
     const ReferenceResult golden = ref.run(m, p, x0, 7, true);
     EXPECT_EQ(r.readout.rows(), 128u);
-    EXPECT_EQ(Matrix::maxAbsDiff(r.readout, golden.readout), 0.0f);
+    EXPECT_TRUE(Matrix::bytesEqual(r.readout, golden.readout));
 }
 
 TEST(Integration, FixedPointInferenceCloseToFloat)

@@ -2,8 +2,8 @@
  * @file
  * The kernel layer's core guarantee: the vectorized, multithreaded
  * SpMM and GEMM kernels are BYTE-IDENTICAL to the naive scalar loops
- * at any thread count. Every comparison here is == 0.0f on
- * maxAbsDiff (or memcmp on the raw spans) — never EXPECT_NEAR.
+ * at any thread count. Every comparison here is Matrix::bytesEqual
+ * — never EXPECT_NEAR.
  *
  * The scalar baselines below are deliberate reimplementations of the
  * pre-kernel reference loops, kept in this test so a kernel
@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -113,19 +112,6 @@ scalarCombineRows(const Matrix &acc, std::span<const Matrix> weights,
     return cur;
 }
 
-/** Byte comparison: stricter than == on floats (distinguishes -0.0
- *  and would catch NaN-payload drift). */
-bool
-bytesEqual(const Matrix &a, const Matrix &b)
-{
-    if (!a.sameShape(b))
-        return false;
-    if (a.rows() == 0 || a.cols() == 0)
-        return true;
-    return std::memcmp(a.row(0).data(), b.row(0).data(),
-                       a.rows() * a.cols() * sizeof(float)) == 0;
-}
-
 /** A graph with zero-degree rows: vertex ids divisible by 7 get no
  *  in-edges at all (beyond whatever the generator wired out of them). */
 Graph
@@ -184,7 +170,7 @@ TEST(Kernels, SpmmBitExactAcrossOpsCoefsWidthsAndThreads)
                     std::vector<std::uint32_t> touch(n, 0);
                     kernels::spmmWindow(es.view(), op, coef, x, 0, n, 0,
                                         n, acc, touch, threads);
-                    EXPECT_TRUE(bytesEqual(golden, acc))
+                    EXPECT_TRUE(Matrix::bytesEqual(golden, acc))
                         << cc.name << " width=" << width
                         << " op=" << static_cast<int>(op)
                         << " threads=" << threads;
@@ -228,7 +214,7 @@ TEST(Kernels, SpmmWindowedTraversalBitExactIncludingEmptyWindows)
             }
             kernels::spmmWindow(es.view(), op, coef, x, 0, n, n, n, acc,
                                 touch, threads); // empty tail
-            EXPECT_TRUE(bytesEqual(golden, acc))
+            EXPECT_TRUE(Matrix::bytesEqual(golden, acc))
                 << "op=" << static_cast<int>(op)
                 << " threads=" << threads;
             EXPECT_EQ(golden_touch, touch);
@@ -301,7 +287,7 @@ TEST(Kernels, GemmBitExactAcrossShapesAndThreads)
             for (int threads : {1, 2, 4}) {
                 const Matrix out = kernels::combineGemm(
                     acc, weights, biases, act, threads);
-                EXPECT_TRUE(bytesEqual(golden, out))
+                EXPECT_TRUE(Matrix::bytesEqual(golden, out))
                     << s.rows << "x" << s.k << "x" << s.n
                     << " act=" << static_cast<int>(act)
                     << " threads=" << threads;
@@ -329,7 +315,7 @@ TEST(Kernels, CombineRowsMoveAvoidsInputCopy)
     EXPECT_EQ(moved.row(0).data(), storage); // move, not copy
     const Matrix out = combineRows(std::move(moved), weights, biases,
                                    Activation::ReLU);
-    EXPECT_TRUE(bytesEqual(expect, out));
+    EXPECT_TRUE(Matrix::bytesEqual(expect, out));
 }
 
 TEST(Kernels, ReferenceExecutorThreadedRunsByteIdentical)
@@ -352,10 +338,10 @@ TEST(Kernels, ReferenceExecutorThreadedRunsByteIdentical)
         ReferenceResult r = threaded.run(model, params, x0, 5, true);
         ASSERT_EQ(r.layerOutputs.size(), base.layerOutputs.size());
         for (std::size_t li = 0; li < base.layerOutputs.size(); ++li)
-            EXPECT_TRUE(
-                bytesEqual(base.layerOutputs[li], r.layerOutputs[li]))
+            EXPECT_TRUE(Matrix::bytesEqual(base.layerOutputs[li],
+                                           r.layerOutputs[li]))
                 << "threads=" << threads << " layer=" << li;
-        EXPECT_TRUE(bytesEqual(base.readout, r.readout));
+        EXPECT_TRUE(Matrix::bytesEqual(base.readout, r.readout));
     }
 }
 
@@ -645,6 +631,6 @@ TEST(ThreadPool, AcceleratorManySmallWindowsStress)
     for (VertexId s = 0; s < 120; ++s)
         kernels::spmmWindow(es.view(), AggOp::Add, coef, x, 0, 120, s,
                             s + 1, acc, touch, 4);
-    EXPECT_TRUE(bytesEqual(golden, acc));
+    EXPECT_TRUE(Matrix::bytesEqual(golden, acc));
     EXPECT_EQ(golden_touch, touch);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "model/matrix.hpp"
 #include "sim/rng.hpp"
@@ -120,6 +121,22 @@ TEST(Matrix, MaxAbsDiff)
     EXPECT_FLOAT_EQ(Matrix::maxAbsDiff(a, b), 3.5f);
     Matrix c(2, 3);
     EXPECT_THROW(Matrix::maxAbsDiff(a, c), std::invalid_argument);
+}
+
+TEST(Matrix, BytesEqualSeesWhatMaxAbsDiffCannot)
+{
+    Matrix a(2, 2), b(2, 2);
+    EXPECT_TRUE(Matrix::bytesEqual(a, b));
+    b.at(0, 1) = -0.0f;
+    EXPECT_EQ(Matrix::maxAbsDiff(a, b), 0.0f);
+    EXPECT_FALSE(Matrix::bytesEqual(a, b));
+    b.at(0, 1) = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(Matrix::maxAbsDiff(a, b), 0.0f);
+    EXPECT_FALSE(Matrix::bytesEqual(a, b));
+    a.at(0, 1) = b.at(0, 1);
+    EXPECT_TRUE(Matrix::bytesEqual(a, b));
+    EXPECT_FALSE(Matrix::bytesEqual(a, Matrix(2, 3)));
+    EXPECT_TRUE(Matrix::bytesEqual(Matrix(0, 3), Matrix(0, 3)));
 }
 
 TEST(Matrix, FillRandomDeterministic)

@@ -443,9 +443,8 @@ TEST(Platform, RunResultMatchesAcceleratorResult)
     EXPECT_DOUBLE_EQ(direct.avgVertexLatency, via_api.avgVertexLatency);
     ASSERT_EQ(direct.layerOutputs.size(), via_api.layerOutputs.size());
     for (std::size_t i = 0; i < direct.layerOutputs.size(); ++i)
-        EXPECT_EQ(Matrix::maxAbsDiff(direct.layerOutputs[i],
-                                     via_api.layerOutputs[i]),
-                  0.0f);
+        EXPECT_TRUE(Matrix::bytesEqual(direct.layerOutputs[i],
+                                       via_api.layerOutputs[i]));
 }
 
 TEST(Platform, InvalidConfigFailsFastBeforeDatasetConstruction)
@@ -542,9 +541,8 @@ TEST(Platform, CpuBaselineFunctionalMatchesHyGCN)
     ASSERT_EQ(cpu_out.layerOutputs.size(), hw_out.layerOutputs.size());
     ASSERT_FALSE(cpu_out.layerOutputs.empty());
     for (std::size_t li = 0; li < cpu_out.layerOutputs.size(); ++li) {
-        EXPECT_EQ(Matrix::maxAbsDiff(cpu_out.layerOutputs[li],
-                                     hw_out.layerOutputs[li]),
-                  0.0f)
+        EXPECT_TRUE(Matrix::bytesEqual(cpu_out.layerOutputs[li],
+                                       hw_out.layerOutputs[li]))
             << "layer " << li;
     }
     // The timing/energy report still comes from the CPU cost model.

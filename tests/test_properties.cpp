@@ -88,9 +88,8 @@ TEST_P(ConfigInvariance, OutputsNeverDependOnMicroarchitecture)
         const ReferenceResult golden = ref.run(m, p, x0, 7);
         ASSERT_EQ(r.layerOutputs.size(), golden.layerOutputs.size());
         for (std::size_t li = 0; li < r.layerOutputs.size(); ++li) {
-            EXPECT_EQ(Matrix::maxAbsDiff(r.layerOutputs[li],
-                                         golden.layerOutputs[li]),
-                      0.0f)
+            EXPECT_TRUE(Matrix::bytesEqual(r.layerOutputs[li],
+                                           golden.layerOutputs[li]))
                 << "config " << idx << " model " << modelAbbrev(id)
                 << " layer " << li;
         }
@@ -263,9 +262,8 @@ TEST_P(DepthParam, DeepModelsBitExact)
         HyGCNAccelerator accel{HyGCNConfig{}};
         const AcceleratorResult r = accel.run(ds, m, p, &x0, 7);
         const ReferenceResult golden = ref.run(m, p, x0, 7);
-        EXPECT_EQ(Matrix::maxAbsDiff(r.layerOutputs.back(),
-                                     golden.layerOutputs.back()),
-                  0.0f)
+        EXPECT_TRUE(Matrix::bytesEqual(r.layerOutputs.back(),
+                                       golden.layerOutputs.back()))
             << modelAbbrev(id) << " depth " << depth;
     }
 }

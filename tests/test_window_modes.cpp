@@ -71,8 +71,13 @@ referencePlan(const CscView &view, VertexId interval, VertexId height,
                 w.edges += count;
                 w.srcEnd = row + 1;
             }
-            if (mode == WindowMode::SlideOnly)
+            // SlideOnly keeps the full height, but never reaches into
+            // the next window.
+            if (mode == WindowMode::SlideOnly) {
                 w.srcEnd = std::min<VertexId>(top + height, n);
+                if (pos < rows.size())
+                    w.srcEnd = std::min(w.srcEnd, rows[pos].first);
+            }
             work.windows.push_back(w);
         }
         for (const Window &w : work.windows) {
@@ -162,6 +167,12 @@ expectMatchesReference(const CscView &view, VertexId interval,
         expectSamePlan(got, want);
         for (const IntervalWork &work : want.intervals)
             empty += work.totalEdges == 0;
+        // Windows are disjoint and ascending: the functional path
+        // folds each interval in one pass on that basis.
+        for (const IntervalWork &work : got.intervals)
+            for (std::size_t k = 1; k < work.windows.size(); ++k)
+                EXPECT_LE(work.windows[k - 1].srcEnd,
+                          work.windows[k].srcBegin);
     }
     return empty;
 }
@@ -220,6 +231,33 @@ TEST(WindowModes, SlideOnlyClampsAtGraphEnd)
     const auto slide = buildWindowPlan(es.view(), 10, 16, 100,
                                        WindowMode::SlideOnly);
     EXPECT_EQ(slide.intervals[0].windows[0].srcEnd, 10u);
+}
+
+TEST(WindowModes, SlideOnlyEdgeCapStopsAtNextWindow)
+{
+    // One destination with sources 0..7, height 8, cap 3: the cap
+    // closes each window early, and the next window starts where the
+    // previous one ends, so the rows load once each, as on the grid.
+    const EdgeSet es = EdgeSet::fromColumns(
+        8, [] {
+            std::vector<std::vector<VertexId>> cols(8);
+            cols[0] = {0, 1, 2, 3, 4, 5, 6, 7};
+            return cols;
+        }());
+    const auto slide = buildWindowPlan(es.view(), 8, 8, 3,
+                                       WindowMode::SlideOnly);
+    const auto &windows = slide.intervals[0].windows;
+    ASSERT_EQ(windows.size(), 3u);
+    const VertexId bounds[][2] = {{0, 3}, {3, 6}, {6, 8}};
+    for (std::size_t k = 0; k < windows.size(); ++k) {
+        EXPECT_EQ(windows[k].srcBegin, bounds[k][0]) << k;
+        EXPECT_EQ(windows[k].srcEnd, bounds[k][1]) << k;
+    }
+    EXPECT_EQ(slide.totalEdges, 8u);
+    EXPECT_EQ(slide.loadedRows, 8u);
+    EXPECT_EQ(slide.loadedRows,
+              buildWindowPlan(es.view(), 8, 8, 3, WindowMode::Grid)
+                  .loadedRows);
 }
 
 TEST(WindowModes, SamplerIndexIntervalDeterministic)
