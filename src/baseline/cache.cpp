@@ -29,7 +29,9 @@ CacheLevel::CacheLevel(const CacheLevelConfig &config) : config_(config)
     lineShift_ = static_cast<unsigned>(std::countr_zero(config_.lineBytes));
     setsPow2_ = std::has_single_bit(numSets_);
     setMask_ = setsPow2_ ? numSets_ - 1 : 0;
-    tags_.assign(numSets_ * config_.associativity, 0);
+    groups_ = static_cast<std::uint32_t>(
+        (std::uint64_t{config_.associativity} + kGroupWays - 1) / kGroupWays);
+    tags_.assign(numSets_ * groups_, WayGroup{});
     fill_.assign(numSets_, 0);
 }
 
@@ -44,23 +46,21 @@ CacheLevel::reset()
 CacheHierarchy::CacheHierarchy(const CacheLevelConfig &l1,
                                const CacheLevelConfig &l2,
                                const CacheLevelConfig &l3)
-{
-    levels_.emplace_back(l1);
-    levels_.emplace_back(l2);
-    levels_.emplace_back(l3);
-}
+    : l1_(l1), l2_(l2), l3_(l3)
+{}
 
 std::uint64_t
 CacheHierarchy::dramBytes() const
 {
-    return levels_.back().misses() * levels_.back().lineBytes();
+    return l3_.misses() * l3_.lineBytes();
 }
 
 void
 CacheHierarchy::reset()
 {
-    for (auto &level : levels_)
-        level.reset();
+    l1_.reset();
+    l2_.reset();
+    l3_.reset();
 }
 
 BlockReplay

@@ -22,6 +22,94 @@ struct AggReplay
     EdgeId edges = 0;
 };
 
+/** Where one layer's gathered feature rows sit, in replay blocks. */
+struct RowBlocks
+{
+    Addr base = 0;
+    std::uint64_t rowBytes = 0;
+    std::uint64_t blockBytes = 64;
+    std::uint64_t blocksPerRow = 0;
+};
+
+/** Access blocks 0..blocksPerRow-1 of row @p src. */
+template <unsigned W>
+__attribute__((always_inline)) inline void
+touchRow(CacheHierarchy &caches, const RowBlocks &rows_at, VertexId src)
+{
+    const Addr row = rows_at.base + static_cast<Addr>(src) * rows_at.rowBytes;
+    for (std::uint64_t k = 0; k < rows_at.blocksPerRow; ++k)
+        caches.access<W>(row + k * rows_at.blockBytes);
+}
+
+/**
+ * The replay loop, comparing W ways per cache lookup step: every edge
+ * touches its source's row, destinations in stride-sampled order, or,
+ * given @p plan, interval by interval (keeping every @p stride -th
+ * interval of @p rows destinations) and window by window. Returns the
+ * edges touched.
+ */
+template <unsigned W>
+__attribute__((always_inline)) inline EdgeId
+replayLoop(CacheHierarchy &caches, const CscView &view,
+           const RowBlocks &rows_at, std::uint32_t stride,
+           const WindowPlan *plan, VertexId rows)
+{
+    EdgeId simulated_edges = 0;
+    if (plan == nullptr) {
+        for (VertexId dst = 0; dst < view.numVertices; dst += stride) {
+            for (VertexId src : view.sources(dst))
+                touchRow<W>(caches, rows_at, src);
+            simulated_edges += view.sources(dst).size();
+        }
+        return simulated_edges;
+    }
+    // The windows of an interval are disjoint, ascending and hold
+    // every source of the interval, so one cursor per destination
+    // walks its sorted sources window by window. The cursor is
+    // copied to a local for the edge loop: read and written back
+    // through a reference per edge, it made the paper grid 14%
+    // slower than the binary searches it replaces.
+    const VertexId *row_idx = view.rowIdx.data();
+    std::vector<const VertexId *> cursor;
+    for (const IntervalWork &work : plan->intervals) {
+        if ((work.dstBegin / std::max<VertexId>(1, rows)) % stride != 0)
+            continue;
+        cursor.clear();
+        for (VertexId dst = work.dstBegin; dst < work.dstEnd; ++dst)
+            cursor.push_back(row_idx + view.colPtr[dst]);
+        for (const Window &w : work.windows) {
+            for (VertexId dst = work.dstBegin; dst < work.dstEnd; ++dst) {
+                const VertexId *it = cursor[dst - work.dstBegin];
+                const VertexId *end = row_idx + view.colPtr[dst + 1];
+                const VertexId *from = it;
+                for (; it != end && *it < w.srcEnd; ++it)
+                    touchRow<W>(caches, rows_at, *it);
+                simulated_edges += it - from;
+                cursor[dst - work.dstBegin] = it;
+            }
+        }
+    }
+    return simulated_edges;
+}
+
+/**
+ * replayLoop() at the lookup width that suits the ISA it runs on: 8
+ * ways per step in the AVX-512 body, where they are one zmm register,
+ * and 1 elsewhere. Without AVX-512's mask registers, turning a
+ * multi-lane compare into a lane index costs more than it saves: a
+ * 4-lane AVX2 form replayed Reddit's GIN layer 0 about 1.4x slower
+ * than the 1-way walk.
+ */
+HYGCN_TARGET_CLONES EdgeId
+replayEdges(CacheHierarchy &caches, const CscView &view,
+            const RowBlocks &rows_at, std::uint32_t stride,
+            const WindowPlan *plan, VertexId rows)
+{
+    if (HYGCN_CLONE_HAS("avx512f"))
+        return replayLoop<8>(caches, view, rows_at, stride, plan, rows);
+    return replayLoop<1>(caches, view, rows_at, stride, plan, rows);
+}
+
 /**
  * Replay the gather pattern of one layer: for every edge, touch the
  * source vertex's feature lines. When the estimated access count
@@ -29,6 +117,9 @@ struct AggReplay
  * scaled back up. Where rows are whole aligned blocks of lines (see
  * planBlockReplay), one access per block through the widened
  * hierarchy stands in, exactly, for the block's per-line accesses.
+ * A row touches ceil(rowBytes / 64) lines from the line holding its
+ * first byte, so a row that starts mid-line and straddles one more
+ * line leaves that last line untouched (test_cpu_model pins this).
  */
 AggReplay
 replayAggregation(const CpuConfig &config, const CscView &view,
@@ -52,23 +143,14 @@ replayAggregation(const CpuConfig &config, const CscView &view,
 
     const BlockReplay block = planBlockReplay(config.l1, config.l2, config.l3,
                                               feat_bytes, feat_base, 64);
-    const std::uint64_t block_bytes = 64ull * block.lines;
-    const std::uint64_t blocks_per_feat = lines_per_feat / block.lines;
+    const RowBlocks rows_at{feat_base, feat_bytes, 64ull * block.lines,
+                            lines_per_feat / block.lines};
     CacheHierarchy caches(block.l1, block.l2, block.l3);
+
     EdgeId simulated_edges = 0;
-
-    auto touch_edge = [&](VertexId src) {
-        const Addr base = feat_base + static_cast<Addr>(src) * feat_bytes;
-        for (std::uint64_t k = 0; k < blocks_per_feat; ++k)
-            caches.access(base + k * block_bytes);
-        ++simulated_edges;
-    };
-
     if (!partitioned) {
-        for (VertexId dst = 0; dst < view.numVertices; dst += stride) {
-            for (VertexId src : view.sources(dst))
-                touch_edge(src);
-        }
+        simulated_edges =
+            replayEdges(caches, view, rows_at, stride, nullptr, 0);
     } else {
         // Interval/shard traversal sized to half the L2 per the
         // paper's algorithm optimization.
@@ -78,31 +160,8 @@ replayAggregation(const CpuConfig &config, const CscView &view,
         const WindowPlan plan =
             buildWindowPlan(view, rows, rows, static_cast<EdgeId>(-1),
                             WindowMode::SlideShrink);
-        // The windows of an interval are disjoint, ascending and hold
-        // every source of the interval, so one cursor per destination
-        // walks its sorted sources window by window. The cursor is
-        // copied to a local for the edge loop: read and written back
-        // through a reference per edge, it made the paper grid 14%
-        // slower than the binary searches it replaces.
-        const VertexId *row_idx = view.rowIdx.data();
-        std::vector<const VertexId *> cursor;
-        for (const IntervalWork &work : plan.intervals) {
-            if ((work.dstBegin / std::max<VertexId>(1, rows)) % stride != 0)
-                continue;
-            cursor.clear();
-            for (VertexId dst = work.dstBegin; dst < work.dstEnd; ++dst)
-                cursor.push_back(row_idx + view.colPtr[dst]);
-            for (const Window &w : work.windows) {
-                for (VertexId dst = work.dstBegin; dst < work.dstEnd;
-                     ++dst) {
-                    const VertexId *it = cursor[dst - work.dstBegin];
-                    const VertexId *end = row_idx + view.colPtr[dst + 1];
-                    for (; it != end && *it < w.srcEnd; ++it)
-                        touch_edge(*it);
-                    cursor[dst - work.dstBegin] = it;
-                }
-            }
-        }
+        simulated_edges =
+            replayEdges(caches, view, rows_at, stride, &plan, rows);
     }
 
     const double scale =

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <list>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baseline/cache.hpp"
+#include "sim/codegen.hpp"
 #include "sim/rng.hpp"
 
 using namespace hygcn;
@@ -82,6 +85,37 @@ addressStream(const CacheLevelConfig &config, std::size_t n,
         stream.push_back(rng.nextBounded(is_hot ? hot : cold));
     }
     return stream;
+}
+
+/**
+ * Replay @p stream through a CacheLevel comparing W ways per step and
+ * through ReferenceLru, comparing every access, with a reset() of
+ * both halfway.
+ */
+template <unsigned W>
+void
+expectMatchesReference(const CacheLevelConfig &config,
+                       const std::vector<Addr> &stream)
+{
+    SCOPED_TRACE("W = " + std::to_string(W));
+    CacheLevel level(config);
+    ReferenceLru ref(config);
+    ASSERT_EQ(level.numSets(), ref.numSets());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        if (i == stream.size() / 2) {
+            // reset() mid-stream drops every line and counter.
+            EXPECT_EQ(level.accesses(), ref.accesses());
+            EXPECT_EQ(level.misses(), ref.misses());
+            level.reset();
+            ref.reset();
+        }
+        ASSERT_EQ(level.access<W>(stream[i]), ref.access(stream[i]))
+            << "access " << i;
+    }
+    EXPECT_EQ(level.accesses(), ref.accesses());
+    EXPECT_EQ(level.misses(), ref.misses());
+    EXPECT_GT(level.misses(), 0u);
+    EXPECT_LT(level.misses(), level.accesses());
 }
 
 } // namespace
@@ -199,7 +233,7 @@ TEST(CacheHierarchy, DramBytesUseL3LineSize)
     EXPECT_EQ(h.dramBytes(), h.level(3).misses() * 128);
 }
 
-/** CacheLevel against ReferenceLru, access by access. */
+/** CacheLevel against ReferenceLru, access by access, at both widths. */
 TEST(Cache, MatchesReferenceLruAccessByAccess)
 {
     std::vector<CacheLevelConfig> geometries;
@@ -217,69 +251,194 @@ TEST(Cache, MatchesReferenceLruAccessByAccess)
     geometries.push_back({3ull * 1024, 8, 32});
     // The CPU model's L3: 30 MiB at 20-way is 24576 sets.
     geometries.push_back({30ull * 1024 * 1024, 20, 64});
+    // Ways either side of the 8-way groups: one short of a group, one
+    // past it (a group of pad lanes), two and three whole groups, one
+    // past two. 16 sets each.
+    for (std::uint32_t ways : {7u, 9u, 16u, 17u, 24u})
+        geometries.push_back({ways * 64ull * 16, ways, 64});
+    // 12 and 20 ways over set counts that are not powers of two.
+    geometries.push_back({12ull * 64 * 20, 12, 64});
+    geometries.push_back({20ull * 64 * 12, 20, 64});
 
     for (std::size_t g = 0; g < geometries.size(); ++g) {
         SCOPED_TRACE("geometry " + std::to_string(g));
         const CacheLevelConfig &config = geometries[g];
-        CacheLevel level(config);
-        ReferenceLru ref(config);
-        ASSERT_EQ(level.numSets(), ref.numSets());
-
         const bool big = config.capacityBytes > (1u << 20);
         const std::vector<Addr> stream =
             addressStream(config, big ? 400000 : 20000, g + 1);
-        for (std::size_t i = 0; i < stream.size(); ++i) {
-            if (i == stream.size() / 2) {
-                // reset() mid-stream drops every line and counter.
-                EXPECT_EQ(level.accesses(), ref.accesses());
-                EXPECT_EQ(level.misses(), ref.misses());
-                level.reset();
-                ref.reset();
-            }
-            ASSERT_EQ(level.access(stream[i]), ref.access(stream[i]))
-                << "access " << i;
-        }
-        EXPECT_EQ(level.accesses(), ref.accesses());
-        EXPECT_EQ(level.misses(), ref.misses());
-        EXPECT_GT(level.misses(), 0u);
-        EXPECT_LT(level.misses(), level.accesses());
+        expectMatchesReference<1>(config, stream);
+        expectMatchesReference<8>(config, stream);
     }
 }
 
-TEST(CacheHierarchy, MatchesChainedReferenceLevels)
+TEST(Cache, OneByteLinesUseEveryLineNumber)
 {
-    const CacheLevelConfig l1{32ull * 1024, 8, 64};
-    const CacheLevelConfig l2{256ull * 1024, 8, 64};
-    const CacheLevelConfig l3{30ull * 1024 * 1024, 20, 64};
+    // One set of 8 one-byte lines: line numbers are the addresses
+    // themselves, so 0 and 2^64 - 1 are lines like any other, and no
+    // tag value can stand for an empty way.
+    const CacheLevelConfig config{8, 8, 1};
+    ASSERT_EQ(CacheLevel(config).numSets(), 1u);
+    const Addr top = std::numeric_limits<Addr>::max();
+    std::vector<Addr> pool;
+    for (Addr k = 0; k < 6; ++k) {
+        pool.push_back(k);
+        pool.push_back(top - k);
+    }
+    std::vector<Addr> stream = {0, top, 0, top};
+    Rng rng(7);
+    for (int i = 0; i < 4000; ++i)
+        stream.push_back(pool[rng.nextBounded(pool.size())]);
+    expectMatchesReference<1>(config, stream);
+    expectMatchesReference<8>(config, stream);
+
+    // In a cold set, where every way still holds 0, neither 0 nor
+    // 2^64 - 1 hits.
+    CacheLevel narrow(config);
+    EXPECT_FALSE(narrow.access<1>(0));
+    EXPECT_FALSE(narrow.access<1>(top));
+    CacheLevel wide(config);
+    EXPECT_FALSE(wide.access<8>(0));
+    EXPECT_FALSE(wide.access<8>(top));
+}
+
+namespace {
+
+/**
+ * The stream's hits through @p level, at the lookup width the CPU
+ * model's replay picks for the clone the host runs (replayEdges in
+ * src/baseline/cpu_model.cpp), naming that clone in @p body.
+ */
+HYGCN_TARGET_CLONES void
+accessAsTheReplayDoes(CacheLevel &level, const std::vector<Addr> &stream,
+                      std::vector<char> &hits, const char *&body)
+{
+    if (HYGCN_CLONE_HAS("avx512f")) {
+        body = "avx512f";
+        for (Addr addr : stream)
+            hits.push_back(level.access<8>(addr));
+    } else {
+        body = "default";
+        for (Addr addr : stream)
+            hits.push_back(level.access<1>(addr));
+    }
+}
+
+} // namespace
+
+TEST(Cache, DispatchedBodyMatchesReference)
+{
+    // The CPU model's replay runs the clone the host supports; the
+    // sanitizer builds have no clones and run the default body only.
+    const CacheLevelConfig config{30ull * 1024 * 1024, 20, 64};
+    const std::vector<Addr> stream = addressStream(config, 200000, 11);
+    CacheLevel level(config);
+    std::vector<char> hits;
+    const char *body = nullptr;
+    accessAsTheReplayDoes(level, stream, hits, body);
+    RecordProperty("cache_body", body);
+    std::printf("cache lookup body: %s\n", body);
+
+    ReferenceLru ref(config);
+    ASSERT_EQ(hits.size(), stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        ASSERT_EQ(hits[i] != 0, ref.access(stream[i])) << "access " << i;
+    EXPECT_EQ(level.accesses(), ref.accesses());
+    EXPECT_EQ(level.misses(), ref.misses());
+}
+
+namespace {
+
+/**
+ * Replay @p stream through a CacheHierarchy comparing W ways per step
+ * and through three chained ReferenceLru levels, comparing the level
+ * every access hits, then every counter.
+ */
+template <unsigned W>
+void
+expectMatchesChainedReference(const CacheLevelConfig &l1,
+                              const CacheLevelConfig &l2,
+                              const CacheLevelConfig &l3,
+                              const std::vector<Addr> &stream)
+{
+    SCOPED_TRACE("W = " + std::to_string(W));
     CacheHierarchy h(l1, l2, l3);
     std::vector<ReferenceLru> ref;
     for (const CacheLevelConfig &config : {l1, l2, l3})
         ref.emplace_back(config);
-
-    // Hot addresses fall in a region the L2 holds; cold ones span
-    // several L3 capacities.
-    Rng rng(42);
-    for (int i = 0; i < 300000; ++i) {
-        const bool is_hot = rng.nextBounded(4) != 0;
-        const std::uint64_t range =
-            is_hot ? l2.capacityBytes : 4 * l3.capacityBytes;
-        const Addr addr = rng.nextBounded(range);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
         // The reference cascade stops at the first level that hits.
         int expected = 4;
         for (int lvl = 1; lvl <= 3; ++lvl) {
-            if (ref[lvl - 1].access(addr)) {
+            if (ref[lvl - 1].access(stream[i])) {
                 expected = lvl;
                 break;
             }
         }
-        ASSERT_EQ(h.access(addr), expected) << "access " << i;
+        ASSERT_EQ(h.access<W>(stream[i]), expected) << "access " << i;
     }
     for (int lvl = 1; lvl <= 3; ++lvl) {
         EXPECT_EQ(h.level(lvl).accesses(), ref[lvl - 1].accesses());
         EXPECT_EQ(h.level(lvl).misses(), ref[lvl - 1].misses());
         EXPECT_GT(h.level(lvl).misses(), 0u);
     }
-    EXPECT_EQ(h.dramBytes(), ref[2].misses() * 64);
+    EXPECT_EQ(h.dramBytes(), ref[2].misses() * l3.lineBytes);
+}
+
+} // namespace
+
+TEST(CacheHierarchy, MatchesChainedReferenceLevels)
+{
+    const CacheLevelConfig l1{32ull * 1024, 8, 64};
+    const CacheLevelConfig l2{256ull * 1024, 8, 64};
+    const CacheLevelConfig l3{30ull * 1024 * 1024, 20, 64};
+
+    // Hot addresses fall in a region the L2 holds; cold ones span
+    // several L3 capacities.
+    Rng rng(42);
+    std::vector<Addr> stream;
+    for (int i = 0; i < 300000; ++i) {
+        const bool is_hot = rng.nextBounded(4) != 0;
+        const std::uint64_t range =
+            is_hot ? l2.capacityBytes : 4 * l3.capacityBytes;
+        stream.push_back(rng.nextBounded(range));
+    }
+    expectMatchesChainedReference<1>(l1, l2, l3, stream);
+    expectMatchesChainedReference<8>(l1, l2, l3, stream);
+
+    // The same levels widened to 512-B lines, as block replay runs
+    // them for 128-feature rows: 8, 64 and 3072 sets.
+    const CacheLevelConfig w1{32ull * 1024, 8, 512};
+    const CacheLevelConfig w2{256ull * 1024, 8, 512};
+    const CacheLevelConfig w3{30ull * 1024 * 1024, 20, 512};
+    ASSERT_EQ(CacheLevel(w1).numSets(), 8u);
+    ASSERT_EQ(CacheLevel(w2).numSets(), 64u);
+    ASSERT_EQ(CacheLevel(w3).numSets(), 3072u);
+    expectMatchesChainedReference<1>(w1, w2, w3, stream);
+    expectMatchesChainedReference<8>(w1, w2, w3, stream);
+}
+
+TEST(CacheHierarchy, MatchesChainedReferenceOnReplayRows)
+{
+    // The CPU model's replay of 602-feature rows (2408 B): each touch
+    // walks the 38 lines from the row's first line, so a row covers
+    // 38 consecutive sets of every level. Rows come from a hot set
+    // the L3 holds (three touches in four) and from the whole range.
+    const CacheLevelConfig l1{32ull * 1024, 8, 64};
+    const CacheLevelConfig l2{256ull * 1024, 8, 64};
+    const CacheLevelConfig l3{30ull * 1024 * 1024, 20, 64};
+    const std::uint64_t row_bytes = 2408;
+    const std::uint64_t hot_rows = l3.capacityBytes / 2 / row_bytes;
+    Rng rng(5);
+    std::vector<Addr> stream;
+    for (int t = 0; t < 12000; ++t) {
+        const std::uint64_t row =
+            rng.nextBounded(rng.nextBounded(4) != 0 ? hot_rows : 8 * hot_rows);
+        const Addr first_line = row * row_bytes / 64 * 64;
+        for (std::uint64_t k = 0; k < 38; ++k)
+            stream.push_back(first_line + k * 64);
+    }
+    expectMatchesChainedReference<1>(l1, l2, l3, stream);
+    expectMatchesChainedReference<8>(l1, l2, l3, stream);
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/cpu_model.hpp"
+#include "sim/energy.hpp"
 
 using namespace hygcn;
 
@@ -96,4 +97,41 @@ TEST(CpuModel, DiffPoolAddsPoolingFlops)
     const SimReport r = cpu.run(ib, dfp, 7, {});
     EXPECT_GT(r.stats.get("cpu.comb_instructions"), 0u);
     EXPECT_GT(r.seconds(), 0.0);
+}
+
+TEST(CpuModel, ReplayTouchesCeilRowBytesLinesFromTheFirst)
+{
+    // Rows of 10 floats (40 B) sit back to back from byte 0, so the
+    // rows of sources 1 and 3 start at bytes 40 and 120 and straddle
+    // into lines 1 and 2. The replay touches ceil(40 / 64) = 1 line
+    // per row, from the line holding the row's first byte: 4 touches
+    // of lines {0, 1}, where the rows span 6 touches of lines
+    // {0, 1, 2}. Touching every spanned line would move the PyG-CPU
+    // numbers of every dataset whose rows straddle (README modelling
+    // substitution 3), so this pins the current count.
+    Dataset ds;
+    ds.id = DatasetId::CR;
+    ds.graph = Graph::fromEdges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, false);
+    ds.featureLen = 10;
+    LayerConfig layer;
+    layer.inFeatures = 10;
+    layer.mlpDims = {16};
+    layer.selfLoops = false;
+    ModelConfig m;
+    m.id = ModelId::GIN;
+    m.layers = {layer};
+    m.cpuCombineFirst = false;
+
+    CpuModel cpu;
+    const SimReport r = cpu.run(ds, m, 1, {});
+    const EnergyTable e{};
+    // Cache energy charges 64 B per line touch.
+    EXPECT_DOUBLE_EQ(r.energy.component("cpu.cache"),
+                     4 * 64 * e.cpuCachePerByte);
+    // Lines 0 and 1 miss to DRAM; the E x F message tensor streams
+    // through DRAM twice on top.
+    const double agg_dram =
+        2 * 64 * (1.0 + cpu.config().prefetchWaste) + 2.0 * 4 * 10 * 4;
+    EXPECT_EQ(r.stats.get("cpu.agg_dram_bytes"),
+              static_cast<std::uint64_t>(agg_dram));
 }
