@@ -5,15 +5,14 @@
 #
 #   tests/update_goldens.sh [--bench] [build-dir]
 #
-# With --bench, also regenerate the CI bench baselines under
-# bench/baselines/ (BENCH_serve.json, BENCH_fig10.json,
-# BENCH_fig11.json, BENCH_fig12.json, BENCH_powercap.json,
-# BENCH_lookahead.json, BENCH_scale.json, BENCH_spmm.json, the
-# stdout of every paper figure and table paper_figures.txt and the
-# cost-curve calibration's stdout calibration.txt) from the same
-# build, so golden and baseline refreshes land in one reviewed diff.
-# paper_figures runs inside bench/baselines with --json-dir ., so its
-# "wrote ./BENCH_fig1x.json" lines match the CI run's.
+# With --bench, also regenerate the bench baselines under
+# bench/baselines/ from the same build, so golden and baseline
+# refreshes land in one reviewed diff: paper_figures.txt and
+# BENCH_fig1{0,1,2}.json (paper_figures), serve_figures.txt,
+# BENCH_serve.json, SWEEP_flashcrowd.json, BENCH_lookahead.json and
+# BENCH_powercap.json (serve_figures), BENCH_scale.json and
+# BENCH_spmm.json. The two figure binaries run inside bench/baselines
+# with --json-dir ., so their "wrote ./..." lines match the pin runs'.
 # BENCH_scale.json records sim_rps derated 8x (serve_scale
 # --baseline): it gates wallclock throughput, so the baseline needs
 # headroom for CI hosts slower than the recording machine.
@@ -50,26 +49,20 @@ fi
 HYGCN_UPDATE_GOLDENS=1 "$BIN"
 
 if [ "$BENCH" = 1 ]; then
-    for bench in serve_latency paper_figures serve_powercap \
-                 serve_lookahead serve_scale spmm_kernels \
-                 calibration_cost_curves; do
+    for bench in paper_figures serve_figures serve_scale spmm_kernels; do
         if [ ! -x "$BUILD/bench/$bench" ]; then
             echo "error: $BUILD/bench/$bench not built; run:" \
                  "cmake --build $BUILD -j --target $bench" >&2
             exit 1
         fi
     done
-    "$BUILD/bench/serve_latency" --json bench/baselines/BENCH_serve.json
-    FIGURES=$(cd "$BUILD/bench" && pwd)/paper_figures
-    (cd bench/baselines && "$FIGURES" --json-dir . > paper_figures.txt)
-    "$BUILD/bench/serve_powercap" --json \
-        bench/baselines/BENCH_powercap.json
-    "$BUILD/bench/serve_lookahead" --baseline \
-        bench/baselines/BENCH_lookahead.json
+    BENCHES=$(cd "$BUILD/bench" && pwd)
+    for figures in paper_figures serve_figures; do
+        (cd bench/baselines &&
+            "$BENCHES/$figures" --json-dir . > "$figures.txt")
+    done
     "$BUILD/bench/serve_scale" --baseline \
         bench/baselines/BENCH_scale.json
     "$BUILD/bench/spmm_kernels" --baseline \
         bench/baselines/BENCH_spmm.json
-    "$BUILD/bench/calibration_cost_curves" \
-        > bench/baselines/calibration.txt
 fi
