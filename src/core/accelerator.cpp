@@ -81,7 +81,7 @@ runLayer(RunContext &ctx, const HyGCNConfig &config,
     }());
 
     if (config.interEnginePipeline) {
-        InterEnginePipeline pipe(true, now);
+        InterEnginePipeline pipe(now);
         for (const IntervalWork &work : plan.intervals) {
             const VertexId n_int = work.numVertices();
             Matrix acc;

@@ -5,6 +5,8 @@
  * consumes interval i-1 from one chunk, the Aggregation Engine fills
  * the other with interval i. Aggregation of interval i therefore may
  * not start before combination of interval i-2 released its chunk.
+ * Phase-by-phase (N-PP) execution does not use this tracker: runLayer
+ * runs it as its own spill/fill loop.
  */
 
 #ifndef HYGCN_CORE_PIPELINE_HPP
@@ -20,23 +22,12 @@ namespace hygcn {
 class InterEnginePipeline
 {
   public:
-    /**
-     * @param pipelined False models N-PP phase-by-phase execution
-     *        (combination strictly after the aggregation it follows,
-     *        no overlap between intervals).
-     */
-    InterEnginePipeline(bool pipelined, Cycle start)
-        : pipelined_(pipelined), aggPrev_(start), combPrev_(start),
-          combPrev2_(start)
+    explicit InterEnginePipeline(Cycle start)
+        : aggPrev_(start), combPrev_(start), combPrev2_(start)
     {}
 
     /** Earliest start cycle for the next aggregation interval. */
-    Cycle
-    aggStart() const
-    {
-        return pipelined_ ? std::max(aggPrev_, combPrev2_)
-                          : std::max(aggPrev_, combPrev_);
-    }
+    Cycle aggStart() const { return std::max(aggPrev_, combPrev2_); }
 
     /** Record aggregation completion of the current interval. */
     void noteAggFinish(Cycle cycle) { aggPrev_ = std::max(aggPrev_, cycle); }
@@ -60,7 +51,6 @@ class InterEnginePipeline
     Cycle finish() const { return std::max(aggPrev_, combPrev_); }
 
   private:
-    bool pipelined_;
     Cycle aggPrev_;
     Cycle combPrev_;
     Cycle combPrev2_;

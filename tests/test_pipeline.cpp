@@ -4,20 +4,9 @@
 
 using namespace hygcn;
 
-TEST(Pipeline, NonPipelinedSerializesEngines)
-{
-    InterEnginePipeline p(false, 0);
-    EXPECT_EQ(p.aggStart(), 0u);
-    p.noteAggFinish(100);
-    EXPECT_EQ(p.combStart(100), 100u);
-    p.noteCombFinish(150);
-    // Next aggregation must wait for the previous combination.
-    EXPECT_EQ(p.aggStart(), 150u);
-}
-
 TEST(Pipeline, PipelinedOverlapsAggWithPreviousComb)
 {
-    InterEnginePipeline p(true, 0);
+    InterEnginePipeline p(0);
     p.noteAggFinish(100);
     p.noteCombFinish(150);
     // Agg of interval 1 may start right after agg of interval 0 —
@@ -27,7 +16,7 @@ TEST(Pipeline, PipelinedOverlapsAggWithPreviousComb)
 
 TEST(Pipeline, PingPongLimitsToTwoChunks)
 {
-    InterEnginePipeline p(true, 0);
+    InterEnginePipeline p(0);
     p.noteAggFinish(10);
     p.noteCombFinish(1000); // interval 0's comb is very slow
     p.noteAggFinish(20);
@@ -39,7 +28,7 @@ TEST(Pipeline, PingPongLimitsToTwoChunks)
 
 TEST(Pipeline, CombWaitsForItsAggregation)
 {
-    InterEnginePipeline p(true, 0);
+    InterEnginePipeline p(0);
     p.noteAggFinish(500);
     EXPECT_EQ(p.combStart(500), 500u);
     p.noteCombFinish(600);
@@ -51,7 +40,7 @@ TEST(Pipeline, CombWaitsForItsAggregation)
 
 TEST(Pipeline, FinishIsMaxOfBothEngines)
 {
-    InterEnginePipeline p(true, 0);
+    InterEnginePipeline p(0);
     p.noteAggFinish(300);
     p.noteCombFinish(280);
     EXPECT_EQ(p.finish(), 300u);
@@ -61,21 +50,17 @@ TEST(Pipeline, FinishIsMaxOfBothEngines)
 
 TEST(Pipeline, PipelinedNeverSlowerThanSerial)
 {
-    // Simulate 8 intervals with fixed (agg, comb) durations through
-    // both trackers; the pipelined finish must be <= serial finish.
+    // Simulate 8 intervals with fixed (agg, comb) durations; the
+    // pipelined finish must beat running the phases back to back.
     const Cycle agg_c = 70, comb_c = 50;
-    InterEnginePipeline pp(true, 0), np(false, 0);
+    InterEnginePipeline p(0);
     for (int i = 0; i < 8; ++i) {
-        for (auto *p : {&pp, &np}) {
-            const Cycle a0 = p->aggStart();
-            p->noteAggFinish(a0 + agg_c);
-            const Cycle c0 = p->combStart(a0 + agg_c);
-            p->noteCombFinish(c0 + comb_c);
-        }
+        const Cycle a0 = p.aggStart();
+        p.noteAggFinish(a0 + agg_c);
+        const Cycle c0 = p.combStart(a0 + agg_c);
+        p.noteCombFinish(c0 + comb_c);
     }
-    EXPECT_LT(pp.finish(), np.finish());
-    EXPECT_EQ(np.finish(), 8 * (agg_c + comb_c));
+    EXPECT_LT(p.finish(), 8 * (agg_c + comb_c));
     // Steady state: one interval per max(agg, comb).
-    EXPECT_EQ(pp.finish(), agg_c + 7 * std::max(agg_c, comb_c) +
-                               comb_c);
+    EXPECT_EQ(p.finish(), agg_c + 7 * std::max(agg_c, comb_c) + comb_c);
 }
