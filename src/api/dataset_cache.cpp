@@ -4,6 +4,21 @@
 
 namespace hygcn::api {
 
+std::shared_ptr<DatasetCache::Entry>
+DatasetCache::slot(const Key &key)
+{
+    // The map mutex only guards slot lookup/creation; generation
+    // itself runs under the slot's once_flag so workers needing a
+    // *different* dataset are never blocked behind a slow build
+    // (Reddit takes seconds), while first-touch of the *same*
+    // dataset still constructs exactly one copy.
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = cache_.find(key);
+    if (it == cache_.end())
+        it = cache_.emplace(key, std::make_shared<Entry>()).first;
+    return it->second;
+}
+
 const Dataset &
 DatasetCache::get(DatasetId id, double scale, std::uint64_t seed)
 {
@@ -16,19 +31,7 @@ DatasetCache::get(DatasetId id, double scale, std::uint64_t seed)
     const Key key{std::string(), static_cast<int>(id), norm_scale, seed,
                   1};
 
-    // The map mutex only guards slot lookup/creation; generation
-    // itself runs under the slot's once_flag so workers needing a
-    // *different* dataset are never blocked behind a slow build
-    // (Reddit takes seconds), while first-touch of the *same*
-    // dataset still constructs exactly one copy.
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(key);
-        if (it == cache_.end())
-            it = cache_.emplace(key, std::make_shared<Entry>()).first;
-        entry = it->second;
-    }
+    const std::shared_ptr<Entry> entry = slot(key);
     std::call_once(entry->once, [&] {
         entry->data = std::make_unique<Dataset>(
             norm_scale == 0.0 ? makeDatasetScaledDefault(id, seed)
@@ -53,14 +56,7 @@ DatasetCache::get(const std::string &name, double scale,
     // never alias a built-in slot, whatever the name.
     const Key key{name, -1, norm_scale, seed, 1};
 
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(key);
-        if (it == cache_.end())
-            it = cache_.emplace(key, std::make_shared<Entry>()).first;
-        entry = it->second;
-    }
+    const std::shared_ptr<Entry> entry = slot(key);
     // The registry factory (which may be a built-in alias or a
     // registered custom generator) runs under the slot's once_flag,
     // same as the id path: concurrent first-touches of different
@@ -93,14 +89,7 @@ DatasetCache::getBatched(const std::string &name, DatasetId id,
     const Key key{name, name.empty() ? static_cast<int>(id) : -1,
                   norm_scale, seed, copies};
 
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(key);
-        if (it == cache_.end())
-            it = cache_.emplace(key, std::make_shared<Entry>()).first;
-        entry = it->second;
-    }
+    const std::shared_ptr<Entry> entry = slot(key);
     // Replication reads the already-built base, so a concurrent
     // first touch of a different copy count never rebuilds it.
     std::call_once(entry->once, [&] {

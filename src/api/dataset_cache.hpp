@@ -81,6 +81,11 @@ class DatasetCache
         std::unique_ptr<Dataset> data;
     };
 
+    /** Find or create the slot for @p key, under the map mutex. Every
+     *  caller runs its fail-fast checks first, so a throw never escapes
+     *  the slot's call_once. */
+    std::shared_ptr<Entry> slot(const Key &key);
+
     mutable std::mutex mutex_;
     std::map<Key, std::shared_ptr<Entry>> cache_;
 };
