@@ -156,15 +156,9 @@ class AggOnlyPlatform : public Platform
             edges.view(), dims.intervalSize, dims.windowHeight,
             dims.maxEdgesPerWindow, config.windowMode());
 
-        const AddressMap amap;
-        const EdgeCoefFn one(EdgeCoefKind::One, {}, 0.0f);
-        Cycle now = 0;
-        for (const IntervalWork &work : plan.intervals) {
-            const AggIntervalTiming t = engine.processInterval(
-                edges.view(), work, data.featureLen, AggOp::Add, one,
-                nullptr, nullptr, nullptr, now, amap);
-            now = t.finish;
-        }
+        const Cycle now = engine.processPlan(edges.view(), plan,
+                                             data.featureLen, nullptr,
+                                             nullptr, 0, AddressMap{});
 
         RunResult out;
         out.spec = spec;

@@ -1,7 +1,7 @@
 #include "core/accelerator.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdio>
 
 #include "core/aggregation_engine.hpp"
 #include "core/combination_engine.hpp"
@@ -53,9 +53,11 @@ layerDims(const HyGCNConfig &config, int f_in)
 }
 
 /**
- * Execute one convolution layer (aggregation + combination over all
- * intervals). Returns the completion cycle. @p x_in == nullptr means
- * timing-only. @p x_out receives functional outputs when present.
+ * Execute one convolution layer: one aggregate step and one combine
+ * step per interval, issued in the pipelined order (InterEnginePipeline)
+ * or in the N-PP order (aggregate and spill every interval, then fill
+ * and combine each). Returns the completion cycle. @p x_in == nullptr
+ * means timing-only. @p x_out receives functional outputs when present.
  */
 Cycle
 runLayer(RunContext &ctx, const HyGCNConfig &config,
@@ -80,162 +82,86 @@ runLayer(RunContext &ctx, const HyGCNConfig &config,
         return n;
     }());
 
+    // Each step records its engine's trace span under the interval's
+    // index. Interval i's functional aggregation rows live from
+    // aggregate(i) to combine(i).
+    std::vector<Matrix> accs(functional ? plan.intervals.size() : 0);
+    auto record = [&](const char *track, std::size_t i, Cycle begin,
+                      Cycle end) {
+        if (ctx.trace) {
+            char label[48];
+            std::snprintf(label, sizeof(label), "L%zu I%zu",
+                          ctx.layerIndex, i);
+            ctx.trace->record(track, label, begin, end);
+        }
+    };
+    auto aggregate = [&](std::size_t i, Cycle start) {
+        const IntervalWork &work = plan.intervals[i];
+        std::vector<std::uint32_t> touch;
+        if (functional) {
+            accs[i] = Matrix(work.numVertices(), f_in);
+            touch.assign(work.numVertices(), 0);
+        }
+        const AggIntervalTiming at = ctx.agg.processInterval(
+            view, work, f_in, layer.aggOp, coef, x_in,
+            functional ? &accs[i] : nullptr, functional ? &touch : nullptr,
+            start, amap, in_base);
+        record("agg", i, start, at.finish);
+        return at.finish;
+    };
+    auto combine = [&](std::size_t i, Cycle start, Cycle agg_cycles) {
+        const IntervalWork &work = plan.intervals[i];
+        const VertexId n_int = work.numVertices();
+        Matrix out_local;
+        const CombIntervalTiming ct = ctx.comb.processInterval(
+            n_int, weights, biases, layer.activation,
+            functional ? &accs[i] : nullptr,
+            functional ? &out_local : nullptr, start, amap, out_base,
+            static_cast<std::uint64_t>(work.dstBegin) * f_out * kElemBytes,
+            agg_cycles);
+        record("comb", i, start, ct.finish);
+        ctx.vertexLatencySum += ct.avgVertexLatency * n_int;
+        ctx.vertexLatencyCount += n_int;
+        if (functional) {
+            std::copy(out_local.data().begin(), out_local.data().end(),
+                      x_out->data().begin() +
+                          static_cast<std::size_t>(work.dstBegin) * f_out);
+            accs[i] = Matrix();
+        }
+        return ct.finish;
+    };
+
     if (config.interEnginePipeline) {
         InterEnginePipeline pipe(now);
-        for (const IntervalWork &work : plan.intervals) {
-            const VertexId n_int = work.numVertices();
-            Matrix acc;
-            std::vector<std::uint32_t> touch;
-            Matrix out_local;
-            if (functional) {
-                acc = Matrix(n_int, f_in);
-                touch.assign(n_int, 0);
-                out_local = Matrix(n_int, f_out);
-            }
+        for (std::size_t i = 0; i < plan.intervals.size(); ++i) {
             const Cycle agg_start = pipe.aggStart();
-            const AggIntervalTiming at = ctx.agg.processInterval(
-                view, work, f_in, layer.aggOp, coef, x_in,
-                functional ? &acc : nullptr, functional ? &touch : nullptr,
-                agg_start, amap, in_base);
-            pipe.noteAggFinish(at.finish);
-            if (ctx.trace) {
-                ctx.trace->record(
-                    "agg",
-                    "L" + std::to_string(ctx.layerIndex) + " I" +
-                        std::to_string(work.dstBegin / std::max<VertexId>(
-                                           1, work.numVertices())),
-                    agg_start, at.finish);
-            }
-
-            const Cycle comb_start = pipe.combStart(at.finish);
-            const CombIntervalTiming ct = ctx.comb.processInterval(
-                n_int, weights, biases, layer.activation,
-                functional ? &acc : nullptr,
-                functional ? &out_local : nullptr, comb_start, amap,
-                out_base,
-                static_cast<std::uint64_t>(work.dstBegin) * f_out *
-                    kElemBytes,
-                at.finish - agg_start);
-            pipe.noteCombFinish(ct.finish);
-            if (ctx.trace) {
-                ctx.trace->record(
-                    "comb",
-                    "L" + std::to_string(ctx.layerIndex) + " I" +
-                        std::to_string(work.dstBegin / std::max<VertexId>(
-                                           1, work.numVertices())),
-                    comb_start, ct.finish);
-            }
-
-            ctx.vertexLatencySum += ct.avgVertexLatency * n_int;
-            ctx.vertexLatencyCount += n_int;
-            if (functional) {
-                for (VertexId v = 0; v < n_int; ++v) {
-                    auto src = out_local.row(v);
-                    auto dst = x_out->row(work.dstBegin + v);
-                    std::copy(src.begin(), src.end(), dst.begin());
-                }
-            }
+            const Cycle agg_finish = aggregate(i, agg_start);
+            pipe.noteAggFinish(agg_finish);
+            pipe.noteCombFinish(combine(i, pipe.combStart(agg_finish),
+                                        agg_finish - agg_start));
         }
         return pipe.finish();
     }
 
-    // --- N-PP: phase-by-phase with aggregation spill to DRAM. ------
-    std::vector<Matrix> accs;
-    std::vector<std::vector<std::uint32_t>> touches;
-    Cycle t = now;
-    for (const IntervalWork &work : plan.intervals) {
-        const VertexId n_int = work.numVertices();
-        Matrix acc;
-        std::vector<std::uint32_t> touch;
-        if (functional) {
-            acc = Matrix(n_int, f_in);
-            touch.assign(n_int, 0);
-        }
-        const AggIntervalTiming at = ctx.agg.processInterval(
-            view, work, f_in, layer.aggOp, coef, x_in,
-            functional ? &acc : nullptr, functional ? &touch : nullptr, t,
-            amap, in_base);
-        // Spill the interval's aggregation results off-chip.
-        std::vector<MemRequest> spill;
-        emitLines(spill, amap.aggBase,
+    // N-PP: spill every interval's aggregation results to DRAM, then
+    // fill each one back and combine it.
+    auto spillOrFill = [&](std::size_t i, bool spill, Cycle t) {
+        const IntervalWork &work = plan.intervals[i];
+        std::vector<MemRequest> reqs;
+        emitLines(reqs, amap.aggBase,
                   static_cast<std::uint64_t>(work.dstBegin) * f_in *
                       kElemBytes,
-                  static_cast<std::uint64_t>(n_int) * f_in * kElemBytes,
-                  RequestType::AggIntermediate, true);
-        t = ctx.coord.issueBatch(std::move(spill), at.finish);
-        if (functional) {
-            accs.push_back(std::move(acc));
-            touches.push_back(std::move(touch));
-        }
-    }
-    // Combination phase: read every interval's results back.
-    std::size_t idx = 0;
-    for (const IntervalWork &work : plan.intervals) {
-        const VertexId n_int = work.numVertices();
-        std::vector<MemRequest> fill;
-        emitLines(fill, amap.aggBase,
-                  static_cast<std::uint64_t>(work.dstBegin) * f_in *
+                  static_cast<std::uint64_t>(work.numVertices()) * f_in *
                       kElemBytes,
-                  static_cast<std::uint64_t>(n_int) * f_in * kElemBytes,
-                  RequestType::AggIntermediate, false);
-        t = ctx.coord.issueBatch(std::move(fill), t);
-
-        Matrix out_local;
-        if (functional)
-            out_local = Matrix(n_int, f_out);
-        const CombIntervalTiming ct = ctx.comb.processInterval(
-            n_int, weights, biases, layer.activation,
-            functional ? &accs[idx] : nullptr,
-            functional ? &out_local : nullptr, t, amap, out_base,
-            static_cast<std::uint64_t>(work.dstBegin) * f_out * kElemBytes,
-            t - now);
-        t = ct.finish;
-        ctx.vertexLatencySum += ct.avgVertexLatency * n_int;
-        ctx.vertexLatencyCount += n_int;
-        if (functional) {
-            for (VertexId v = 0; v < n_int; ++v) {
-                auto src = out_local.row(v);
-                auto dst = x_out->row(work.dstBegin + v);
-                std::copy(src.begin(), src.end(), dst.begin());
-            }
-            ++idx;
-        }
-    }
-    return t;
-}
-
-/**
- * Aggregation-only pass (DiffPool's A*C product on the flexible
- * Aggregation Engine). Results stay on-chip for the dense products.
- */
-Cycle
-runAggOnly(RunContext &ctx, const CscView &view, const WindowPlan &plan,
-           int feature_len, const Matrix *x, Matrix *out, Cycle now,
-           Addr in_base, const AddressMap &amap)
-{
-    const EdgeCoefFn one(EdgeCoefKind::One, {}, 0.0f);
+                  RequestType::AggIntermediate, spill);
+        return ctx.coord.issueBatch(std::move(reqs), t);
+    };
     Cycle t = now;
-    for (const IntervalWork &work : plan.intervals) {
-        const VertexId n_int = work.numVertices();
-        Matrix acc;
-        std::vector<std::uint32_t> touch;
-        const bool functional = x != nullptr && out != nullptr;
-        if (functional) {
-            acc = Matrix(n_int, feature_len);
-            touch.assign(n_int, 0);
-        }
-        const AggIntervalTiming at = ctx.agg.processInterval(
-            view, work, feature_len, AggOp::Add, one, x,
-            functional ? &acc : nullptr, functional ? &touch : nullptr, t,
-            amap, in_base);
-        t = at.finish;
-        if (functional) {
-            for (VertexId v = 0; v < n_int; ++v) {
-                auto src = acc.row(v);
-                auto dst = out->row(work.dstBegin + v);
-                std::copy(src.begin(), src.end(), dst.begin());
-            }
-        }
+    for (std::size_t i = 0; i < plan.intervals.size(); ++i)
+        t = spillOrFill(i, true, aggregate(i, t));
+    for (std::size_t i = 0; i < plan.intervals.size(); ++i) {
+        t = spillOrFill(i, false, t);
+        t = combine(i, t, t - now);
     }
     return t;
 }
@@ -382,10 +308,10 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
         Matrix ac;
         if (functional)
             ac = Matrix(graph.numVertices(), model.clusters);
-        now = runAggOnly(ctx, adj.view(), aplan, model.clusters,
-                         functional ? &c : nullptr,
-                         functional ? &ac : nullptr, now, amap.outputBase,
-                         amap);
+        now = ctx.agg.processPlan(adj.view(), aplan, model.clusters,
+                                  functional ? &c : nullptr,
+                                  functional ? &ac : nullptr, now, amap,
+                                  amap.outputBase);
 
         // Per component: X' = C^T Z and A' = C^T (A C) on the
         // Combination Engine.

@@ -76,7 +76,7 @@ AggregationEngine::processInterval(
     for (const Window &window : work.windows) {
         // --- Off-chip loads: edges, then source feature rows.
         reqs.clear();
-        const std::uint64_t edge_bytes = window.edges * 8ull;
+        const std::uint64_t edge_bytes = window.edges * kEdgeBytes;
         if (edge_bytes > 0) {
             emitLines(reqs, amap.edgeBase, edgeRegionOffset_, edge_bytes,
                       RequestType::Edge, false);
@@ -145,6 +145,36 @@ AggregationEngine::processInterval(
     timing.finish = schedule.finish();
     stats_.add("agg.busy_cycles", timing.computeCycles);
     return timing;
+}
+
+Cycle
+AggregationEngine::processPlan(const CscView &view, const WindowPlan &plan,
+                               int feature_len, const Matrix *x, Matrix *out,
+                               Cycle start, const AddressMap &amap,
+                               Addr input_base_override)
+{
+    const EdgeCoefFn one(EdgeCoefKind::One, {}, 0.0f);
+    const bool functional = x != nullptr && out != nullptr;
+    Cycle t = start;
+    for (const IntervalWork &work : plan.intervals) {
+        Matrix acc;
+        std::vector<std::uint32_t> touch;
+        if (functional) {
+            acc = Matrix(work.numVertices(), feature_len);
+            touch.assign(work.numVertices(), 0);
+        }
+        t = processInterval(view, work, feature_len, AggOp::Add, one, x,
+                            functional ? &acc : nullptr,
+                            functional ? &touch : nullptr, t, amap,
+                            input_base_override).finish;
+        if (functional) {
+            std::copy(acc.data().begin(), acc.data().end(),
+                      out->data().begin() +
+                          static_cast<std::size_t>(work.dstBegin) *
+                              feature_len);
+        }
+    }
+    return t;
 }
 
 } // namespace hygcn

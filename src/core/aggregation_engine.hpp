@@ -50,10 +50,13 @@ class AggregationEngine
                       StatGroup &stats);
 
     /**
-     * Aggregate one destination interval. The window loop drives the
-     * timing, buffer, energy and stats model; the functional values
-     * (when @p x, @p acc and @p touch are all given) come from one
-     * aggregateWindow call over every source of the interval.
+     * Aggregate one destination interval: the aggregate step of a
+     * layer's interval walk, which the pipelined and the N-PP
+     * schedules both issue (runLayer), and the body of processPlan.
+     * The window loop drives the timing, buffer, energy and stats
+     * model; the functional values (when @p x, @p acc and @p touch
+     * are all given) come from one aggregateWindow call over every
+     * source of the interval.
      *
      * That single call is exactly the window-by-window traversal:
      * the windows of @p work are disjoint source ranges in ascending
@@ -83,6 +86,18 @@ class AggregationEngine
         AggOp op, const EdgeCoefFn &coef, const Matrix *x, Matrix *acc,
         std::vector<std::uint32_t> *touch, Cycle start,
         const AddressMap &amap, Addr input_base_override = 0);
+
+    /**
+     * The Aggregation-Engine-only pass: aggregate every interval of
+     * @p plan back to back with AggOp::Add and unit edge coefficients
+     * (DiffPool's A*C product and the hygcn-agg platform). Results
+     * stay on chip. Functional rows land in @p out (whole graph) when
+     * @p x and @p out are both given. Returns the finish cycle.
+     */
+    Cycle processPlan(const CscView &view, const WindowPlan &plan,
+                      int feature_len, const Matrix *x, Matrix *out,
+                      Cycle start, const AddressMap &amap,
+                      Addr input_base_override = 0);
 
     /**
      * SIMD compute cycles for a window of @p edges edges at feature

@@ -169,13 +169,8 @@ CombinationEngine::processInterval(
 
     // --- Functional path -------------------------------------------
     if (agg_rows && out_rows) {
-        Matrix combined = combineRows(*agg_rows, weights, biases,
-                                      activation, functionalThreads_);
-        for (std::size_t r = 0; r < combined.rows(); ++r) {
-            auto src = combined.row(r);
-            auto dst = out_rows->row(r);
-            std::copy(src.begin(), src.end(), dst.begin());
-        }
+        *out_rows = combineRows(*agg_rows, weights, biases, activation,
+                                functionalThreads_);
     }
     return timing;
 }

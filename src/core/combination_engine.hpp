@@ -62,7 +62,8 @@ class CombinationEngine
      * @param biases MLP stage biases.
      * @param activation Post-MLP activation.
      * @param agg_rows Functional aggregation results, or nullptr.
-     * @param out_rows Functional output destination, or nullptr.
+     * @param out_rows Receives the interval's combined rows, or
+     *        nullptr.
      * @param start Earliest start cycle.
      * @param amap Region bases.
      * @param output_base Where output features are written off-chip.

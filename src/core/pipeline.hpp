@@ -6,7 +6,7 @@
  * the other with interval i. Aggregation of interval i therefore may
  * not start before combination of interval i-2 released its chunk.
  * Phase-by-phase (N-PP) execution does not use this tracker: runLayer
- * runs it as its own spill/fill loop.
+ * issues the same per-interval steps in spill/fill order instead.
  */
 
 #ifndef HYGCN_CORE_PIPELINE_HPP

@@ -9,10 +9,8 @@ computePartitionDims(const PartitionConfig &config)
 {
     const std::uint64_t agg_usable =
         config.pingPongAgg ? config.aggBufBytes / 2 : config.aggBufBytes;
-    const std::uint64_t input_usable = config.doubleBufLoads
-        ? config.inputBufBytes / 2 : config.inputBufBytes;
-    const std::uint64_t edge_usable = config.doubleBufLoads
-        ? config.edgeBufBytes / 2 : config.edgeBufBytes;
+    const std::uint64_t input_usable = config.inputBufBytes / 2;
+    const std::uint64_t edge_usable = config.edgeBufBytes / 2;
 
     const std::uint64_t agg_vec_bytes =
         static_cast<std::uint64_t>(config.aggFeatureLen) * kElemBytes;
@@ -26,8 +24,7 @@ computePartitionDims(const PartitionConfig &config)
     dims.windowHeight = static_cast<VertexId>(
         std::max<std::uint64_t>(1, input_usable / std::max<std::uint64_t>(
                                            1, src_vec_bytes)));
-    dims.maxEdgesPerWindow = std::max<EdgeId>(
-        1, edge_usable / std::max<std::uint64_t>(1, config.bytesPerEdge));
+    dims.maxEdgesPerWindow = std::max<EdgeId>(1, edge_usable / kEdgeBytes);
     return dims;
 }
 

@@ -3,7 +3,9 @@
  * Interval/shard partition sizing (paper section 4.3.2). The shard
  * height follows from the Input Buffer capacity, the shard width
  * (destination interval size) from the Aggregation Buffer capacity,
- * and the Edge Buffer bounds the edges a shard may hold.
+ * and the Edge Buffer bounds the edges a shard may hold. The Input
+ * and Edge Buffers are always double-buffered, so a shard may use half
+ * of each.
  */
 
 #ifndef HYGCN_GRAPH_PARTITION_HPP
@@ -26,14 +28,10 @@ struct PartitionConfig
     std::uint64_t edgeBufBytes = 2ull * 1024 * 1024;
     /** Ping-pong the Aggregation Buffer (halves usable capacity). */
     bool pingPongAgg = true;
-    /** Double-buffer the Input and Edge Buffers (halves capacity). */
-    bool doubleBufLoads = true;
     /** Elements per aggregated result vector (layer input length). */
     int aggFeatureLen = 128;
     /** Elements per source feature vector (layer input length). */
     int srcFeatureLen = 128;
-    /** Bytes to store one edge (index + metadata). */
-    std::uint64_t bytesPerEdge = 8;
 };
 
 /** Concrete shard geometry derived from a PartitionConfig. */

@@ -34,6 +34,9 @@ inline constexpr std::uint64_t kLineBytes = 64;
 /** Bytes used to store one feature element (32-bit fixed point). */
 inline constexpr std::uint64_t kElemBytes = 4;
 
+/** Bytes used to store one edge (source index + metadata). */
+inline constexpr std::uint64_t kEdgeBytes = 8;
+
 } // namespace hygcn
 
 #endif // HYGCN_SIM_TYPES_HPP

@@ -40,17 +40,6 @@ TEST(Partition, NoPingPongDoublesInterval)
     EXPECT_EQ(dims.intervalSize, 32768u);
 }
 
-TEST(Partition, NoDoubleBufferDoublesWindow)
-{
-    PartitionConfig pc;
-    pc.aggFeatureLen = 128;
-    pc.srcFeatureLen = 128;
-    pc.doubleBufLoads = false;
-    const PartitionDims dims = computePartitionDims(pc);
-    EXPECT_EQ(dims.windowHeight, 256u);
-    EXPECT_EQ(dims.maxEdgesPerWindow, 262144u);
-}
-
 TEST(Partition, NeverZeroEvenForHugeFeatures)
 {
     PartitionConfig pc;

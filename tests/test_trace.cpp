@@ -95,6 +95,49 @@ TEST(Trace, PipelineProducesEngineOverlap)
     EXPECT_GT(trace.overlapCycles("agg", "comb"), 0u);
 }
 
+TEST(Trace, SpansLabelledByIntervalIndex)
+{
+    // 900 vertices at 256 destinations per interval (256 KB usable
+    // Aggregation Buffer / 1 KB rows): the last interval is [768,900),
+    // shorter than the rest, and still the fourth one.
+    const Dataset ds = traceDataset();
+    const ModelConfig m = makeModel(ModelId::GCN, ds.featureLen);
+    const ModelParams p = makeParams(m, 1);
+    HyGCNConfig config;
+    config.aggBufBytes = 512 * 1024;
+    HyGCNAccelerator accel(config);
+    Trace trace;
+    accel.run(ds, m, p, nullptr, 7, false, &trace);
+    for (const std::string track : {"agg", "comb"}) {
+        std::vector<std::string> labels;
+        for (const TraceSpan &s : trace.spans()) {
+            if (s.track == track && s.label.starts_with("L0 "))
+                labels.push_back(s.label);
+        }
+        EXPECT_EQ(labels, (std::vector<std::string>{"L0 I0", "L0 I1",
+                                                    "L0 I2", "L0 I3"}))
+            << track;
+    }
+}
+
+TEST(Trace, PhaseByPhaseRecordsBothEnginesWithoutOverlap)
+{
+    // N-PP aggregates every interval before it combines any, so both
+    // tracks are busy and never at the same time.
+    const Dataset ds = traceDataset();
+    const ModelConfig m = makeModel(ModelId::GCN, ds.featureLen);
+    const ModelParams p = makeParams(m, 1);
+    HyGCNConfig config;
+    config.aggBufBytes = 512 * 1024;
+    config.interEnginePipeline = false;
+    HyGCNAccelerator accel(config);
+    Trace trace;
+    accel.run(ds, m, p, nullptr, 7, false, &trace);
+    EXPECT_GT(trace.busyCycles("agg"), 0u);
+    EXPECT_GT(trace.busyCycles("comb"), 0u);
+    EXPECT_EQ(trace.overlapCycles("agg", "comb"), 0u);
+}
+
 TEST(Trace, NullTraceIsSafe)
 {
     const Dataset ds = traceDataset();
