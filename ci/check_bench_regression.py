@@ -45,11 +45,25 @@ def load(path):
         sys.exit(2)
 
 
+def malformed(message):
+    print(f"error: malformed bench document: {message}", file=sys.stderr)
+    sys.exit(2)
+
+
 def index(doc, section, key):
     out = {}
     for entry in doc.get(section, []):
+        if not isinstance(entry, dict) or key not in entry:
+            malformed(f"{section} entry {entry!r} has no {key!r}")
         out[entry[key]] = entry
     return out
+
+
+def number(entry, metric):
+    try:
+        return float(entry[metric])
+    except (KeyError, TypeError, ValueError):
+        malformed(f"{metric} of {entry!r} is not a number")
 
 
 def main(argv):
@@ -82,8 +96,8 @@ def main(argv):
                 f"current run does not"
             )
             continue
-        base_val = float(base_entry[metric])
-        cur_val = float(cur[name][metric])
+        base_val = number(base_entry, metric)
+        cur_val = number(cur[name], metric)
         checked += 1
         if base_val <= 0.0:
             continue

@@ -32,7 +32,8 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.tmp.cleanup()
 
     def check(self, current, baseline=None):
-        """Exit code of the checker on two documents at the 25% bound."""
+        """Exit code of the checker on two documents at the 25% bound,
+        also when it exits early on malformed input."""
         paths = []
         for name, doc in (("current", current),
                           ("baseline", baseline or self.baseline)):
@@ -42,7 +43,11 @@ class CheckBenchRegressionTest(unittest.TestCase):
             paths.append(path)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return check_bench_regression.main(["check"] + paths + ["0.25"])
+            try:
+                return check_bench_regression.main(
+                    ["check"] + paths + ["0.25"])
+            except SystemExit as exc:
+                return exc.code
 
     def scaled(self, factor):
         """The baseline with every sim_rps multiplied by factor."""
@@ -61,6 +66,20 @@ class CheckBenchRegressionTest(unittest.TestCase):
         current = copy.deepcopy(self.baseline)
         del current["series"][-1]
         self.assertEqual(self.check(current), 1)
+
+    def test_entry_without_key_is_malformed(self):
+        current = {"bench": "serve_scale", "series": [{"sim_rps": 1}]}
+        self.assertEqual(self.check(current), 2)
+
+    def test_non_dict_entry_is_malformed(self):
+        current = copy.deepcopy(self.baseline)
+        current["series"].append(7)
+        self.assertEqual(self.check(current), 2)
+
+    def test_non_numeric_metric_is_malformed(self):
+        current = copy.deepcopy(self.baseline)
+        current["series"][0]["sim_rps"] = "fast"
+        self.assertEqual(self.check(current), 2)
 
     def test_retired_ids_are_unknown(self):
         # Documents of simulated numbers are byte-pinned by ctest, so a
