@@ -752,8 +752,7 @@ PartitionDims
 layerOneDims(const Dataset &data)
 {
     PartitionConfig pc;
-    pc.aggFeatureLen = data.featureLen;
-    pc.srcFeatureLen = data.featureLen;
+    pc.featureLen = data.featureLen;
     return computePartitionDims(pc);
 }
 

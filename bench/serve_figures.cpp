@@ -247,8 +247,8 @@ class StubPlatform : public api::Platform
         out.report.cycles = cycles_ * spec.batchCopies;
         out.report.clockHz = 1e9;
         out.report.energy.charge(
-            "stub", joules_ * 1e12 *
-                        static_cast<double>(spec.batchCopies));
+            Energy::Stub, joules_ * 1e12 *
+                              static_cast<double>(spec.batchCopies));
         return out;
     }
 

@@ -149,8 +149,7 @@ class AggOnlyPlatform : public Platform
         pc.aggBufBytes = config.aggBufBytes;
         pc.inputBufBytes = config.inputBufBytes;
         pc.edgeBufBytes = config.edgeBufBytes;
-        pc.aggFeatureLen = data.featureLen;
-        pc.srcFeatureLen = data.featureLen;
+        pc.featureLen = data.featureLen;
         const PartitionDims dims = computePartitionDims(pc);
         const WindowPlan plan = buildWindowPlan(
             edges.view(), dims.intervalSize, dims.windowHeight,
@@ -174,7 +173,7 @@ class AggOnlyPlatform : public Platform
             edges.view(), dims.intervalSize, dims.windowHeight,
             dims.maxEdgesPerWindow, WindowMode::Grid);
         out.report.stats.set(
-            "agg.sparsity_reduction",
+            Gauge::AggSparsityReduction,
             grid.loadedRows > 0
                 ? 1.0 - static_cast<double>(plan.loadedRows) /
                             static_cast<double>(grid.loadedRows)

@@ -7,6 +7,7 @@
 #include "graph/window.hpp"
 #include "model/layer.hpp"
 #include "sim/codegen.hpp"
+#include "sim/energy.hpp"
 
 namespace hygcn {
 
@@ -288,57 +289,54 @@ CpuModel::run(const Dataset &dataset, const ModelConfig &model,
         static_cast<Cycle>(total_seconds * config_.ghz * 1e9);
 
     // --- Statistics --------------------------------------------------
-    report.stats.set("phase.agg_seconds", agg_seconds);
-    report.stats.set("phase.comb_seconds", comb_seconds);
-    report.stats.set("phase.agg_fraction",
+    report.stats.set(Gauge::PhaseAggSeconds, agg_seconds);
+    report.stats.set(Gauge::PhaseCombSeconds, comb_seconds);
+    report.stats.set(Gauge::PhaseAggFraction,
                      total_seconds > 0 ? agg_seconds / total_seconds
                                        : 0.0);
-    report.stats.add("dram.read_bytes",
+    report.stats.add(Counter::DramReadBytes,
                      static_cast<std::uint64_t>(agg_dram + comb_dram));
-    report.stats.add("cpu.agg_dram_bytes",
+    report.stats.add(Counter::CpuAggDramBytes,
                      static_cast<std::uint64_t>(agg_dram));
-    report.stats.add("cpu.comb_dram_bytes",
+    report.stats.add(Counter::CpuCombDramBytes,
                      static_cast<std::uint64_t>(comb_dram));
-    report.stats.add("cpu.agg_instructions",
+    report.stats.add(Counter::CpuAggInstructions,
                      static_cast<std::uint64_t>(agg_instr));
-    report.stats.add("cpu.comb_instructions",
+    report.stats.add(Counter::CpuCombInstructions,
                      static_cast<std::uint64_t>(comb_instr));
-    report.stats.set("cpu.agg_bytes_per_op",
+    report.stats.set(Gauge::CpuAggBytesPerOp,
                      agg_ops > 0 ? agg_dram / agg_ops : 0.0);
-    report.stats.set("cpu.comb_bytes_per_op",
+    report.stats.set(Gauge::CpuCombBytesPerOp,
                      comb_flops > 0 ? comb_dram / (comb_flops / 2.0)
                                     : 0.0);
-    report.stats.set(
-        "cpu.agg_l2_mpki",
-        agg_instr > 0 ? agg_l2m / agg_instr * 1000.0 : 0.0);
-    report.stats.set(
-        "cpu.agg_l3_mpki",
-        agg_instr > 0 ? agg_l3m / agg_instr * 1000.0 : 0.0);
+    report.stats.set(Gauge::CpuAggL2Mpki,
+                     agg_instr > 0 ? agg_l2m / agg_instr * 1000.0 : 0.0);
+    report.stats.set(Gauge::CpuAggL3Mpki,
+                     agg_instr > 0 ? agg_l3m / agg_instr * 1000.0 : 0.0);
     // Combination misses are streaming, estimated from its traffic.
     report.stats.set(
-        "cpu.comb_l2_mpki",
+        Gauge::CpuCombL2Mpki,
         comb_instr > 0 ? (comb_dram / 64.0 * 1.8) / comb_instr * 1000.0
                        : 0.0);
     report.stats.set(
-        "cpu.comb_l3_mpki",
+        Gauge::CpuCombL3Mpki,
         comb_instr > 0 ? (comb_dram / 64.0) / comb_instr * 1000.0 : 0.0);
-    report.stats.set("cpu.sync_ratio", config_.syncOverhead);
+    report.stats.set(Gauge::CpuSyncRatio, config_.syncOverhead);
 
     // --- Energy ------------------------------------------------------
     const EnergyTable e{};
-    report.energy.charge("cpu.compute",
+    report.energy.charge(Energy::CpuCompute,
                          (agg_ops + comb_flops) * e.cpuOp);
-    report.energy.charge("cpu.cache", cache_bytes * e.cpuCachePerByte);
-    report.energy.charge("dram",
+    report.energy.charge(Energy::CpuCache, cache_bytes * e.cpuCachePerByte);
+    report.energy.charge(Energy::Dram,
                          (agg_dram + comb_dram) * e.ddr4PerByte());
-    report.energy.charge("cpu.static", total_seconds *
-                                           config_.packagePowerWatt *
-                                           1e12);
+    report.energy.charge(Energy::CpuStatic,
+                         total_seconds * config_.packagePowerWatt * 1e12);
     report.stats.set(
-        "cpu.agg_dram_energy_per_op_nj",
+        Gauge::CpuAggDramEnergyPerOpNj,
         agg_ops > 0 ? agg_dram * e.ddr4PerByte() / agg_ops * 1e-3 : 0.0);
     report.stats.set(
-        "cpu.comb_dram_energy_per_op_nj",
+        Gauge::CpuCombDramEnergyPerOpNj,
         comb_flops > 0
             ? comb_dram * e.ddr4PerByte() / (comb_flops / 2.0) * 1e-3
             : 0.0);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "model/layer.hpp"
+#include "sim/energy.hpp"
 
 namespace hygcn {
 
@@ -120,22 +121,22 @@ GpuModel::run(const Dataset &dataset, const ModelConfig &model,
     const double total_seconds = agg_seconds + comb_seconds;
     report.cycles = static_cast<Cycle>(total_seconds * report.clockHz);
 
-    report.stats.set("phase.agg_seconds", agg_seconds);
-    report.stats.set("phase.comb_seconds", comb_seconds);
-    report.stats.set("gpu.oom", oom ? 1.0 : 0.0);
-    report.stats.add("dram.read_bytes",
+    report.stats.set(Gauge::PhaseAggSeconds, agg_seconds);
+    report.stats.set(Gauge::PhaseCombSeconds, comb_seconds);
+    report.stats.set(Gauge::GpuOom, oom ? 1.0 : 0.0);
+    report.stats.add(Counter::DramReadBytes,
                      static_cast<std::uint64_t>(agg_bytes + comb_bytes));
-    report.stats.set("gpu.bandwidth_utilization",
+    report.stats.set(Gauge::GpuBandwidthUtilization,
                      total_seconds > 0
                          ? (agg_bytes + comb_bytes) / total_seconds /
                                config_.memBytesPerSec
                          : 0.0);
 
     const EnergyTable e{};
-    report.energy.charge("gpu.compute", flops_total * e.gpuOp);
-    report.energy.charge("gpu.dram", (agg_bytes + comb_bytes) * 8.0 *
-                                         config_.hbm2PjPerBit);
-    report.energy.charge("gpu.static",
+    report.energy.charge(Energy::GpuCompute, flops_total * e.gpuOp);
+    report.energy.charge(Energy::GpuDram, (agg_bytes + comb_bytes) * 8.0 *
+                                              config_.hbm2PjPerBit);
+    report.energy.charge(Energy::GpuStatic,
                          total_seconds * config_.staticPowerWatt * 1e12);
     return report;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "core/aggregation_engine.hpp"
 #include "core/combination_engine.hpp"
@@ -47,8 +48,7 @@ layerDims(const HyGCNConfig &config, int f_in)
     pc.inputBufBytes = config.inputBufBytes;
     pc.edgeBufBytes = config.edgeBufBytes;
     pc.pingPongAgg = config.interEnginePipeline;
-    pc.aggFeatureLen = f_in;
-    pc.srcFeatureLen = f_in;
+    pc.featureLen = f_in;
     return computePartitionDims(pc);
 }
 
@@ -73,9 +73,9 @@ runLayer(RunContext &ctx, const HyGCNConfig &config,
     const bool functional = x_in != nullptr && x_out != nullptr;
 
     now = ctx.comb.beginLayer(param_bytes, amap, now);
-    ctx.stats.add("plan.loaded_rows", plan.loadedRows);
-    ctx.stats.add("plan.grid_rows", plan.gridRows);
-    ctx.stats.add("plan.windows_total", [&] {
+    ctx.stats.add(Counter::PlanLoadedRows, plan.loadedRows);
+    ctx.stats.add(Counter::PlanGridRows, plan.gridRows);
+    ctx.stats.add(Counter::PlanWindowsTotal, [&] {
         std::uint64_t n = 0;
         for (const auto &iv : plan.intervals)
             n += iv.windows.size();
@@ -84,7 +84,7 @@ runLayer(RunContext &ctx, const HyGCNConfig &config,
 
     // Each step records its engine's trace span under the interval's
     // index. Interval i's functional aggregation rows live from
-    // aggregate(i) to combine(i).
+    // aggregate(i) until combine(i) moves them into the engine.
     std::vector<Matrix> accs(functional ? plan.intervals.size() : 0);
     auto record = [&](const char *track, std::size_t i, Cycle begin,
                       Cycle end) {
@@ -126,7 +126,6 @@ runLayer(RunContext &ctx, const HyGCNConfig &config,
             std::copy(out_local.data().begin(), out_local.data().end(),
                       x_out->data().begin() +
                           static_cast<std::size_t>(work.dstBegin) * f_out);
-            accs[i] = Matrix();
         }
         return ct.finish;
     };
@@ -257,13 +256,13 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
                                config_.totalLanes() +
                            1;
                 ctx.ledger.charge(
-                    "agg_engine",
+                    Energy::AggEngine,
                     config_.energy.simdOp *
                         static_cast<double>(graph.numVertices()) * f);
             }
             const Cycle loads = ctx.coord.issueBatch(std::move(reqs), now);
             now = loads + compute;
-            ctx.stats.add("readout.cycles", compute);
+            ctx.stats.add(Counter::ReadoutCycles, compute);
             if (functional) {
                 result.readout = computeReadout(result.layerOutputs,
                                                 boundaries,
@@ -293,11 +292,13 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
                        functional ? x0 : nullptr,
                        functional ? &c : nullptr, now, amap.inputBase,
                        amap.outputBase, amap, params.layerParamBytes(0));
+        ++ctx.layerIndex;
         now = runLayer(ctx, config_, embed, edges.view(), plan,
                        params.weights[1], params.biases[1], coef_embed,
                        functional ? x0 : nullptr,
                        functional ? &z : nullptr, now, amap.inputBase,
                        amap.outputBase, amap, params.layerParamBytes(1));
+        ++ctx.layerIndex;
 
         // A * C on the Aggregation Engine (plain adjacency).
         const EdgeSet adj = EdgeSet::fromGraph(graph, false);
@@ -308,10 +309,14 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
         Matrix ac;
         if (functional)
             ac = Matrix(graph.numVertices(), model.clusters);
+        const Cycle ac_start = now;
         now = ctx.agg.processPlan(adj.view(), aplan, model.clusters,
                                   functional ? &c : nullptr,
                                   functional ? &ac : nullptr, now, amap,
                                   amap.outputBase);
+        if (trace)
+            trace->record("agg", "L" + std::to_string(ctx.layerIndex) + " AC",
+                          ac_start, now);
 
         // Per component: X' = C^T Z and A' = C^T (A C) on the
         // Combination Engine.
@@ -346,30 +351,26 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
     result.report.stats.merge(ctx.hbm.stats());
     result.report.stats.merge(ctx.coord.stats());
     result.report.energy.merge(ctx.ledger);
-
-    const std::uint64_t dram_bytes =
-        ctx.hbm.stats().get("dram.read_bytes") +
-        ctx.hbm.stats().get("dram.write_bytes");
     result.report.energy.charge(
-        "dram", config_.energy.hbmPerByte() *
-                    static_cast<double>(dram_bytes));
+        Energy::Dram, config_.energy.hbmPerByte() *
+                          static_cast<double>(result.report.dramBytes()));
 
     result.report.stats.set(
-        "dram.bandwidth_utilization",
+        Gauge::DramBandwidthUtilization,
         result.report.bandwidthUtilization(
             config_.effectiveHbm().peakBytesPerSec()));
     if (ctx.vertexLatencyCount > 0) {
         result.avgVertexLatency =
             ctx.vertexLatencySum / ctx.vertexLatencyCount;
-        result.report.stats.set("comb.avg_vertex_latency",
+        result.report.stats.set(Gauge::CombAvgVertexLatency,
                                 result.avgVertexLatency);
     }
-    const std::uint64_t grid = result.report.stats.get("plan.grid_rows");
+    const std::uint64_t grid = result.report.stats.get(Counter::PlanGridRows);
     if (grid > 0) {
         result.report.stats.set(
-            "plan.sparsity_reduction",
+            Gauge::PlanSparsityReduction,
             1.0 - static_cast<double>(
-                      result.report.stats.get("plan.loaded_rows")) /
+                      result.report.stats.get(Counter::PlanLoadedRows)) /
                       static_cast<double>(grid));
     }
     return result;

@@ -11,11 +11,14 @@ AggregationEngine::AggregationEngine(const HyGCNConfig &config,
                                      EnergyLedger &ledger, StatGroup &stats)
     : config_(config), coordinator_(coordinator), ledger_(ledger),
       stats_(stats),
-      edgeBuf_("buf.edge", config.edgeBufBytes, true, "agg_engine",
+      edgeBuf_(config.edgeBufBytes, Counter::BufEdgeReadBytes,
+               Counter::BufEdgeWriteBytes, Energy::AggEngine,
                config.energy),
-      inputBuf_("buf.input", config.inputBufBytes, true, "agg_engine",
+      inputBuf_(config.inputBufBytes, Counter::BufInputReadBytes,
+                Counter::BufInputWriteBytes, Energy::AggEngine,
                 config.energy),
-      aggBuf_("buf.agg", config.aggBufBytes, true, "coordinator",
+      aggBuf_(config.aggBufBytes, Counter::BufAggReadBytes,
+              Counter::BufAggWriteBytes, Energy::Coordinator,
               config.energy)
 {
 }
@@ -112,15 +115,15 @@ AggregationEngine::processInterval(
         aggBuf_.read(edge_feat_bytes, ledger_, stats_);
         aggBuf_.write(edge_feat_bytes, ledger_, stats_);
 
-        ledger_.charge("agg_engine",
+        ledger_.charge(Energy::AggEngine,
                        config_.energy.simdOp *
                            static_cast<double>(window.edges) * feature_len);
-        ledger_.charge("agg_engine",
+        ledger_.charge(Energy::AggEngine,
                        config_.energy.controlOp *
                            static_cast<double>(window.edges));
-        stats_.add("agg.edges", window.edges);
-        stats_.add("agg.windows");
-        stats_.add("agg.loaded_rows", window.loadedRows());
+        stats_.add(Counter::AggEdges, window.edges);
+        stats_.add(Counter::AggWindows);
+        stats_.add(Counter::AggLoadedRows, window.loadedRows());
     }
 
     // --- Functional path: the whole interval in one call (see the
@@ -143,7 +146,7 @@ AggregationEngine::processInterval(
     }
 
     timing.finish = schedule.finish();
-    stats_.add("agg.busy_cycles", timing.computeCycles);
+    stats_.add(Counter::AggBusyCycles, timing.computeCycles);
     return timing;
 }
 

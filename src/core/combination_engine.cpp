@@ -1,6 +1,7 @@
 #include "core/combination_engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace hygcn {
 
@@ -9,11 +10,14 @@ CombinationEngine::CombinationEngine(const HyGCNConfig &config,
                                      EnergyLedger &ledger, StatGroup &stats)
     : config_(config), coordinator_(coordinator), ledger_(ledger),
       stats_(stats),
-      weightBuf_("buf.weight", config.weightBufBytes, true, "comb_engine",
+      weightBuf_(config.weightBufBytes, Counter::BufWeightReadBytes,
+                 Counter::BufWeightWriteBytes, Energy::CombEngine,
                  config.energy),
-      outputBuf_("buf.output", config.outputBufBytes, true, "comb_engine",
+      outputBuf_(config.outputBufBytes, Counter::BufOutputReadBytes,
+                 Counter::BufOutputWriteBytes, Energy::CombEngine,
                  config.energy),
-      aggBuf_("buf.agg", config.aggBufBytes, true, "coordinator",
+      aggBuf_(config.aggBufBytes, Counter::BufAggReadBytes,
+              Counter::BufAggWriteBytes, Energy::Coordinator,
               config.energy)
 {
 }
@@ -52,7 +56,7 @@ CombinationEngine::beginLayer(std::uint64_t param_bytes,
         config_.energy.hbmPerByte() * static_cast<double>(param_bytes) +
         config_.energy.edramPerByte(config_.weightBufBytes) *
             static_cast<double>(param_bytes);
-    stats_.add("comb.weight_load_cycles", done - now);
+    stats_.add(Counter::CombWeightLoadCycles, done - now);
     return done;
 }
 
@@ -60,7 +64,7 @@ CombIntervalTiming
 CombinationEngine::processInterval(
     VertexId vertex_count, std::span<const Matrix> weights,
     std::span<const std::vector<float>> biases, Activation activation,
-    const Matrix *agg_rows, Matrix *out_rows, Cycle start,
+    Matrix *agg_rows, Matrix *out_rows, Cycle start,
     const AddressMap &amap, Addr output_base, std::uint64_t output_offset,
     Cycle agg_interval_cycles)
 {
@@ -136,19 +140,20 @@ CombinationEngine::processInterval(
     timing.finish = coordinator_.issueBatch(std::move(wreqs), compute_done);
 
     // --- Energy ---------------------------------------------------
-    ledger_.charge("comb_engine",
+    ledger_.charge(Energy::CombEngine,
                    config_.energy.macOp * static_cast<double>(macs));
     weightBuf_.read(weight_reads, ledger_, stats_);
     outputBuf_.write(out_bytes, ledger_, stats_);
     aggBuf_.read(agg_read_bytes, ledger_, stats_);
-    ledger_.charge("comb_engine",
+    ledger_.charge(Energy::CombEngine,
                    config_.energy.activationOp *
                        static_cast<double>(vertex_count) * f_out_final);
-    ledger_.charge("comb_engine", config_.energy.controlOp *
-                                      static_cast<double>(vertex_count));
-    stats_.add("comb.vertices", vertex_count);
-    stats_.add("comb.macs", macs);
-    stats_.add("comb.busy_cycles", compute);
+    ledger_.charge(Energy::CombEngine,
+                   config_.energy.controlOp *
+                       static_cast<double>(vertex_count));
+    stats_.add(Counter::CombVertices, vertex_count);
+    stats_.add(Counter::CombMacs, macs);
+    stats_.add(Counter::CombBusyCycles, compute);
 
     // --- Vertex latency model (Fig 16c) ----------------------------
     // Latency of a vertex = time from the start of its interval's
@@ -169,8 +174,8 @@ CombinationEngine::processInterval(
 
     // --- Functional path -------------------------------------------
     if (agg_rows && out_rows) {
-        *out_rows = combineRows(*agg_rows, weights, biases, activation,
-                                functionalThreads_);
+        *out_rows = combineRows(std::move(*agg_rows), weights, biases,
+                                activation, functionalThreads_);
     }
     return timing;
 }
@@ -190,11 +195,11 @@ CombinationEngine::processDenseWork(std::uint64_t group_size,
     const Cycle cycles =
         cooperative() ? cost.cycles
                       : std::max<Cycle>(1, cost.cycles / arrays);
-    ledger_.charge("comb_engine",
+    ledger_.charge(Energy::CombEngine,
                    config_.energy.macOp * static_cast<double>(cost.macs));
     weightBuf_.read(cost.weightReadBytes, ledger_, stats_);
-    stats_.add("comb.macs", cost.macs);
-    stats_.add("comb.busy_cycles", cycles);
+    stats_.add(Counter::CombMacs, cost.macs);
+    stats_.add(Counter::CombBusyCycles, cycles);
     return start + cycles;
 }
 

@@ -61,7 +61,8 @@ class CombinationEngine
      * @param weights MLP stage weights.
      * @param biases MLP stage biases.
      * @param activation Post-MLP activation.
-     * @param agg_rows Functional aggregation results, or nullptr.
+     * @param agg_rows Functional aggregation results, or nullptr;
+     *        moved from.
      * @param out_rows Receives the interval's combined rows, or
      *        nullptr.
      * @param start Earliest start cycle.
@@ -74,7 +75,7 @@ class CombinationEngine
     CombIntervalTiming processInterval(
         VertexId vertex_count, std::span<const Matrix> weights,
         std::span<const std::vector<float>> biases, Activation activation,
-        const Matrix *agg_rows, Matrix *out_rows, Cycle start,
+        Matrix *agg_rows, Matrix *out_rows, Cycle start,
         const AddressMap &amap, Addr output_base,
         std::uint64_t output_offset, Cycle agg_interval_cycles);
 

@@ -17,7 +17,7 @@
 
 namespace hygcn {
 
-/** Buffer capacities and feature lengths driving partition geometry. */
+/** Buffer capacities and feature length driving partition geometry. */
 struct PartitionConfig
 {
     /** Aggregation Buffer capacity in bytes (16 MB default). */
@@ -28,10 +28,11 @@ struct PartitionConfig
     std::uint64_t edgeBufBytes = 2ull * 1024 * 1024;
     /** Ping-pong the Aggregation Buffer (halves usable capacity). */
     bool pingPongAgg = true;
-    /** Elements per aggregated result vector (layer input length). */
-    int aggFeatureLen = 128;
-    /** Elements per source feature vector (layer input length). */
-    int srcFeatureLen = 128;
+    /**
+     * Elements per feature vector: the layer input length, of both
+     * the source features and the aggregated results.
+     */
+    int featureLen = 128;
 };
 
 /** Concrete shard geometry derived from a PartitionConfig. */

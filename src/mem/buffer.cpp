@@ -1,15 +1,12 @@
 #include "mem/buffer.hpp"
 
-#include <utility>
-
 namespace hygcn {
 
-OnChipBuffer::OnChipBuffer(std::string name, std::uint64_t capacity_bytes,
-                           bool double_buffered, std::string component,
+OnChipBuffer::OnChipBuffer(std::uint64_t capacity_bytes, Counter read_bytes,
+                           Counter write_bytes, Energy component,
                            const EnergyTable &energy)
-    : name_(std::move(name)), readKey_(name_ + ".read_bytes"),
-      writeKey_(name_ + ".write_bytes"), capacityBytes_(capacity_bytes),
-      doubleBuffered_(double_buffered), component_(std::move(component)),
+    : capacityBytes_(capacity_bytes), readBytes_(read_bytes),
+      writeBytes_(write_bytes), component_(component),
       perByte_(energy.edramPerByte(capacity_bytes))
 {
 }
@@ -19,7 +16,7 @@ OnChipBuffer::read(std::uint64_t bytes, EnergyLedger &ledger,
                    StatGroup &stats)
 {
     ledger.charge(component_, perByte_ * static_cast<double>(bytes));
-    stats.add(readKey_, bytes);
+    stats.add(readBytes_, bytes);
 }
 
 void
@@ -27,7 +24,7 @@ OnChipBuffer::write(std::uint64_t bytes, EnergyLedger &ledger,
                     StatGroup &stats)
 {
     ledger.charge(component_, perByte_ * static_cast<double>(bytes));
-    stats.add(writeKey_, bytes);
+    stats.add(writeBytes_, bytes);
 }
 
 } // namespace hygcn

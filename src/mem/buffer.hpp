@@ -9,7 +9,6 @@
 #define HYGCN_MEM_BUFFER_HPP
 
 #include <cstdint>
-#include <string>
 
 #include "sim/energy.hpp"
 #include "sim/stats.hpp"
@@ -17,25 +16,25 @@
 
 namespace hygcn {
 
-/** One on-chip eDRAM buffer (Input/Edge/Weight/Output/Aggregation). */
+/**
+ * One double-buffered on-chip eDRAM buffer (Input/Edge/Weight/
+ * Output/Aggregation): each working set gets half the capacity.
+ */
 class OnChipBuffer
 {
   public:
     /**
-     * @param name Stat prefix ("buf.input", ...).
      * @param capacity_bytes Total capacity.
-     * @param double_buffered Halves the usable capacity.
-     * @param component Energy ledger component this buffer bills to.
+     * @param read_bytes Counter its reads add to ("buf.input.read_bytes").
+     * @param write_bytes Counter its writes add to.
+     * @param component Energy component its accesses charge.
      */
-    OnChipBuffer(std::string name, std::uint64_t capacity_bytes,
-                 bool double_buffered, std::string component,
+    OnChipBuffer(std::uint64_t capacity_bytes, Counter read_bytes,
+                 Counter write_bytes, Energy component,
                  const EnergyTable &energy);
 
-    /** Usable bytes per working set (capacity/2 if double buffered). */
-    std::uint64_t usableBytes() const
-    {
-        return doubleBuffered_ ? capacityBytes_ / 2 : capacityBytes_;
-    }
+    /** Usable bytes per working set: half the capacity. */
+    std::uint64_t usableBytes() const { return capacityBytes_ / 2; }
 
     std::uint64_t capacityBytes() const { return capacityBytes_; }
 
@@ -48,16 +47,11 @@ class OnChipBuffer
     /** Account a write of @p bytes; charges energy and stats. */
     void write(std::uint64_t bytes, EnergyLedger &ledger, StatGroup &stats);
 
-    const std::string &name() const { return name_; }
-
   private:
-    std::string name_;
-    /** Stat keys name_ + ".read_bytes" / ".write_bytes", built once. */
-    std::string readKey_;
-    std::string writeKey_;
     std::uint64_t capacityBytes_;
-    bool doubleBuffered_;
-    std::string component_;
+    Counter readBytes_;
+    Counter writeBytes_;
+    Energy component_;
     PicoJoule perByte_;
 };
 

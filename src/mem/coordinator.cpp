@@ -19,8 +19,8 @@ MemoryCoordinator::issueBatch(std::vector<MemRequest> requests, Cycle now)
         lines += req.lines;
     if (lines == 0)
         return now;
-    stats_.add("coord.batches");
-    stats_.add("coord.requests", lines);
+    stats_.add(Counter::CoordBatches);
+    stats_.add(Counter::CoordRequests, lines);
 
     if (config_.priorityReorder) {
         // Each run has one type, so sorting runs orders their lines

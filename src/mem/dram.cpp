@@ -1,7 +1,6 @@
 #include "mem/dram.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "sim/codegen.hpp"
 
@@ -12,43 +11,6 @@ HbmModel::HbmModel(const HbmConfig &config) : config_(config)
     channels_.resize(config_.channels);
     for (Channel &ch : channels_)
         ch.banks.resize(config_.banksPerChannel);
-    channelBytes_.assign(config_.channels, 0);
-    foldedChannelBytes_.assign(config_.channels, 0);
-}
-
-void
-HbmModel::foldCounters() const
-{
-    // A key appears once its event has happened, even when the delta
-    // is 0 (a zero-byte read still creates "dram.read_bytes").
-    auto fold = [this](const char *name, bool happened, std::uint64_t delta) {
-        if (happened)
-            stats_.add(name, delta);
-    };
-    const Counters &c = counters_;
-    const Counters &f = folded_;
-    const std::uint64_t new_requests =
-        (c.reads + c.writes) - (f.reads + f.writes);
-    fold("dram.row_hits", c.rowHits != f.rowHits, c.rowHits - f.rowHits);
-    fold("dram.row_misses", c.rowMisses != f.rowMisses,
-         c.rowMisses - f.rowMisses);
-    fold("dram.requests", new_requests != 0, new_requests);
-    fold("dram.busy_cycles", new_requests != 0, c.busyCycles - f.busyCycles);
-    fold("dram.read_bytes", c.reads != f.reads, c.readBytes - f.readBytes);
-    fold("dram.write_bytes", c.writes != f.writes,
-         c.writeBytes - f.writeBytes);
-    folded_ = counters_;
-
-    for (std::uint32_t ch = 0; ch < config_.channels; ++ch) {
-        const std::uint64_t delta =
-            channelBytes_[ch] - foldedChannelBytes_[ch];
-        if (delta == 0)
-            continue;
-        char name[32];
-        std::snprintf(name, sizeof(name), "dram.ch%02u.bytes", ch);
-        stats_.add(name, delta);
-        foldedChannelBytes_[ch] = channelBytes_[ch];
-    }
 }
 
 HbmModel::Segment
@@ -89,13 +51,15 @@ HbmModel::serviceSegment(const Segment &seg, std::uint64_t lines,
     // bank.ready is the earliest cycle the bank accepts its next
     // column command; CAS latency is pipelined (it delays the data,
     // not the next command), so back-to-back row hits stream at the
-    // burst rate while a row miss pays precharge + activate.
+    // burst rate while a row miss pays precharge + activate. Every
+    // line of the segment after its first is a row hit.
     Cycle cas_issue = std::max(start, bank.ready);
+    std::uint64_t hits = lines - 1;
     if (bank.openRow == seg.row) {
-        ++counters_.rowHits;
+        ++hits;
     } else {
         cas_issue += config_.tRP + config_.tRCD;
-        ++counters_.rowMisses;
+        stats_.add(Counter::DramRowMisses);
         bank.openRow = seg.row;
     }
     const Cycle burst =
@@ -111,17 +75,15 @@ HbmModel::serviceSegment(const Segment &seg, std::uint64_t lines,
     // Column-to-column gap equals the burst length (tCCD).
     bank.ready = cas_issue + busy;
 
-    counters_.rowHits += lines - 1;
-    counters_.busyCycles += busy;
+    if (hits > 0)
+        stats_.add(Counter::DramRowHits, hits);
+    stats_.add(Counter::DramRequests, lines);
+    stats_.add(Counter::DramBusyCycles, busy);
     const std::uint64_t total_bytes = lines * bytes;
-    channelBytes_[seg.channel] += total_bytes;
-    if (is_write) {
-        counters_.writes += lines;
-        counters_.writeBytes += total_bytes;
-    } else {
-        counters_.reads += lines;
-        counters_.readBytes += total_bytes;
-    }
+    stats_.add(is_write ? Counter::DramWriteBytes : Counter::DramReadBytes,
+               total_bytes);
+    if (total_bytes > 0)
+        stats_.addChannelBytes(seg.channel, total_bytes);
     return ch.busFree;
 }
 

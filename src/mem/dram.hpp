@@ -60,22 +60,14 @@ class HbmModel
     /** Convenience: service a single request run. */
     Cycle serviceOne(const MemRequest &request, Cycle start);
 
-    /** Accumulated statistics (row hits/misses, bytes, busy cycles,
-     *  and per-channel "dram.chNN.bytes" counters). */
-    const StatGroup &stats() const
-    {
-        foldCounters();
-        return stats_;
-    }
-    StatGroup &stats()
-    {
-        foldCounters();
-        return stats_;
-    }
-
-    /** Bytes transferred on channel @p channel (reads + writes). */
-    std::uint64_t channelBytes(std::uint32_t channel) const
-    { return channelBytes_.at(channel); }
+    /**
+     * Accumulated statistics: "dram.*" counters (row hits and misses,
+     * requests, busy cycles, read and write bytes) and per-channel
+     * bytes. A counter appears once its event has happened: a
+     * zero-byte read still creates "dram.read_bytes", and
+     * "dram.row_hits" waits for the first row hit.
+     */
+    const StatGroup &stats() const { return stats_; }
 
     /** Forget open rows and busy state; keep statistics. */
     void resetTiming();
@@ -117,35 +109,9 @@ class HbmModel
     Cycle serviceSegment(const Segment &seg, std::uint64_t lines,
                          std::uint32_t bytes, bool is_write, Cycle start);
 
-    /**
-     * Fold the typed counters below into stats_: each "dram.*" key
-     * gains the delta since the last fold, and appears once its event
-     * has happened. Deferred to stats() access so the per-request hot
-     * path bumps plain integers, not string-keyed map entries.
-     */
-    void foldCounters() const;
-
-    /** Per-request event tallies; a snapshot of these is folded. */
-    struct Counters
-    {
-        std::uint64_t rowHits = 0;
-        std::uint64_t rowMisses = 0;
-        std::uint64_t reads = 0;
-        std::uint64_t writes = 0;
-        std::uint64_t busyCycles = 0;
-        std::uint64_t readBytes = 0;
-        std::uint64_t writeBytes = 0;
-    };
-
     HbmConfig config_;
     std::vector<Channel> channels_;
-    mutable StatGroup stats_;
-    Counters counters_;
-    /** Portion of counters_ already folded into stats_. */
-    mutable Counters folded_;
-    std::vector<std::uint64_t> channelBytes_;
-    /** Portion of channelBytes_ already folded into stats_. */
-    mutable std::vector<std::uint64_t> foldedChannelBytes_;
+    StatGroup stats_;
 };
 
 } // namespace hygcn

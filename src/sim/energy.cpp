@@ -12,33 +12,4 @@ EnergyTable::edramPerByte(std::uint64_t bytes) const
     return edramLargePerByte;
 }
 
-void
-EnergyLedger::charge(const std::string &component, PicoJoule pj)
-{
-    components_[component] += pj;
-}
-
-PicoJoule
-EnergyLedger::total() const
-{
-    PicoJoule sum = 0.0;
-    for (const auto &[name, pj] : components_)
-        sum += pj;
-    return sum;
-}
-
-PicoJoule
-EnergyLedger::component(const std::string &component) const
-{
-    auto it = components_.find(component);
-    return it == components_.end() ? 0.0 : it->second;
-}
-
-void
-EnergyLedger::merge(const EnergyLedger &other)
-{
-    for (const auto &[name, pj] : other.components_)
-        components_[name] += pj;
-}
-
 } // namespace hygcn

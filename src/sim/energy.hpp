@@ -12,8 +12,6 @@
 #define HYGCN_SIM_ENERGY_HPP
 
 #include <cstdint>
-#include <map>
-#include <string>
 
 #include "sim/types.hpp"
 
@@ -63,32 +61,6 @@ struct EnergyTable
 
     /** eDRAM energy per byte for a buffer of @p bytes capacity. */
     PicoJoule edramPerByte(std::uint64_t bytes) const;
-};
-
-/**
- * Energy accumulator keyed by component name ("agg_engine",
- * "comb_engine", "coordinator", "dram", ...). Values in picojoules.
- */
-class EnergyLedger
-{
-  public:
-    /** Charge @p pj picojoules to component @p component. */
-    void charge(const std::string &component, PicoJoule pj);
-
-    /** Total accumulated energy in picojoules. */
-    PicoJoule total() const;
-
-    /** Energy charged to @p component (0 if absent). */
-    PicoJoule component(const std::string &component) const;
-
-    /** Merge another ledger into this one. */
-    void merge(const EnergyLedger &other);
-
-    const std::map<std::string, PicoJoule> &components() const
-    { return components_; }
-
-  private:
-    std::map<std::string, PicoJoule> components_;
 };
 
 } // namespace hygcn

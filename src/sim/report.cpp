@@ -6,13 +6,6 @@
 
 namespace hygcn {
 
-void
-SimReport::absorbStats(const SimReport &other)
-{
-    stats.merge(other.stats);
-    energy.merge(other.energy);
-}
-
 namespace {
 
 std::string

@@ -11,7 +11,6 @@
 
 #include <string>
 
-#include "sim/energy.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -69,7 +68,8 @@ struct SimReport
     /** Total off-chip traffic in bytes (reads + writes). */
     std::uint64_t dramBytes() const
     {
-        return stats.get("dram.read_bytes") + stats.get("dram.write_bytes");
+        return stats.get(Counter::DramReadBytes) +
+               stats.get(Counter::DramWriteBytes);
     }
 
     /**
@@ -83,9 +83,6 @@ struct SimReport
             return 0.0;
         return static_cast<double>(dramBytes()) / secs / peak_bytes_per_sec;
     }
-
-    /** Merge timing-independent stats/energy of @p other. */
-    void absorbStats(const SimReport &other);
 };
 
 /** Format a wall-time value with engineering units for harness output. */

@@ -1,7 +1,9 @@
 #include "sim/stats.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <stdexcept>
 
 namespace hygcn {
 
@@ -27,52 +29,128 @@ percentileSorted(const std::vector<double> &sorted, double p)
     return sorted[lo] + (sorted[lo + 1] - sorted[lo]) * frac;
 }
 
-void
-StatGroup::add(const std::string &name, std::uint64_t delta)
+namespace {
+
+/** "dram.chNN.bytes" for @p channel. */
+std::string
+channelName(std::uint32_t channel)
 {
-    counters_[name] += delta;
+    char name[32];
+    std::snprintf(name, sizeof(name), "dram.ch%02u.bytes", channel);
+    return name;
 }
 
-void
-StatGroup::set(const std::string &name, double value)
+/** The channel a "dram.chNN.bytes" name spells, if it spells one. */
+std::optional<std::uint32_t>
+channelOf(std::string_view name)
 {
-    gauges_[name] = value;
+    constexpr std::string_view prefix = "dram.ch";
+    if (!name.starts_with(prefix))
+        return std::nullopt;
+    std::uint32_t channel = 0;
+    const char *digits = name.data() + prefix.size();
+    const auto [end, ec] =
+        std::from_chars(digits, name.data() + name.size(), channel);
+    if (ec != std::errc() || channelName(channel) != name)
+        return std::nullopt;
+    return channel;
+}
+
+[[noreturn]] void
+unknown(const char *kind, std::string_view name)
+{
+    throw std::invalid_argument("stats: no " + std::string(kind) +
+                                " named \"" + std::string(name) + "\"");
+}
+
+} // namespace
+
+void
+StatGroup::addChannelBytes(std::uint32_t channel, std::uint64_t bytes)
+{
+    if (channel >= channelBytes_.size())
+        channelBytes_.resize(channel + 1, 0);
+    channelBytes_[channel] += bytes;
 }
 
 std::uint64_t
-StatGroup::get(const std::string &name) const
+StatGroup::channelBytes(std::uint32_t channel) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    return channel < channelBytes_.size() ? channelBytes_[channel] : 0;
+}
+
+std::uint64_t
+StatGroup::get(std::string_view name) const
+{
+    if (const auto id = StatSlots<Counter, std::uint64_t>::find(name))
+        return get(*id);
+    if (const auto channel = channelOf(name))
+        return channelBytes(*channel);
+    unknown("counter", name);
 }
 
 double
-StatGroup::gauge(const std::string &name) const
+StatGroup::gauge(std::string_view name) const
 {
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second;
+    if (const auto id = StatSlots<Gauge, double>::find(name))
+        return gauge(*id);
+    unknown("gauge", name);
 }
 
 bool
-StatGroup::has(const std::string &name) const
+StatGroup::has(std::string_view name) const
 {
-    return counters_.count(name) > 0 || gauges_.count(name) > 0;
+    if (const auto id = StatSlots<Counter, std::uint64_t>::find(name))
+        return counters_.has(*id);
+    if (const auto id = StatSlots<Gauge, double>::find(name))
+        return gauges_.has(*id);
+    if (const auto channel = channelOf(name))
+        return channelBytes(*channel) != 0;
+    unknown("counter or gauge", name);
 }
 
 void
 StatGroup::merge(const StatGroup &other)
 {
-    for (const auto &[name, value] : other.counters_)
-        counters_[name] += value;
-    for (const auto &[name, value] : other.gauges_)
-        gauges_[name] = value;
+    counters_.merge(other.counters_,
+                    [](std::uint64_t &mine, std::uint64_t v) { mine += v; });
+    gauges_.merge(other.gauges_, [](double &mine, double v) { mine = v; });
+    for (std::uint32_t ch = 0; ch < other.channelBytes_.size(); ++ch)
+        if (other.channelBytes_[ch] != 0)
+            addChannelBytes(ch, other.channelBytes_[ch]);
+}
+
+std::map<std::string, std::uint64_t>
+StatGroup::counters() const
+{
+    std::map<std::string, std::uint64_t> out = counters_.entries();
+    for (std::uint32_t ch = 0; ch < channelBytes_.size(); ++ch)
+        if (channelBytes_[ch] != 0)
+            out.emplace(channelName(ch), channelBytes_[ch]);
+    return out;
+}
+
+PicoJoule
+EnergyLedger::total() const
+{
+    PicoJoule sum = 0.0;
+    components_.forEach([&](std::string_view, PicoJoule pj) { sum += pj; });
+    return sum;
+}
+
+PicoJoule
+EnergyLedger::component(std::string_view name) const
+{
+    if (const auto id = StatSlots<Energy, PicoJoule>::find(name))
+        return component(*id);
+    unknown("energy component", name);
 }
 
 void
-StatGroup::clear()
+EnergyLedger::merge(const EnergyLedger &other)
 {
-    counters_.clear();
-    gauges_.clear();
+    components_.merge(other.components_,
+                      [](PicoJoule &mine, PicoJoule pj) { mine += pj; });
 }
 
 } // namespace hygcn

@@ -4,13 +4,24 @@
 
 using namespace hygcn;
 
+namespace {
+
+/** A buffer that bills Input Buffer bytes to @p component. */
+OnChipBuffer
+inputBuffer(std::uint64_t capacity, const EnergyTable &e,
+            Energy component = Energy::AggEngine)
+{
+    return OnChipBuffer(capacity, Counter::BufInputReadBytes,
+                        Counter::BufInputWriteBytes, component, e);
+}
+
+} // namespace
+
 TEST(Buffer, DoubleBufferingHalvesUsable)
 {
     const EnergyTable e;
-    OnChipBuffer dbl("buf.x", 1024, true, "c", e);
-    OnChipBuffer single("buf.y", 1024, false, "c", e);
+    const OnChipBuffer dbl = inputBuffer(1024, e);
     EXPECT_EQ(dbl.usableBytes(), 512u);
-    EXPECT_EQ(single.usableBytes(), 1024u);
     EXPECT_TRUE(dbl.fits(512));
     EXPECT_FALSE(dbl.fits(513));
 }
@@ -18,22 +29,22 @@ TEST(Buffer, DoubleBufferingHalvesUsable)
 TEST(Buffer, ReadWriteChargeEnergyAndStats)
 {
     const EnergyTable e;
-    OnChipBuffer buf("buf.t", 128 * 1024, true, "agg_engine", e);
+    OnChipBuffer buf = inputBuffer(128 * 1024, e);
     EnergyLedger ledger;
     StatGroup stats;
     buf.read(100, ledger, stats);
     buf.write(50, ledger, stats);
-    EXPECT_EQ(stats.get("buf.t.read_bytes"), 100u);
-    EXPECT_EQ(stats.get("buf.t.write_bytes"), 50u);
-    EXPECT_DOUBLE_EQ(ledger.component("agg_engine"),
+    EXPECT_EQ(stats.get(Counter::BufInputReadBytes), 100u);
+    EXPECT_EQ(stats.get(Counter::BufInputWriteBytes), 50u);
+    EXPECT_DOUBLE_EQ(ledger.component(Energy::AggEngine),
                      150.0 * e.edramSmallPerByte);
 }
 
 TEST(Buffer, LargerBuffersCostMorePerByte)
 {
     const EnergyTable e;
-    OnChipBuffer small("buf.s", 128 * 1024, false, "c", e);
-    OnChipBuffer large("buf.l", 16ull << 20, false, "c", e);
+    OnChipBuffer small = inputBuffer(128 * 1024, e);
+    OnChipBuffer large = inputBuffer(16ull << 20, e);
     EnergyLedger ls, ll;
     StatGroup st;
     small.read(1000, ls, st);

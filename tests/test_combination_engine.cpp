@@ -57,12 +57,13 @@ TEST(CombinationEngine, FunctionalMatchesCombineRows)
     agg.fillRandom(rng);
     Matrix out(50, 8);
     const AddressMap amap;
+    // The engine moves agg in, so the golden is computed first.
+    const Matrix golden = combineRows(agg, mlp.weights, mlp.biases,
+                                      Activation::ReLU);
     f.engine.beginLayer(0, amap, 0);
     f.engine.processInterval(50, mlp.weights, mlp.biases,
                              Activation::ReLU, &agg, &out, 0, amap,
                              amap.outputBase, 0, 100);
-    const Matrix golden = combineRows(agg, mlp.weights, mlp.biases,
-                                      Activation::ReLU);
     EXPECT_TRUE(Matrix::bytesEqual(out, golden));
 }
 

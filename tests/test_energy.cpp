@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/energy.hpp"
 #include "sim/report.hpp"
 
@@ -22,24 +24,25 @@ TEST(EnergyTable, HbmMatchesPaperConstant)
 TEST(EnergyLedger, TotalSumsComponents)
 {
     EnergyLedger l;
-    l.charge("a", 10.0);
-    l.charge("b", 5.0);
-    l.charge("a", 2.5);
+    l.charge(Energy::AggEngine, 10.0);
+    l.charge(Energy::CombEngine, 5.0);
+    l.charge(Energy::AggEngine, 2.5);
     EXPECT_DOUBLE_EQ(l.total(), 17.5);
-    EXPECT_DOUBLE_EQ(l.component("a"), 12.5);
-    EXPECT_DOUBLE_EQ(l.component("b"), 5.0);
-    EXPECT_DOUBLE_EQ(l.component("missing"), 0.0);
+    EXPECT_DOUBLE_EQ(l.component(Energy::AggEngine), 12.5);
+    EXPECT_DOUBLE_EQ(l.component("comb_engine"), 5.0);
+    EXPECT_DOUBLE_EQ(l.component(Energy::Dram), 0.0);
+    EXPECT_THROW(l.component("missing"), std::invalid_argument);
 }
 
 TEST(EnergyLedger, MergeAccumulates)
 {
     EnergyLedger a, b;
-    a.charge("x", 1.0);
-    b.charge("x", 2.0);
-    b.charge("y", 3.0);
+    a.charge(Energy::Dram, 1.0);
+    b.charge(Energy::Dram, 2.0);
+    b.charge(Energy::Coordinator, 3.0);
     a.merge(b);
-    EXPECT_DOUBLE_EQ(a.component("x"), 3.0);
-    EXPECT_DOUBLE_EQ(a.component("y"), 3.0);
+    EXPECT_DOUBLE_EQ(a.component(Energy::Dram), 3.0);
+    EXPECT_DOUBLE_EQ(a.component(Energy::Coordinator), 3.0);
     EXPECT_DOUBLE_EQ(a.total(), 6.0);
 }
 
@@ -54,15 +57,15 @@ TEST(SimReport, SecondsFromCycles)
 TEST(SimReport, JoulesFromPicojoules)
 {
     SimReport r;
-    r.energy.charge("x", 1e12); // 1 J
+    r.energy.charge(Energy::Dram, 1e12); // 1 J
     EXPECT_DOUBLE_EQ(r.joules(), 1.0);
 }
 
 TEST(SimReport, DramBytesSumsReadsAndWrites)
 {
     SimReport r;
-    r.stats.add("dram.read_bytes", 100);
-    r.stats.add("dram.write_bytes", 28);
+    r.stats.add(Counter::DramReadBytes, 100);
+    r.stats.add(Counter::DramWriteBytes, 28);
     EXPECT_EQ(r.dramBytes(), 128u);
 }
 
@@ -71,7 +74,7 @@ TEST(SimReport, BandwidthUtilization)
     SimReport r;
     r.cycles = 1'000'000'000ull; // 1 s at 1 GHz
     r.clockHz = 1e9;
-    r.stats.add("dram.read_bytes", 128'000'000'000ull);
+    r.stats.add(Counter::DramReadBytes, 128'000'000'000ull);
     EXPECT_NEAR(r.bandwidthUtilization(256e9), 0.5, 1e-9);
     EXPECT_EQ(r.bandwidthUtilization(0.0), 0.0);
 }

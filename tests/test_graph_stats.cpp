@@ -88,14 +88,15 @@ TEST(Json, SerializesReport)
     SimReport r;
     r.platform = "HyGCN";
     r.cycles = 1000;
-    r.stats.add("dram.read_bytes", 64);
-    r.stats.set("util", 0.5);
-    r.energy.charge("dram", 123.0);
+    r.stats.add(Counter::DramReadBytes, 64);
+    r.stats.set(Gauge::DramBandwidthUtilization, 0.5);
+    r.energy.charge(Energy::Dram, 123.0);
     const std::string json = toJson(r);
     EXPECT_NE(json.find("\"platform\":\"HyGCN\""), std::string::npos);
     EXPECT_NE(json.find("\"cycles\":1000"), std::string::npos);
     EXPECT_NE(json.find("\"dram.read_bytes\":64"), std::string::npos);
-    EXPECT_NE(json.find("\"util\":0.5"), std::string::npos);
+    EXPECT_NE(json.find("\"dram.bandwidth_utilization\":0.5"),
+              std::string::npos);
     EXPECT_NE(json.find("\"dram\":123"), std::string::npos);
     // Crude structural sanity: balanced braces.
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),

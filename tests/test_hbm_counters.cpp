@@ -1,9 +1,8 @@
 /**
- * Semantics of the HbmModel "dram.*" counters, which the model keeps
- * as plain integers and folds into its StatGroup when stats() is
- * read: values equal a hand tally of the requests, a key appears
- * exactly when its event has happened, and clearing the group folds
- * only later deltas. Also pins the OnChipBuffer stat keys.
+ * Semantics of the HbmModel "dram.*" counters, which the model adds
+ * to its StatGroup as it services each request: values equal a hand
+ * tally of the requests, and a key appears exactly when its event has
+ * happened. Also pins the OnChipBuffer stat keys.
  */
 
 #include <gtest/gtest.h>
@@ -87,7 +86,7 @@ mixedStream(std::size_t n, std::uint64_t seed, bool with_writes)
 
 /** The model's "dram.*" counters (the group holds nothing else). */
 std::map<std::string, std::uint64_t>
-dramCounters(HbmModel &hbm)
+dramCounters(const HbmModel &hbm)
 {
     return hbm.stats().counters();
 }
@@ -103,7 +102,7 @@ TEST(HbmCounters, MixedStreamMatchesHandTallyAtEveryRead)
     for (std::size_t i = 0; i < reqs.size(); ++i) {
         now = hbm.serviceOne(reqs[i], now);
         tally.add(reqs[i]);
-        // Reading stats() part-way must neither lose nor double count.
+        // The counters match the tally part-way, too.
         if (i == 0 || i == 999 || i == 3001) {
             EXPECT_EQ(dramCounters(hbm), tally.counters) << "after " << i;
         }
@@ -112,8 +111,6 @@ TEST(HbmCounters, MixedStreamMatchesHandTallyAtEveryRead)
     EXPECT_GT(tally.counters["dram.row_hits"], 0u);
     EXPECT_GT(tally.counters["dram.row_misses"], 0u);
     EXPECT_GT(tally.counters["dram.write_bytes"], 0u);
-    // Re-reading without new requests changes nothing.
-    EXPECT_EQ(dramCounters(hbm), tally.counters);
 }
 
 TEST(HbmCounters, ReadOnlyStreamHasNoWriteKey)
@@ -143,34 +140,15 @@ TEST(HbmCounters, KeyAppearsOnceItsEventHappensEvenAtZero)
     EXPECT_FALSE(stats.has("dram.read_bytes"));
 }
 
-TEST(HbmCounters, ClearFoldsOnlyNewDeltas)
-{
-    HbmModel hbm(HbmConfig{});
-    Tally before;
-    for (const MemRequest &req : mixedStream(800, 11, true)) {
-        hbm.serviceOne(req, 0);
-        before.add(req);
-    }
-    EXPECT_EQ(dramCounters(hbm), before.counters);
-    hbm.stats().clear();
-
-    // Only reads after the clear: only their deltas reappear, and no
-    // write key comes back.
-    Tally after;
-    after.openRows = before.openRows;
-    for (const MemRequest &req : mixedStream(300, 12, false)) {
-        hbm.serviceOne(req, 0);
-        after.add(req);
-    }
-    EXPECT_EQ(dramCounters(hbm), after.counters);
-    EXPECT_FALSE(hbm.stats().has("dram.write_bytes"));
-}
-
 TEST(HbmCounters, OnChipBufferReportsPerNameByteKeys)
 {
     const EnergyTable energy;
-    OnChipBuffer input("buf.input", 64 * 1024, true, "agg_engine", energy);
-    OnChipBuffer output("buf.output", 1024, false, "comb_engine", energy);
+    OnChipBuffer input(64 * 1024, Counter::BufInputReadBytes,
+                       Counter::BufInputWriteBytes, Energy::AggEngine,
+                       energy);
+    OnChipBuffer output(1024, Counter::BufOutputReadBytes,
+                        Counter::BufOutputWriteBytes, Energy::CombEngine,
+                        energy);
     EnergyLedger ledger;
     StatGroup stats;
     input.read(100, ledger, stats);

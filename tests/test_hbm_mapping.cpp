@@ -37,7 +37,7 @@ TEST(HbmMapping, LowBitInterleaveRoundRobinsBytesAcrossChannels)
     // 64 consecutive lines: exactly 16 per channel.
     hbm.serviceBatch(sequentialReads(64), 0);
     for (std::uint32_t ch = 0; ch < c.channels; ++ch) {
-        EXPECT_EQ(hbm.channelBytes(ch), 16u * 64u) << "channel " << ch;
+        EXPECT_EQ(hbm.stats().channelBytes(ch), 16u * 64u) << "channel " << ch;
         char name[32];
         std::snprintf(name, sizeof(name), "dram.ch%02u.bytes", ch);
         EXPECT_EQ(hbm.stats().get(name), 16u * 64u) << name;
@@ -51,9 +51,9 @@ TEST(HbmMapping, HighBitMappingPinsARegionToOneChannel)
     HbmModel hbm(c);
     // All addresses below 4 GiB: channel = (addr >> 32) % channels = 0.
     hbm.serviceBatch(sequentialReads(64), 0);
-    EXPECT_EQ(hbm.channelBytes(0), 64u * 64u);
+    EXPECT_EQ(hbm.stats().channelBytes(0), 64u * 64u);
     for (std::uint32_t ch = 1; ch < c.channels; ++ch)
-        EXPECT_EQ(hbm.channelBytes(ch), 0u) << "channel " << ch;
+        EXPECT_EQ(hbm.stats().channelBytes(ch), 0u) << "channel " << ch;
 }
 
 TEST(HbmMapping, HighBitMappingSeparatesRegionsByHighBits)
@@ -70,10 +70,10 @@ TEST(HbmMapping, HighBitMappingSeparatesRegionsByHighBits)
     hbm.serviceBatch(sequentialReads(8, amap.edgeBase), 0);
     hbm.serviceBatch(sequentialReads(8, amap.inputBase), 0);
     hbm.serviceBatch(sequentialReads(8, amap.weightBase), 0);
-    EXPECT_EQ(hbm.channelBytes(0), 2u * 8u * 64u); // edges + weights
-    EXPECT_EQ(hbm.channelBytes(4), 8u * 64u);      // input features
+    EXPECT_EQ(hbm.stats().channelBytes(0), 2u * 8u * 64u); // edges + weights
+    EXPECT_EQ(hbm.stats().channelBytes(4), 8u * 64u);      // input features
     for (std::uint32_t ch : {1u, 2u, 3u, 5u, 6u, 7u})
-        EXPECT_EQ(hbm.channelBytes(ch), 0u) << "channel " << ch;
+        EXPECT_EQ(hbm.stats().channelBytes(ch), 0u) << "channel " << ch;
 
     // The coordinated low-bit remap spreads the same three streams
     // over every channel.
@@ -83,7 +83,7 @@ TEST(HbmMapping, HighBitMappingSeparatesRegionsByHighBits)
     coordinated.serviceBatch(sequentialReads(8, amap.inputBase), 0);
     coordinated.serviceBatch(sequentialReads(8, amap.weightBase), 0);
     for (std::uint32_t ch = 0; ch < low.channels; ++ch)
-        EXPECT_EQ(coordinated.channelBytes(ch), 3u * 64u)
+        EXPECT_EQ(coordinated.stats().channelBytes(ch), 3u * 64u)
             << "channel " << ch;
 }
 
@@ -123,7 +123,7 @@ TEST(HbmMapping, HighBitStreamStripesBanksWithinTheChannel)
     hbm.serviceBatch(sequentialReads(256), 0);
     EXPECT_EQ(hbm.stats().get("dram.row_misses"), 8u);
     EXPECT_EQ(hbm.stats().get("dram.row_hits"), 256u - 8u);
-    EXPECT_EQ(hbm.channelBytes(0), 256u * 64u);
+    EXPECT_EQ(hbm.stats().channelBytes(0), 256u * 64u);
 }
 
 TEST(HbmMapping, RepeatedLineHitsUnderBothMappings)
@@ -156,7 +156,7 @@ TEST(HbmMapping, ChannelBytesSumToTotalTrafficUnderBothMappings)
         }
         std::uint64_t per_channel = 0;
         for (std::uint32_t ch = 0; ch < c.channels; ++ch)
-            per_channel += hbm.channelBytes(ch);
+            per_channel += hbm.stats().channelBytes(ch);
         EXPECT_EQ(per_channel, hbm.stats().get("dram.read_bytes") +
                                    hbm.stats().get("dram.write_bytes"))
             << "low_bit=" << low_bit;

@@ -179,7 +179,7 @@ expectSameCounters(HbmModel &hbm, const ReferenceHbm &ref,
 {
     EXPECT_EQ(hbm.stats().counters(), ref.counters) << where;
     for (std::uint32_t ch = 0; ch < hbm.config().channels; ++ch)
-        EXPECT_EQ(hbm.channelBytes(ch), ref.channelBytes[ch])
+        EXPECT_EQ(hbm.stats().channelBytes(ch), ref.channelBytes[ch])
             << where << " channel " << ch;
 }
 
@@ -296,8 +296,8 @@ TEST(HbmRuns, HighBitRunAcrossRegionBoundarySwitchesChannel)
         const std::vector<MemRequest> runs = {
             {kRegion - 4 * kLineBytes, 64, false, RequestType::Edge, 8}};
         EXPECT_EQ(hbm.serviceBatch(runs, 0), ref.serviceBatch(runs, 0));
-        EXPECT_EQ(hbm.channelBytes(0), 4u * 64);
-        EXPECT_EQ(hbm.channelBytes(1), 4u * 64);
+        EXPECT_EQ(hbm.stats().channelBytes(0), 4u * 64);
+        EXPECT_EQ(hbm.stats().channelBytes(1), 4u * 64);
         expectSameCounters(hbm, ref, "row " + std::to_string(row_bytes));
     }
 }

@@ -7,8 +7,7 @@ using namespace hygcn;
 TEST(Partition, Table6DefaultsGeometry)
 {
     PartitionConfig pc;
-    pc.aggFeatureLen = 128;
-    pc.srcFeatureLen = 128;
+    pc.featureLen = 128;
     const PartitionDims dims = computePartitionDims(pc);
     // 16 MB / 2 (ping-pong) / 512 B = 16384 destinations.
     EXPECT_EQ(dims.intervalSize, 16384u);
@@ -21,8 +20,7 @@ TEST(Partition, Table6DefaultsGeometry)
 TEST(Partition, LongFeaturesShrinkWindows)
 {
     PartitionConfig pc;
-    pc.aggFeatureLen = 3703; // Citeseer
-    pc.srcFeatureLen = 3703;
+    pc.featureLen = 3703; // Citeseer
     const PartitionDims dims = computePartitionDims(pc);
     EXPECT_EQ(dims.windowHeight,
               (128u * 1024 / 2) / (3703 * 4));
@@ -33,8 +31,7 @@ TEST(Partition, LongFeaturesShrinkWindows)
 TEST(Partition, NoPingPongDoublesInterval)
 {
     PartitionConfig pc;
-    pc.aggFeatureLen = 128;
-    pc.srcFeatureLen = 128;
+    pc.featureLen = 128;
     pc.pingPongAgg = false;
     const PartitionDims dims = computePartitionDims(pc);
     EXPECT_EQ(dims.intervalSize, 32768u);
@@ -43,8 +40,7 @@ TEST(Partition, NoPingPongDoublesInterval)
 TEST(Partition, NeverZeroEvenForHugeFeatures)
 {
     PartitionConfig pc;
-    pc.aggFeatureLen = 1 << 24; // absurdly long vector
-    pc.srcFeatureLen = 1 << 24;
+    pc.featureLen = 1 << 24; // absurdly long vector
     const PartitionDims dims = computePartitionDims(pc);
     EXPECT_GE(dims.intervalSize, 1u);
     EXPECT_GE(dims.windowHeight, 1u);
@@ -59,8 +55,7 @@ TEST_P(PartitionSweep, MonotoneInBufferCapacity)
 {
     const int f = GetParam();
     PartitionConfig small;
-    small.aggFeatureLen = f;
-    small.srcFeatureLen = f;
+    small.featureLen = f;
     small.aggBufBytes = 2ull << 20;
     PartitionConfig big = small;
     big.aggBufBytes = 32ull << 20;

@@ -7,57 +7,67 @@ using namespace hygcn;
 TEST(StatGroup, StartsEmpty)
 {
     StatGroup s;
-    EXPECT_EQ(s.get("anything"), 0u);
-    EXPECT_EQ(s.gauge("anything"), 0.0);
-    EXPECT_FALSE(s.has("anything"));
+    EXPECT_EQ(s.get(Counter::AggEdges), 0u);
+    EXPECT_EQ(s.gauge(Gauge::GpuOom), 0.0);
+    EXPECT_FALSE(s.has("agg.edges"));
+    EXPECT_TRUE(s.counters().empty());
+    EXPECT_TRUE(s.gauges().empty());
 }
 
 TEST(StatGroup, AddAccumulates)
 {
     StatGroup s;
-    s.add("x");
-    s.add("x", 4);
-    EXPECT_EQ(s.get("x"), 5u);
-    EXPECT_TRUE(s.has("x"));
+    s.add(Counter::AggWindows);
+    s.add(Counter::AggWindows, 4);
+    EXPECT_EQ(s.get(Counter::AggWindows), 5u);
+    EXPECT_EQ(s.get("agg.windows"), 5u);
+    EXPECT_TRUE(s.has("agg.windows"));
 }
 
 TEST(StatGroup, GaugeOverwrites)
 {
     StatGroup s;
-    s.set("g", 1.5);
-    s.set("g", 2.5);
-    EXPECT_DOUBLE_EQ(s.gauge("g"), 2.5);
+    s.set(Gauge::PhaseAggFraction, 1.5);
+    s.set(Gauge::PhaseAggFraction, 2.5);
+    EXPECT_DOUBLE_EQ(s.gauge("phase.agg_fraction"), 2.5);
 }
 
 TEST(StatGroup, MergeAddsCountersAndOverwritesGauges)
 {
     StatGroup a, b;
-    a.add("c", 3);
-    a.set("g", 1.0);
-    b.add("c", 4);
-    b.add("only_b", 1);
-    b.set("g", 9.0);
+    a.add(Counter::CombMacs, 3);
+    a.set(Gauge::GpuOom, 1.0);
+    a.addChannelBytes(1, 64);
+    b.add(Counter::CombMacs, 4);
+    b.add(Counter::CombVertices, 1);
+    b.set(Gauge::GpuOom, 9.0);
+    b.addChannelBytes(1, 32);
+    b.addChannelBytes(3, 8);
     a.merge(b);
-    EXPECT_EQ(a.get("c"), 7u);
-    EXPECT_EQ(a.get("only_b"), 1u);
-    EXPECT_DOUBLE_EQ(a.gauge("g"), 9.0);
+    EXPECT_EQ(a.get(Counter::CombMacs), 7u);
+    EXPECT_EQ(a.get(Counter::CombVertices), 1u);
+    EXPECT_DOUBLE_EQ(a.gauge(Gauge::GpuOom), 9.0);
+    EXPECT_EQ(a.channelBytes(1), 96u);
+    EXPECT_EQ(a.get("dram.ch03.bytes"), 8u);
 }
 
 TEST(StatGroup, ClearDropsEverything)
 {
     StatGroup s;
-    s.add("c", 10);
-    s.set("g", 3.0);
+    s.add(Counter::CombMacs, 10);
+    s.set(Gauge::GpuOom, 3.0);
+    s.addChannelBytes(0, 64);
     s.clear();
-    EXPECT_FALSE(s.has("c"));
-    EXPECT_FALSE(s.has("g"));
+    EXPECT_FALSE(s.has("comb.macs"));
+    EXPECT_FALSE(s.has("gpu.oom"));
+    EXPECT_FALSE(s.has("dram.ch00.bytes"));
 }
 
 TEST(StatGroup, CountersIterable)
 {
     StatGroup s;
-    s.add("a", 1);
-    s.add("b", 2);
+    s.add(Counter::AggEdges, 1);
+    s.add(Counter::AggWindows, 2);
     std::uint64_t total = 0;
     for (const auto &[name, v] : s.counters())
         total += v;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/accelerator.hpp"
+#include "graph/dataset.hpp"
 #include "graph/generator.hpp"
 #include "sim/rng.hpp"
 #include "sim/trace.hpp"
@@ -145,4 +149,25 @@ TEST(Trace, NullTraceIsSafe)
     const ModelParams p = makeParams(m, 1);
     HyGCNAccelerator accel{HyGCNConfig{}};
     EXPECT_NO_THROW(accel.run(ds, m, p, nullptr, 7, false, nullptr));
+}
+
+TEST(Trace, DiffPoolLabelsEachLayerAndThePoolingPass)
+{
+    // Pool GCN as L0, embed GCN as L1, and the A*C aggregation pass as
+    // one "L2 AC" span.
+    const Dataset ds = makeDataset(DatasetId::IB, 1, 0.2);
+    const ModelConfig m = makeModel(ModelId::DFP, ds.featureLen);
+    const ModelParams p = makeParams(m, 1);
+    HyGCNAccelerator accel{HyGCNConfig{}};
+    Trace trace;
+    accel.run(ds, m, p, nullptr, 7, false, &trace);
+    std::set<std::string> layers;
+    std::size_t ac_spans = 0;
+    for (const TraceSpan &s : trace.spans()) {
+        layers.insert(s.label.substr(0, s.label.find(' ')));
+        if (s.track == "agg" && s.label == "L2 AC")
+            ++ac_spans;
+    }
+    EXPECT_EQ(layers, (std::set<std::string>{"L0", "L1", "L2"}));
+    EXPECT_EQ(ac_spans, 1u);
 }
