@@ -39,9 +39,9 @@ struct RunContext
     std::size_t layerIndex = 0;
 };
 
-/** Shard geometry for a layer whose aggregation width is @p f_in. */
-PartitionDims
-layerDims(const HyGCNConfig &config, int f_in)
+/** The window plan of @p view at aggregation width @p f_in. */
+WindowPlan
+layerPlan(const HyGCNConfig &config, const CscView &view, int f_in)
 {
     PartitionConfig pc;
     pc.aggBufBytes = config.aggBufBytes;
@@ -49,7 +49,61 @@ layerDims(const HyGCNConfig &config, int f_in)
     pc.edgeBufBytes = config.edgeBufBytes;
     pc.pingPongAgg = config.interEnginePipeline;
     pc.featureLen = f_in;
-    return computePartitionDims(pc);
+    const PartitionDims dims = computePartitionDims(pc);
+    return buildWindowPlan(view, dims.intervalSize, dims.windowHeight,
+                           dims.maxEdgesPerWindow, config.windowMode());
+}
+
+/** Count @p plan's rows and windows into the plan.* counters. */
+void
+countPlan(StatGroup &stats, const WindowPlan &plan)
+{
+    std::uint64_t windows = 0;
+    for (const IntervalWork &work : plan.intervals)
+        windows += work.windows.size();
+    stats.add(Counter::PlanLoadedRows, plan.loadedRows);
+    stats.add(Counter::PlanGridRows, plan.gridRows);
+    stats.add(Counter::PlanWindowsTotal, windows);
+}
+
+/**
+ * The report of a run that finished at cycle @p now: the engine, HBM
+ * and coordinator stats, the ledger plus the DRAM energy of every
+ * byte moved, and the gauges derived from them.
+ */
+SimReport
+assembleReport(const RunContext &ctx, const HyGCNConfig &config,
+               std::string platform, Cycle now)
+{
+    SimReport report;
+    report.platform = std::move(platform);
+    report.cycles = now;
+    report.clockHz = config.clockHz;
+    report.combWeightLoadCycles = ctx.comb.weightLoadCycles();
+    report.combWeightLoadEnergyPj = ctx.comb.weightLoadEnergyPj();
+    report.stats.merge(ctx.stats);
+    report.stats.merge(ctx.hbm.stats());
+    report.stats.merge(ctx.coord.stats());
+    report.energy.merge(ctx.ledger);
+    report.energy.charge(Energy::Dram,
+                         config.energy.hbmPerByte() *
+                             static_cast<double>(report.dramBytes()));
+    report.stats.set(Gauge::DramBandwidthUtilization,
+                     report.bandwidthUtilization(
+                         config.effectiveHbm().peakBytesPerSec()));
+    if (ctx.vertexLatencyCount > 0) {
+        report.stats.set(Gauge::CombAvgVertexLatency,
+                         ctx.vertexLatencySum / ctx.vertexLatencyCount);
+    }
+    const std::uint64_t grid = report.stats.get(Counter::PlanGridRows);
+    if (grid > 0) {
+        report.stats.set(
+            Gauge::PlanSparsityReduction,
+            1.0 - static_cast<double>(
+                      report.stats.get(Counter::PlanLoadedRows)) /
+                      static_cast<double>(grid));
+    }
+    return report;
 }
 
 /**
@@ -73,14 +127,7 @@ runLayer(RunContext &ctx, const HyGCNConfig &config,
     const bool functional = x_in != nullptr && x_out != nullptr;
 
     now = ctx.comb.beginLayer(param_bytes, amap, now);
-    ctx.stats.add(Counter::PlanLoadedRows, plan.loadedRows);
-    ctx.stats.add(Counter::PlanGridRows, plan.gridRows);
-    ctx.stats.add(Counter::PlanWindowsTotal, [&] {
-        std::uint64_t n = 0;
-        for (const auto &iv : plan.intervals)
-            n += iv.windows.size();
-        return n;
-    }());
+    countPlan(ctx.stats, plan);
 
     // Each step records its engine's trace span under the interval's
     // index. Interval i's functional aggregation rows live from
@@ -208,11 +255,8 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
             const LayerConfig &layer = model.layers[li];
             const EdgeSet edges = buildLayerEdges(
                 graph, layer, layerSampleSeed(sample_seed, li));
-            const PartitionDims dims = layerDims(config_,
-                                                 layer.inFeatures);
-            const WindowPlan plan = buildWindowPlan(
-                edges.view(), dims.intervalSize, dims.windowHeight,
-                dims.maxEdgesPerWindow, config_.windowMode());
+            const WindowPlan plan =
+                layerPlan(config_, edges.view(), layer.inFeatures);
             const EdgeCoefFn coef(layer.coef, inv_sqrt_deg, layer.epsilon);
 
             const Addr in_base =
@@ -274,10 +318,8 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
         const LayerConfig &pool = model.layers[0];
         const LayerConfig &embed = model.layers[1];
         const EdgeSet edges = buildLayerEdges(graph, pool, 0);
-        const PartitionDims dims = layerDims(config_, pool.inFeatures);
-        const WindowPlan plan = buildWindowPlan(
-            edges.view(), dims.intervalSize, dims.windowHeight,
-            dims.maxEdgesPerWindow, config_.windowMode());
+        const WindowPlan plan =
+            layerPlan(config_, edges.view(), pool.inFeatures);
         const EdgeCoefFn coef_pool(pool.coef, inv_sqrt_deg, pool.epsilon);
         const EdgeCoefFn coef_embed(embed.coef, inv_sqrt_deg,
                                     embed.epsilon);
@@ -302,10 +344,8 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
 
         // A * C on the Aggregation Engine (plain adjacency).
         const EdgeSet adj = EdgeSet::fromGraph(graph, false);
-        const PartitionDims adims = layerDims(config_, model.clusters);
-        const WindowPlan aplan = buildWindowPlan(
-            adj.view(), adims.intervalSize, adims.windowHeight,
-            adims.maxEdgesPerWindow, config_.windowMode());
+        const WindowPlan aplan =
+            layerPlan(config_, adj.view(), model.clusters);
         Matrix ac;
         if (functional)
             ac = Matrix(graph.numVertices(), model.clusters);
@@ -314,9 +354,11 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
                                   functional ? &c : nullptr,
                                   functional ? &ac : nullptr, now, amap,
                                   amap.outputBase);
-        if (trace)
-            trace->record("agg", "L" + std::to_string(ctx.layerIndex) + " AC",
-                          ac_start, now);
+        if (trace) {
+            char label[32];
+            std::snprintf(label, sizeof(label), "L%zu AC", ctx.layerIndex);
+            trace->record("agg", label, ac_start, now);
+        }
 
         // Per component: X' = C^T Z and A' = C^T (A C) on the
         // Combination Engine.
@@ -341,38 +383,9 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
         }
     }
 
-    // --- Final report ----------------------------------------------
-    result.report.platform = "HyGCN";
-    result.report.cycles = now;
-    result.report.clockHz = config_.clockHz;
-    result.report.combWeightLoadCycles = ctx.comb.weightLoadCycles();
-    result.report.combWeightLoadEnergyPj = ctx.comb.weightLoadEnergyPj();
-    result.report.stats.merge(ctx.stats);
-    result.report.stats.merge(ctx.hbm.stats());
-    result.report.stats.merge(ctx.coord.stats());
-    result.report.energy.merge(ctx.ledger);
-    result.report.energy.charge(
-        Energy::Dram, config_.energy.hbmPerByte() *
-                          static_cast<double>(result.report.dramBytes()));
-
-    result.report.stats.set(
-        Gauge::DramBandwidthUtilization,
-        result.report.bandwidthUtilization(
-            config_.effectiveHbm().peakBytesPerSec()));
-    if (ctx.vertexLatencyCount > 0) {
-        result.avgVertexLatency =
-            ctx.vertexLatencySum / ctx.vertexLatencyCount;
-        result.report.stats.set(Gauge::CombAvgVertexLatency,
-                                result.avgVertexLatency);
-    }
-    const std::uint64_t grid = result.report.stats.get(Counter::PlanGridRows);
-    if (grid > 0) {
-        result.report.stats.set(
-            Gauge::PlanSparsityReduction,
-            1.0 - static_cast<double>(
-                      result.report.stats.get(Counter::PlanLoadedRows)) /
-                      static_cast<double>(grid));
-    }
+    result.report = assembleReport(ctx, config_, "HyGCN", now);
+    result.avgVertexLatency =
+        result.report.stats.gauge(Gauge::CombAvgVertexLatency);
     return result;
 }
 
