@@ -79,7 +79,6 @@ assembleReport(const RunContext &ctx, const HyGCNConfig &config,
     report.platform = std::move(platform);
     report.cycles = now;
     report.clockHz = config.clockHz;
-    report.combWeightLoadCycles = ctx.comb.weightLoadCycles();
     report.combWeightLoadEnergyPj = ctx.comb.weightLoadEnergyPj();
     report.stats.merge(ctx.stats);
     report.stats.merge(ctx.hbm.stats());

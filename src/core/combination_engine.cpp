@@ -46,7 +46,6 @@ CombinationEngine::beginLayer(std::uint64_t param_bytes,
               false);
     const Cycle done = coordinator_.issueBatch(std::move(reqs), now);
     weightBuf_.write(param_bytes, ledger_, stats_);
-    weightLoadCycles_ += done - now;
     // The phase's energy: the HBM fetch of the parameters plus the
     // Weight Buffer fill (the same charges the ledger just took,
     // tracked separately so SimReport can expose the batch-invariant

@@ -87,19 +87,13 @@ class CombinationEngine
                            std::uint64_t f_out, Cycle start);
 
     /**
-     * Critical-path cycles spent loading resident layer weights so
-     * far (the beginLayer DRAM fetches). This phase depends on the
-     * model only — not on the graph — so co-scheduled inferences in
-     * a weights-resident pipeline pay it once per batch; everything
-     * else (aggregation, per-vertex combination) is per-graph work.
-     */
-    Cycle weightLoadCycles() const { return weightLoadCycles_; }
-
-    /**
-     * Energy (picojoules) of the same batch-invariant phase: the
-     * beginLayer weight DRAM fetches plus the Weight Buffer fills
-     * they land in. The serving tier's analytic energy curve
-     * amortizes exactly this over co-batched inferences.
+     * Energy (picojoules) of the batch-invariant weight-load phase
+     * (whose critical-path cycles beginLayer adds to the
+     * "comb.weight_load_cycles" counter): the beginLayer weight DRAM
+     * fetches plus the Weight Buffer fills they land in. The phase
+     * depends on the model only, not on the graph, so the serving
+     * tier's analytic energy curve amortizes exactly this over
+     * co-batched inferences.
      */
     PicoJoule weightLoadEnergyPj() const { return weightLoadEnergyPj_; }
 
@@ -129,8 +123,6 @@ class CombinationEngine
     std::uint64_t layerParamBytes_ = 0;
     /** True if the whole layer's parameters fit in the Weight Buffer. */
     bool weightsResident_ = false;
-    /** Accumulated beginLayer weight-load cycles (batch-invariant). */
-    Cycle weightLoadCycles_ = 0;
     /** Accumulated beginLayer weight-load energy (batch-invariant). */
     PicoJoule weightLoadEnergyPj_ = 0.0;
 };

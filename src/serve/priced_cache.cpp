@@ -72,7 +72,7 @@ PricedScenarioCache::price(const std::string &platform,
             entry->value.joulesByBatch = {run.report.joules()};
             entry->value.clockHz = run.report.clockHz;
             entry->value.weightLoadCycles =
-                run.report.combWeightLoadCycles;
+                run.report.stats.get(Counter::CombWeightLoadCycles);
             entry->value.weightLoadJoules =
                 run.report.weightLoadJoules();
         } catch (...) {

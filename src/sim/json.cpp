@@ -99,9 +99,10 @@ toJson(const SimReport &report)
     // Phase breakdown emits only when the platform has the phase, so
     // reports of phase-less platforms (and their goldens) are
     // byte-stable.
-    if (report.combWeightLoadCycles != 0)
-        out += "\"comb_weight_load_cycles\":" +
-               std::to_string(report.combWeightLoadCycles) + ",";
+    if (const std::uint64_t cycles =
+            report.stats.get(Counter::CombWeightLoadCycles))
+        out += "\"comb_weight_load_cycles\":" + std::to_string(cycles) +
+               ",";
     if (report.combWeightLoadEnergyPj != 0.0)
         out += "\"comb_weight_load_energy_pj\":" +
                number(report.combWeightLoadEnergyPj) + ",";

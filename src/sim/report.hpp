@@ -29,22 +29,13 @@ struct SimReport
     double clockHz = 1e9;
 
     /**
-     * Phase breakdown: critical-path cycles spent loading layer
-     * weights (Combination Engine beginLayer DRAM fetches). This
-     * phase depends on the model only, so a weights-resident
-     * pipeline serving B co-batched graphs pays it once; the
-     * remaining cycles - combWeightLoadCycles are per-graph
-     * aggregation/combination work. 0 for platforms without the
-     * phase (baselines, Aggregation-Engine-only mode).
-     */
-    Cycle combWeightLoadCycles = 0;
-
-    /**
-     * Energy (picojoules) of the same batch-invariant phase: the
-     * weight DRAM fetches plus the Weight Buffer fills they land in.
-     * A weights-resident pipeline serving B co-batched graphs pays
-     * it once; the remaining energy - combWeightLoadEnergyPj is
-     * per-graph work. 0 for platforms without the phase.
+     * Energy (picojoules) of the batch-invariant weight-load phase,
+     * whose critical-path cycles are the "comb.weight_load_cycles"
+     * counter: the weight DRAM fetches plus the Weight Buffer fills
+     * they land in. A weights-resident pipeline serving B co-batched
+     * graphs pays it once; the remaining energy -
+     * combWeightLoadEnergyPj is per-graph work. 0 for platforms
+     * without the phase.
      */
     PicoJoule combWeightLoadEnergyPj = 0.0;
 
