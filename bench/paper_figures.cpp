@@ -495,7 +495,7 @@ figure15(const Runs &runs)
             {on.seconds() / off.seconds() * 100.0,
              static_cast<double>(on.dramBytes()) /
                  static_cast<double>(off.dramBytes()) * 100.0,
-             on.stats.gauge("agg.sparsity_reduction") * 100.0,
+             on.stats.gauge("plan.sparsity_reduction") * 100.0,
              off.seconds() / on.seconds()});
     }
     std::printf("paper: 1.1-3x speedup; normalized time/DRAM < 100%%\n");
@@ -572,7 +572,7 @@ aggSweepRows(const Runs &runs, Label label)
                 {r.report.seconds() / base.seconds() * 100.0,
                  static_cast<double>(r.report.dramBytes()) /
                      static_cast<double>(base.dramBytes()) * 100.0,
-                 r.report.stats.gauge("agg.sparsity_reduction") * 100.0});
+                 r.report.stats.gauge("plan.sparsity_reduction") * 100.0});
         }
     }
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * Built-in Platform adapters: the full HyGCN accelerator, its
- * Aggregation-Engine-only mode (the Fig 15/18 methodology), and the
- * PyG CPU/GPU baselines in naive and partition-optimized flavors.
+ * Built-in Platform adapters: the two entries of HyGCNAccelerator,
+ * the full accelerator (run) and its Aggregation-Engine-only mode
+ * (runAggregation, the Fig 15/18 methodology), and the PyG CPU/GPU
+ * baselines in naive and partition-optimized flavors.
  * Registered into the Registry under their string keys; nothing here
  * is public API beyond registerBuiltinPlatforms().
  */
@@ -16,11 +17,6 @@
 #include "baseline/cpu_model.hpp"
 #include "baseline/gpu_model.hpp"
 #include "core/accelerator.hpp"
-#include "core/aggregation_engine.hpp"
-#include "graph/partition.hpp"
-#include "graph/sampling.hpp"
-#include "graph/window.hpp"
-#include "model/layer.hpp"
 #include "model/reference.hpp"
 
 namespace hygcn::api {
@@ -108,12 +104,11 @@ class HyGCNPlatform : public Platform
 };
 
 /**
- * Aggregation Engine in isolation over the first GCN layer — the
- * paper's Fig 15/18 methodology ("runs only Aggregation Engine to
- * avoid the interference of other blocks"). Honors
- * spec.hygcn.sparsityElimination, spec.hygcn.aggBufBytes, and
- * spec.sampleFactor; reports gauge "agg.sparsity_reduction" relative
- * to the grid plan at the same geometry.
+ * The Aggregation Engine alone over the first GCN layer
+ * (HyGCNAccelerator::runAggregation): the paper's Fig 15/18
+ * methodology ("runs only Aggregation Engine to avoid the
+ * interference of other blocks"). Honors spec.hygcn and
+ * spec.sampleFactor.
  */
 class AggOnlyPlatform : public Platform
 {
@@ -129,55 +124,10 @@ class AggOnlyPlatform : public Platform
                 "layer only; spec.model must be GCN");
         spec.hygcn.validate();
         const Dataset &data = specDataset(spec);
-        const HyGCNConfig &config = spec.hygcn;
-
-        HbmModel hbm(config.effectiveHbm());
-        MemoryCoordinator coord(hbm, config.effectiveCoordinator());
-        EnergyLedger ledger;
-        StatGroup stats;
-        AggregationEngine engine(config, coord, ledger, stats);
-
-        // First-layer GCN aggregation: full feature length, self loops.
-        EdgeSet edges = EdgeSet::fromGraph(data.graph, true);
-        if (spec.sampleFactor > 1) {
-            EdgeSet sampled = NeighborSampler::sampleByFactor(
-                data.graph.csc(), spec.sampleFactor, spec.seed);
-            edges = EdgeSet::fromView(sampled.view(), true);
-        }
-
-        PartitionConfig pc;
-        pc.aggBufBytes = config.aggBufBytes;
-        pc.inputBufBytes = config.inputBufBytes;
-        pc.edgeBufBytes = config.edgeBufBytes;
-        pc.featureLen = data.featureLen;
-        const PartitionDims dims = computePartitionDims(pc);
-        const WindowPlan plan = buildWindowPlan(
-            edges.view(), dims.intervalSize, dims.windowHeight,
-            dims.maxEdgesPerWindow, config.windowMode());
-
-        const Cycle now = engine.processPlan(edges.view(), plan,
-                                             data.featureLen, nullptr,
-                                             nullptr, 0, AddressMap{});
-
         RunResult out;
         out.spec = spec;
-        out.report.platform = "HyGCN-Agg";
-        out.report.cycles = now;
-        out.report.clockHz = config.clockHz;
-        out.report.stats = std::move(stats);
-        out.report.stats.merge(hbm.stats());
-        out.report.energy = std::move(ledger);
-
-        // Reduction relative to the grid plan at the same geometry.
-        const WindowPlan grid = buildWindowPlan(
-            edges.view(), dims.intervalSize, dims.windowHeight,
-            dims.maxEdgesPerWindow, WindowMode::Grid);
-        out.report.stats.set(
-            Gauge::AggSparsityReduction,
-            grid.loadedRows > 0
-                ? 1.0 - static_cast<double>(plan.loadedRows) /
-                            static_cast<double>(grid.loadedRows)
-                : 0.0);
+        out.report = HyGCNAccelerator(spec.hygcn)
+                         .runAggregation(data, spec.sampleFactor, spec.seed);
         return out;
     }
 };

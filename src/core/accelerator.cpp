@@ -9,6 +9,7 @@
 #include "model/kernels.hpp"
 #include "core/pipeline.hpp"
 #include "graph/partition.hpp"
+#include "graph/sampling.hpp"
 #include "graph/window.hpp"
 #include "model/layer.hpp"
 
@@ -386,6 +387,29 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
     result.avgVertexLatency =
         result.report.stats.gauge(Gauge::CombAvgVertexLatency);
     return result;
+}
+
+SimReport
+HyGCNAccelerator::runAggregation(const Dataset &dataset,
+                                 std::uint32_t sample_factor,
+                                 std::uint64_t sample_seed)
+{
+    RunContext ctx(config_);
+    const Graph &graph = dataset.graph;
+    const EdgeSet edges =
+        sample_factor > 1
+            ? EdgeSet::fromView(NeighborSampler::sampleByFactor(
+                                    graph.csc(), sample_factor, sample_seed)
+                                    .view(),
+                                true)
+            : EdgeSet::fromGraph(graph, true);
+    const WindowPlan plan =
+        layerPlan(config_, edges.view(), dataset.featureLen);
+    countPlan(ctx.stats, plan);
+    const Cycle now = ctx.agg.processPlan(edges.view(), plan,
+                                          dataset.featureLen, nullptr,
+                                          nullptr, 0, AddressMap{});
+    return assembleReport(ctx, config_, "HyGCN-Agg", now);
 }
 
 } // namespace hygcn

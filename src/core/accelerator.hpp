@@ -68,6 +68,19 @@ class HyGCNAccelerator
                           bool with_readout = false,
                           Trace *trace = nullptr);
 
+    /**
+     * Run the Aggregation Engine alone over the first GCN layer of
+     * @p dataset (the paper's Fig 15/18 methodology, "only Aggregation
+     * Engine"): self loops, full feature width, AggOp::Add, results
+     * left on chip. @p sample_factor > 1 first keeps ceil(deg /
+     * factor) in-neighbours per vertex, drawn with @p sample_seed.
+     * Intervals are sized, plans counted and the report assembled as
+     * in run().
+     */
+    SimReport runAggregation(const Dataset &dataset,
+                             std::uint32_t sample_factor = 1,
+                             std::uint64_t sample_seed = 7);
+
     const HyGCNConfig &config() const { return config_; }
 
     /**

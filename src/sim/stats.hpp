@@ -50,7 +50,6 @@ double percentileSorted(const std::vector<double> &sorted, double p);
     C(AggBusyCycles, "agg.busy_cycles")                                    \
     C(AggEdges, "agg.edges")                                               \
     C(AggLoadedRows, "agg.loaded_rows")                                    \
-    G(AggSparsityReduction, "agg.sparsity_reduction")                      \
     C(AggWindows, "agg.windows")                                           \
     E(AggEngine, "agg_engine")                                             \
     C(BufAggReadBytes, "buf.agg.read_bytes")                               \
