@@ -78,8 +78,8 @@ class HyGCNAccelerator
      * in run().
      */
     SimReport runAggregation(const Dataset &dataset,
-                             std::uint32_t sample_factor = 1,
-                             std::uint64_t sample_seed = 7);
+                             std::uint32_t sample_factor,
+                             std::uint64_t sample_seed);
 
     const HyGCNConfig &config() const { return config_; }
 
