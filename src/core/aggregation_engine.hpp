@@ -90,10 +90,10 @@ class AggregationEngine
     /**
      * The Aggregation-Engine-only pass: aggregate every interval of
      * @p plan back to back with AggOp::Add and unit edge coefficients
-     * (DiffPool's A*C product, and runAggregation's first GCN layer
-     * for the hygcn-agg platform). Results
-     * stay on chip. Functional rows land in @p out (whole graph) when
-     * @p x and @p out are both given. Returns the finish cycle.
+     * (DiffPool's A*C product, and HyGCNAccelerator::runAggregation's
+     * first GCN layer for the hygcn-agg platform). Results stay on
+     * chip. Functional rows land in @p out (whole graph) when @p x and
+     * @p out are both given. Returns the finish cycle.
      */
     Cycle processPlan(const CscView &view, const WindowPlan &plan,
                       int feature_len, const Matrix *x, Matrix *out,
