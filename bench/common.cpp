@@ -70,14 +70,6 @@ gpuWouldOomFullSize(ModelId m, DatasetId ds)
     return working_set > static_cast<double>(gc.memCapacityBytes);
 }
 
-std::string
-jsonNumber(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
 bool
 writeJson(const std::string &path, const std::string &doc)
 {

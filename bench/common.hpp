@@ -43,13 +43,6 @@ const Dataset &dataset(DatasetId id);
 bool gpuWouldOomFullSize(ModelId m, DatasetId ds);
 
 /**
- * Format a metric for the BENCH_*.json emitters (%.9g). One shared
- * definition so every emitted bench JSON agrees with the checked-in
- * baselines' formatting.
- */
-std::string jsonNumber(double v);
-
-/**
  * Write @p doc plus a newline to @p path and print "wrote PATH (N
  * bytes)". Returns false, after an "error:" line on stderr, if the
  * file cannot be opened or the write or flush fails.

@@ -272,15 +272,6 @@ class Grid
         reports_;
 };
 
-/** Open a `{"case":LABEL` object in a comma-separated JSON array. */
-void
-openCase(std::string &array, const std::string &label)
-{
-    if (!array.empty())
-        array += ",";
-    array += "{\"case\":\"" + label + "\"";
-}
-
 void
 figure02(const Grid &grid)
 {
@@ -305,16 +296,18 @@ figure10(const Grid &grid)
 
     std::printf("\n(a) PyG-CPU-OP speedup over PyG-CPU\n");
     header("model/dataset", {"speedup"});
-    std::string cpu_opt;
+    JsonWriter w;
+    w.beginObject().field("bench", "fig10_speedup");
+    w.key("cpu_opt").beginArray();
     double sum_a = 0.0;
     for (const Case &c : all) {
         const double s = grid("pyg-cpu", c).seconds() /
                          grid("pyg-cpu-part", c).seconds();
         row(c.label, {s});
-        openCase(cpu_opt, c.label);
-        cpu_opt += ",\"speedup\":" + jsonNumber(s) + "}";
+        w.beginObject().field("case", c.label).field("speedup", s).endObject();
         sum_a += s;
     }
+    w.endArray();
     std::printf("average: %.2fx (paper: 2.3x)\n", sum_a / all.size());
 
     std::printf("\n(b) PyG-GPU-OP speedup over PyG-GPU "
@@ -332,15 +325,14 @@ figure10(const Grid &grid)
     std::printf("\n(c) HyGCN speedup over PyG-CPU (optimized) and "
                 "PyG-GPU\n");
     header("model/dataset", {"vs CPU", "vs GPU"});
-    std::string hygcn;
+    w.key("hygcn").beginArray();
     double sum_cpu = 0.0, sum_gpu = 0.0;
     int n_gpu = 0;
     for (const Case &c : all) {
         const double h = grid("hygcn", c).seconds();
         const double s_cpu = grid("pyg-cpu-part", c).seconds() / h;
         sum_cpu += s_cpu;
-        openCase(hygcn, c.label);
-        hygcn += ",\"vs_cpu\":" + jsonNumber(s_cpu);
+        w.beginObject().field("case", c.label).field("vs_cpu", s_cpu);
         // OoM cells carry no GPU number, matching the table.
         if (c.gpuOom) {
             std::printf("%-22s%10.1f%10s\n", c.label.c_str(), s_cpu,
@@ -350,15 +342,14 @@ figure10(const Grid &grid)
             sum_gpu += s_gpu;
             ++n_gpu;
             row(c.label, {s_cpu, s_gpu}, "%10.1f");
-            hygcn += ",\"vs_gpu\":" + jsonNumber(s_gpu);
+            w.field("vs_gpu", s_gpu);
         }
-        hygcn += "}";
+        w.endObject();
     }
     std::printf("average: %.0fx vs CPU (paper 1509x), %.1fx vs GPU "
                 "(paper 6.5x)\n",
                 sum_cpu / all.size(), sum_gpu / n_gpu);
-    return "{\"bench\":\"fig10_speedup\",\"cpu_opt\":[" + cpu_opt +
-           "],\"hygcn\":[" + hygcn + "]}";
+    return w.endArray().endObject().str();
 }
 
 std::string
@@ -367,7 +358,9 @@ figure11(const Grid &grid)
     banner("Figure 11", "normalized energy over PyG-CPU (%)");
     header("model/dataset", {"GPU %", "HyGCN %"});
     const std::vector<Case> all = cases();
-    std::string points;
+    JsonWriter w;
+    w.beginObject().field("bench", "fig11_energy");
+    w.key("hygcn").beginArray();
     double sum_h = 0.0, sum_hg = 0.0;
     int ng = 0;
     for (const Case &c : all) {
@@ -375,8 +368,7 @@ figure11(const Grid &grid)
         const double h = grid("hygcn", c).joules();
         const double vs_cpu = h / cpu * 100.0;
         sum_h += vs_cpu;
-        openCase(points, c.label);
-        points += ",\"vs_cpu_pct\":" + jsonNumber(vs_cpu);
+        w.beginObject().field("case", c.label).field("vs_cpu_pct", vs_cpu);
         // OoM cells carry no GPU number, matching the table.
         if (c.gpuOom) {
             std::printf("%-22s%10s%10.4f\n", c.label.c_str(), "OoM",
@@ -387,14 +379,14 @@ figure11(const Grid &grid)
             sum_hg += vs_gpu;
             ++ng;
             row(c.label, {gpu / cpu * 100.0, vs_cpu}, "%10.4f");
-            points += ",\"vs_gpu_pct\":" + jsonNumber(vs_gpu);
+            w.field("vs_gpu_pct", vs_gpu);
         }
-        points += "}";
+        w.endObject();
     }
     std::printf("HyGCN average: %.4f%% of CPU (paper 0.04%%), %.1f%% of "
                 "GPU (paper ~10%%)\n",
                 sum_h / all.size(), sum_hg / ng);
-    return "{\"bench\":\"fig11_energy\",\"hygcn\":[" + points + "]}";
+    return w.endArray().endObject().str();
 }
 
 std::string
@@ -402,7 +394,9 @@ figure12(const Grid &grid)
 {
     banner("Figure 12", "HyGCN energy breakdown (%, on-chip)");
     header("model/dataset", {"AggE %", "CombE %", "Coord %"});
-    std::string points;
+    JsonWriter w;
+    w.beginObject().field("bench", "fig12_energy_breakdown");
+    w.key("hygcn").beginArray();
     for (const Case &c : cases()) {
         const EnergyLedger &e = grid("hygcn", c).energy;
         const double agg = e.component("agg_engine");
@@ -413,12 +407,14 @@ figure12(const Grid &grid)
         const double comb_pct = comb / total * 100.0;
         const double coord_pct = coord / total * 100.0;
         row(c.label, {agg_pct, comb_pct, coord_pct});
-        openCase(points, c.label);
-        points += ",\"agg_pct\":" + jsonNumber(agg_pct) +
-                  ",\"comb_pct\":" + jsonNumber(comb_pct) +
-                  ",\"coord_pct\":" + jsonNumber(coord_pct) + "}";
+        w.beginObject()
+            .field("case", c.label)
+            .field("agg_pct", agg_pct)
+            .field("comb_pct", comb_pct)
+            .field("coord_pct", coord_pct)
+            .endObject();
     }
-    return "{\"bench\":\"fig12_energy_breakdown\",\"hygcn\":[" + points + "]}";
+    return w.endArray().endObject().str();
 }
 
 void
@@ -526,7 +522,8 @@ figure16(const Runs &pipeline, const Runs &mode)
         const api::RunResult &rl = pair[0];
         const api::RunResult &re = pair[1];
         const double lat_ratio =
-            rl.avgVertexLatency / re.avgVertexLatency * 100.0;
+            rl.report.stats.gauge("comb.avg_vertex_latency") /
+            re.report.stats.gauge("comb.avg_vertex_latency") * 100.0;
         const double energy_ratio =
             re.report.energy.component("comb_engine") /
             rl.report.energy.component("comb_engine") * 100.0;
@@ -600,13 +597,15 @@ figure18(const std::vector<Runs> &runs)
     header("dataset/modules", {"latency %", "CombE en %"});
     for (std::size_t i = 0; i < kStudyDatasets.size(); ++i) {
         const auto group = perDataset(runs[kFig18Modules], i);
-        const double base_lat = group[0].avgVertexLatency;
+        const double base_lat =
+            group[0].report.stats.gauge("comb.avg_vertex_latency");
         const double base_energy =
             group[0].report.energy.component("comb_engine");
         for (const api::RunResult &r : group) {
             row(datasetAbbrev(kStudyDatasets[i]) + "/" +
                     std::to_string(r.spec.hygcn.systolicModules),
-                {r.avgVertexLatency / base_lat * 100.0,
+                {r.report.stats.gauge("comb.avg_vertex_latency") /
+                     base_lat * 100.0,
                  r.report.energy.component("comb_engine") / base_energy *
                      100.0});
         }

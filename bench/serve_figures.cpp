@@ -167,33 +167,30 @@ serveLatency()
     std::printf("paper trend (Fig 18 spirit): replicas first collapse "
                 "queueing delay, then saturate once arrivals dominate\n");
 
-    std::string out = "{\"bench\":\"serve_latency\",\"series\":[";
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const serve::ServeStats &s = series[i].second;
-        out += i ? ",{" : "{";
-        out += "\"instances\":" + std::to_string(series[i].first);
-        out += ",\"throughput_rps\":" + jsonNumber(s.throughputRps);
-        out += ",\"p50_latency_cycles\":" + jsonNumber(s.p50LatencyCycles);
-        out += ",\"p95_latency_cycles\":" + jsonNumber(s.p95LatencyCycles);
-        out += ",\"p99_latency_cycles\":" + jsonNumber(s.p99LatencyCycles);
-        out += ",\"makespan_cycles\":" + std::to_string(s.makespanCycles);
-        out += "}";
-    }
-    out += "],\"policies\":[";
-    for (std::size_t i = 0; i < policies.size(); ++i) {
-        const serve::ServeStats &s = policies[i].second;
+    JsonWriter w;
+    w.beginObject().field("bench", "serve_latency");
+    w.key("series").beginArray();
+    for (const auto &[instances, s] : series)
+        w.beginObject()
+            .field("instances", instances)
+            .field("throughput_rps", s.throughputRps)
+            .field("p50_latency_cycles", s.p50LatencyCycles)
+            .field("p95_latency_cycles", s.p95LatencyCycles)
+            .field("p99_latency_cycles", s.p99LatencyCycles)
+            .field("makespan_cycles", s.makespanCycles)
+            .endObject();
+    w.endArray().key("policies").beginArray();
+    for (const auto &[policy, s] : policies) {
         const serve::TenantStats &interactive = s.tenantStats.at(0);
-        out += i ? ",{" : "{";
-        out += "\"policy\":\"" + policies[i].first + "\"";
-        out += ",\"throughput_rps\":" + jsonNumber(s.throughputRps);
-        out += ",\"p99_latency_cycles\":" + jsonNumber(s.p99LatencyCycles);
-        out += ",\"interactive_p99_cycles\":" +
-               jsonNumber(interactive.p99LatencyCycles);
-        out += ",\"interactive_slo_violations\":" +
-               std::to_string(interactive.sloViolations);
-        out += "}";
+        w.beginObject()
+            .field("policy", policy)
+            .field("throughput_rps", s.throughputRps)
+            .field("p99_latency_cycles", s.p99LatencyCycles)
+            .field("interactive_p99_cycles", interactive.p99LatencyCycles)
+            .field("interactive_slo_violations", interactive.sloViolations)
+            .endObject();
     }
-    return out + "]}";
+    return w.endArray().endObject().str();
 }
 
 // ---- flash-crowd sweep ---------------------------------------------
@@ -371,19 +368,19 @@ serveLookahead()
     std::printf("\nlookahead dominated greedy on joules and p99 in "
                 "every case\n");
 
-    std::string out = "{\"bench\":\"serve_lookahead\",\"series\":[";
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const serve::ServeStats &s = series[i].second;
-        out += i ? ",{" : "{";
-        out += "\"case\":\"" + series[i].first.name + "\"";
-        out += ",\"total_joules\":" + jsonNumber(s.totalJoules);
-        out += ",\"p99_latency_cycles\":" + jsonNumber(s.p99LatencyCycles);
-        out += ",\"mean_batch_size\":" + jsonNumber(s.meanBatchSize);
-        out += ",\"lookahead_holds\":" + std::to_string(s.lookaheadHolds);
-        out += ",\"affinity_hits\":" + std::to_string(s.affinityHits);
-        out += "}";
-    }
-    return out + "]}";
+    JsonWriter w;
+    w.beginObject().field("bench", "serve_lookahead");
+    w.key("series").beginArray();
+    for (const auto &[lookahead_case, s] : series)
+        w.beginObject()
+            .field("case", lookahead_case.name)
+            .field("total_joules", s.totalJoules)
+            .field("p99_latency_cycles", s.p99LatencyCycles)
+            .field("mean_batch_size", s.meanBatchSize)
+            .field("lookahead_holds", s.lookaheadHolds)
+            .field("affinity_hits", s.affinityHits)
+            .endObject();
+    return w.endArray().endObject().str();
 }
 
 // ---- power cap -----------------------------------------------------
@@ -496,23 +493,21 @@ servePowercap()
     std::printf("\nmodeled cluster draw stayed within every cap; "
                 "tighter budgets trade tail latency for watts\n");
 
-    std::string out = "{\"bench\":\"serve_powercap\",\"series\":[";
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const serve::ServeStats &s = series[i].second;
-        const CapCase &cap_case = series[i].first;
-        out += i ? ",{" : "{";
-        out += "\"case\":\"" + cap_case.name + "\"";
-        out += ",\"cap_watts\":" + jsonNumber(cap_case.capWatts);
-        out += ",\"peak_cluster_watts\":" + jsonNumber(s.peakClusterWatts);
-        out += ",\"mean_cluster_watts\":" + jsonNumber(s.meanClusterWatts);
-        out += ",\"power_deferred_batches\":" +
-               std::to_string(s.powerDeferredBatches);
-        out += ",\"p99_latency_cycles\":" + jsonNumber(s.p99LatencyCycles);
-        out += ",\"interactive_slo_violations\":" +
-               std::to_string(s.tenantStats.at(0).sloViolations);
-        out += "}";
-    }
-    return out + "]}";
+    JsonWriter w;
+    w.beginObject().field("bench", "serve_powercap");
+    w.key("series").beginArray();
+    for (const auto &[cap_case, s] : series)
+        w.beginObject()
+            .field("case", cap_case.name)
+            .field("cap_watts", cap_case.capWatts)
+            .field("peak_cluster_watts", s.peakClusterWatts)
+            .field("mean_cluster_watts", s.meanClusterWatts)
+            .field("power_deferred_batches", s.powerDeferredBatches)
+            .field("p99_latency_cycles", s.p99LatencyCycles)
+            .field("interactive_slo_violations",
+                   s.tenantStats.at(0).sloViolations)
+            .endObject();
+    return w.endArray().endObject().str();
 }
 
 // ---- calibration ---------------------------------------------------

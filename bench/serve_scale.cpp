@@ -34,6 +34,7 @@
 #include "api/serve_session.hpp"
 #include "bench/common.hpp"
 #include "serve/scheduler.hpp"
+#include "sim/json.hpp"
 
 using namespace hygcn;
 using namespace hygcn::bench;
@@ -209,25 +210,22 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(requests));
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"serve_scale\",\"series\":[";
-        for (std::size_t i = 0; i < series.size(); ++i) {
-            const ScalePoint &p = series[i];
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + p.label +
-                   "\",\"requests\":" + std::to_string(p.requests) +
-                   ",\"wall_seconds\":" + jsonNumber(p.wallSeconds) +
-                   ",\"sim_rps\":" + jsonNumber(p.simRps / derate) +
-                   ",\"p99_latency_cycles\":" +
-                   jsonNumber(p.stats.p99LatencyCycles) +
-                   ",\"peak_rss_mib\":" + jsonNumber(peakRssMiB()) +
-                   "}";
-        }
-        out += "]";
+        JsonWriter w;
+        w.beginObject().field("bench", "serve_scale");
+        w.key("series").beginArray();
+        for (const ScalePoint &p : series)
+            w.beginObject()
+                .field("case", p.label)
+                .field("requests", p.requests)
+                .field("wall_seconds", p.wallSeconds)
+                .field("sim_rps", p.simRps / derate)
+                .field("p99_latency_cycles", p.stats.p99LatencyCycles)
+                .field("peak_rss_mib", peakRssMiB())
+                .endObject();
+        w.endArray();
         if (derate != 1.0)
-            out += ",\"baseline_derate\":" + jsonNumber(derate);
-        out += "}";
-        if (!writeJson(json_path, out))
+            w.field("baseline_derate", derate);
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
     }
 

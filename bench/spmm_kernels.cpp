@@ -32,6 +32,7 @@
 #include "bench/common.hpp"
 #include "model/kernels.hpp"
 #include "model/layer.hpp"
+#include "sim/json.hpp"
 #include "sim/rng.hpp"
 
 using namespace hygcn;
@@ -254,26 +255,24 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        std::string out = "{\"bench\":\"spmm_kernels\",\"cases\":[";
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const CaseResult &r = results[i];
-            if (i)
-                out += ",";
-            out += "{\"case\":\"" + r.name +
-                   "\",\"vertices\":" + std::to_string(r.vertices) +
-                   ",\"features\":" + std::to_string(r.features) +
-                   ",\"scalar_ms\":" + jsonNumber(r.scalarMs) +
-                   ",\"vec_ms\":" + jsonNumber(r.vecMs) +
-                   ",\"speedup_vec\":" +
-                   jsonNumber(r.speedupVec / derate) +
-                   ",\"speedup_t2\":" + jsonNumber(r.speedupT2) +
-                   ",\"speedup_t4\":" + jsonNumber(r.speedupT4) + "}";
-        }
-        out += "]";
+        JsonWriter w;
+        w.beginObject().field("bench", "spmm_kernels");
+        w.key("cases").beginArray();
+        for (const CaseResult &r : results)
+            w.beginObject()
+                .field("case", r.name)
+                .field("vertices", r.vertices)
+                .field("features", r.features)
+                .field("scalar_ms", r.scalarMs)
+                .field("vec_ms", r.vecMs)
+                .field("speedup_vec", r.speedupVec / derate)
+                .field("speedup_t2", r.speedupT2)
+                .field("speedup_t4", r.speedupT4)
+                .endObject();
+        w.endArray();
         if (derate != 1.0)
-            out += ",\"baseline_derate\":" + jsonNumber(derate);
-        out += "}";
-        if (!writeJson(json_path, out))
+            w.field("baseline_derate", derate);
+        if (!writeJson(json_path, w.endObject().str()))
             return 1;
     }
 

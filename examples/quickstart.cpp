@@ -67,8 +67,9 @@ main()
                 100.0 * r.stats.gauge("dram.bandwidth_utilization"));
     std::printf("sparsity reduced: %.1f%% of grid feature loads\n",
                 100.0 * r.stats.gauge("plan.sparsity_reduction"));
-    for (const auto &[name, pj] : r.energy.components())
-        std::printf("  energy[%-12s] = %s\n", name.c_str(),
+    r.energy.forEach([](std::string_view name, PicoJoule pj) {
+        std::printf("  energy[%-12s] = %s\n", std::string(name).c_str(),
                     formatJoules(pj * 1e-12).c_str());
+    });
     return err == 0.0f ? 0 : 1;
 }

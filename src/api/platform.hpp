@@ -131,9 +131,6 @@ struct RunResult
     /** DiffPool pooled adjacency per component (functional runs). */
     std::vector<Matrix> pooledA;
 
-    /** Average vertex latency in cycles (Fig 16c metric). */
-    double avgVertexLatency = 0.0;
-
     /** Engine activity spans (populated when spec.collectTrace). */
     Trace trace;
 };

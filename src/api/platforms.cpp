@@ -98,7 +98,6 @@ class HyGCNPlatform : public Platform
         out.readout = std::move(r.readout);
         out.pooledX = std::move(r.pooledX);
         out.pooledA = std::move(r.pooledA);
-        out.avgVertexLatency = r.avgVertexLatency;
         return out;
     }
 };

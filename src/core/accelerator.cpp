@@ -384,8 +384,6 @@ HyGCNAccelerator::run(const Dataset &dataset, const ModelConfig &model,
     }
 
     result.report = assembleReport(ctx, config_, "HyGCN", now);
-    result.avgVertexLatency =
-        result.report.stats.gauge(Gauge::CombAvgVertexLatency);
     return result;
 }
 

@@ -37,8 +37,6 @@ struct AcceleratorResult
     std::vector<Matrix> pooledX;
     /** DiffPool pooled adjacency per component (functional runs). */
     std::vector<Matrix> pooledA;
-    /** Average vertex latency in cycles (Fig 16c metric). */
-    double avgVertexLatency = 0.0;
 };
 
 /** The HyGCN accelerator simulator. */

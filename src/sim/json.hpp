@@ -1,15 +1,18 @@
 /**
  * @file
- * Minimal JSON serialization of simulation reports, so downstream
- * tooling (plotting scripts, regression dashboards) can consume
- * bench output without parsing tables. Only what SimReport needs —
- * not a general JSON library.
+ * JsonWriter, the one JSON emitter of the simulator and its benches,
+ * and the serializations of reports, run specs, sweeps and serving
+ * runs built on it, so downstream tooling (plotting scripts,
+ * regression dashboards) can consume output without parsing tables.
  */
 
 #ifndef HYGCN_SIM_JSON_HPP
 #define HYGCN_SIM_JSON_HPP
 
+#include <concepts>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/report.hpp"
@@ -17,7 +20,6 @@
 namespace hygcn::api {
 struct RunSpec;
 struct RunResult;
-struct AggregateStat;
 struct ServeAggregate;
 } // namespace hygcn::api
 
@@ -29,7 +31,75 @@ struct ServeResult;
 namespace hygcn {
 
 /** Escape a string for inclusion in a JSON document. */
-std::string jsonEscape(const std::string &text);
+std::string jsonEscape(std::string_view text);
+
+/**
+ * Appends one JSON document to a string. It places the commas and
+ * escapes strings; doubles print with %.9g, or with %.17g (an exact
+ * round trip) through exact(). A vector is an array of its elements
+ * and an empty optional is null.
+ */
+class JsonWriter
+{
+  public:
+    JsonWriter &beginObject() { return open('{'); }
+    JsonWriter &endObject() { return close('}'); }
+    JsonWriter &beginArray() { return open('['); }
+    JsonWriter &endArray() { return close(']'); }
+
+    /** Name the next value of the enclosing object. */
+    JsonWriter &key(std::string_view name);
+
+    JsonWriter &value(std::string_view text);
+    JsonWriter &value(const char *text)
+    { return value(std::string_view(text)); }
+    JsonWriter &value(bool flag) { return token(flag ? "true" : "false"); }
+    JsonWriter &value(double number);
+    template <std::integral T>
+    JsonWriter &value(T number) { return token(std::to_string(number)); }
+    JsonWriter &exact(double number);
+    JsonWriter &null() { return token("null"); }
+
+    template <class T>
+    JsonWriter &
+    value(const std::optional<T> &maybe)
+    { return maybe ? value(*maybe) : null(); }
+
+    template <class T>
+    JsonWriter &
+    value(const std::vector<T> &items)
+    {
+        beginArray();
+        for (const T &item : items)
+            value(item);
+        return endArray();
+    }
+
+    /** key(@p name), then value(@p v). */
+    template <class T>
+    JsonWriter &
+    field(std::string_view name, const T &v)
+    {
+        key(name);
+        return value(v);
+    }
+
+    /** The document written so far. */
+    const std::string &str() const { return out_; }
+
+  private:
+    /** Append @p text as the next value, after a comma if one is due. */
+    JsonWriter &token(std::string_view text);
+    JsonWriter &open(char bracket) { return token({&bracket, 1}); }
+    JsonWriter &
+    close(char bracket)
+    {
+        out_ += bracket;
+        return *this;
+    }
+
+    std::string out_;
+};
 
 /**
  * Serialize @p report as a single JSON object: platform, cycles,

@@ -120,14 +120,26 @@ StatGroup::merge(const StatGroup &other)
             addChannelBytes(ch, other.channelBytes_[ch]);
 }
 
-std::map<std::string, std::uint64_t>
-StatGroup::counters() const
+std::vector<std::pair<std::string, std::uint64_t>>
+StatGroup::channelEntries() const
 {
-    std::map<std::string, std::uint64_t> out = counters_.entries();
+    std::vector<std::pair<std::string, std::uint64_t>> out;
     for (std::uint32_t ch = 0; ch < channelBytes_.size(); ++ch)
         if (channelBytes_[ch] != 0)
-            out.emplace(channelName(ch), channelBytes_[ch]);
+            out.emplace_back(channelName(ch), channelBytes_[ch]);
+    std::ranges::sort(out);
     return out;
+}
+
+bool
+StatGroup::operator==(const StatGroup &other) const
+{
+    const std::size_t channels =
+        std::max(channelBytes_.size(), other.channelBytes_.size());
+    for (std::uint32_t ch = 0; ch < channels; ++ch)
+        if (channelBytes(ch) != other.channelBytes(ch))
+            return false;
+    return counters_ == other.counters_ && gauges_ == other.gauges_;
 }
 
 PicoJoule

@@ -14,10 +14,11 @@
 #include <bitset>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -113,6 +114,9 @@ double percentileSorted(const std::vector<double> &sorted, double p);
 #define HYGCN_STAT_ID(id, name) id,
 #define HYGCN_STAT_NAME(id, name) name,
 #define HYGCN_STAT_NONE(id, name)
+#define HYGCN_STAT_C(id, name) 'C',
+#define HYGCN_STAT_G(id, name) 'G',
+#define HYGCN_STAT_E(id, name) 'E',
 
 enum class Counter
 {
@@ -135,31 +139,34 @@ static_assert(std::ranges::adjacent_find(kStatNames,
                   std::ranges::end(kStatNames),
               "HYGCN_STAT_TABLE rows must be in increasing name order");
 
-/** The names of one kind's rows, indexed by id. */
-template <class Id>
-struct StatNames;
-template <>
-struct StatNames<Counter>
-{
-    static constexpr std::string_view all[] = {HYGCN_STAT_TABLE(
-        HYGCN_STAT_NAME, HYGCN_STAT_NONE, HYGCN_STAT_NONE)};
-};
-template <>
-struct StatNames<Gauge>
-{
-    static constexpr std::string_view all[] = {HYGCN_STAT_TABLE(
-        HYGCN_STAT_NONE, HYGCN_STAT_NAME, HYGCN_STAT_NONE)};
-};
-template <>
-struct StatNames<Energy>
-{
-    static constexpr std::string_view all[] = {HYGCN_STAT_TABLE(
-        HYGCN_STAT_NONE, HYGCN_STAT_NONE, HYGCN_STAT_NAME)};
-};
+/** Each kStatNames row's kind: 'C'ounter, 'G'auge or 'E'nergy. */
+inline constexpr char kStatKinds[] = {
+    HYGCN_STAT_TABLE(HYGCN_STAT_C, HYGCN_STAT_G, HYGCN_STAT_E)};
 
 #undef HYGCN_STAT_ID
 #undef HYGCN_STAT_NAME
 #undef HYGCN_STAT_NONE
+#undef HYGCN_STAT_C
+#undef HYGCN_STAT_G
+#undef HYGCN_STAT_E
+
+/** The names of one kind's rows, indexed by id. */
+template <class Id>
+struct StatNames
+{
+    static constexpr char kKind = std::is_same_v<Id, Counter> ? 'C'
+                                  : std::is_same_v<Id, Gauge> ? 'G'
+                                                              : 'E';
+    static constexpr auto all = [] {
+        std::array<std::string_view, std::ranges::count(kStatKinds, kKind)>
+            names;
+        auto out = names.begin();
+        for (std::size_t row = 0; row < std::size(kStatNames); ++row)
+            if (kStatKinds[row] == kKind)
+                *out++ = kStatNames[row];
+        return names;
+    }();
+};
 
 /**
  * One value per row of one kind, plus a presence bit: a row is
@@ -169,17 +176,17 @@ template <class Id, class V>
 class StatSlots
 {
   public:
-    static constexpr std::size_t kSize = std::size(StatNames<Id>::all);
+    static constexpr std::size_t kSize = StatNames<Id>::all.size();
 
     /** The row named @p name, if one of this kind exists. */
     static std::optional<Id>
     find(std::string_view name)
     {
         const auto &all = StatNames<Id>::all;
-        const auto *it = std::find(std::begin(all), std::end(all), name);
-        if (it == std::end(all))
+        const auto it = std::ranges::find(all, name);
+        if (it == all.end())
             return std::nullopt;
-        return static_cast<Id>(it - std::begin(all));
+        return static_cast<Id>(it - all.begin());
     }
 
     /** The value of @p id, marked present (the write side). */
@@ -213,14 +220,8 @@ class StatSlots
                 fold(slot(static_cast<Id>(i)), other.values_[i]);
     }
 
-    /** Present (name, value) pairs, sorted by name. */
-    std::map<std::string, V>
-    entries() const
-    {
-        std::map<std::string, V> out;
-        forEach([&](std::string_view name, V v) { out.emplace(name, v); });
-        return out;
-    }
+    /** Same rows written, with the same values. */
+    bool operator==(const StatSlots &) const = default;
 
   private:
     static std::size_t index(Id id) { return static_cast<std::size_t>(id); }
@@ -272,14 +273,39 @@ class StatGroup
     /** Drop every counter and gauge. */
     void clear() { *this = StatGroup(); }
 
-    /** Written counters, channel bytes included, sorted by name. */
-    std::map<std::string, std::uint64_t> counters() const;
+    /**
+     * Visit every written counter as (name, value) in name order, the
+     * non-zero "dram.chNN.bytes" merged in where they sort.
+     */
+    template <class F>
+    void
+    forEachCounter(F &&visit) const
+    {
+        const auto channels = channelEntries();
+        auto next = channels.begin();
+        auto channelsBefore = [&](std::string_view name) {
+            for (; next != channels.end() && next->first < name; ++next)
+                visit(std::string_view(next->first), next->second);
+        };
+        counters_.forEach([&](std::string_view name, std::uint64_t v) {
+            channelsBefore(name);
+            visit(name, v);
+        });
+        channelsBefore("~"); // sorts after every stat name
+    }
 
-    /** Written gauges, sorted by name. */
-    std::map<std::string, double> gauges() const
-    { return gauges_.entries(); }
+    /** Visit every written gauge as (name, value) in name order. */
+    template <class F>
+    void forEachGauge(F &&visit) const { gauges_.forEach(visit); }
+
+    /** Same rows written, same values, same non-zero channel bytes. */
+    bool operator==(const StatGroup &other) const;
 
   private:
+    /** Each non-zero channel's (name, bytes), sorted by name. */
+    std::vector<std::pair<std::string, std::uint64_t>>
+    channelEntries() const;
+
     StatSlots<Counter, std::uint64_t> counters_;
     StatSlots<Gauge, double> gauges_;
     std::vector<std::uint64_t> channelBytes_;
@@ -303,9 +329,12 @@ class EnergyLedger
     /** Add every component of @p other into this ledger. */
     void merge(const EnergyLedger &other);
 
-    /** Charged components, sorted by name. */
-    std::map<std::string, PicoJoule> components() const
-    { return components_.entries(); }
+    /** Visit every charged component as (name, pj) in name order. */
+    template <class F>
+    void forEach(F &&visit) const { components_.forEach(visit); }
+
+    /** Same components charged, with the same energy. */
+    bool operator==(const EnergyLedger &) const = default;
 
   private:
     StatSlots<Energy, PicoJoule> components_;

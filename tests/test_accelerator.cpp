@@ -181,7 +181,7 @@ TEST(Accelerator, ReportCarriesEnergyComponentsAndStats)
     EXPECT_GT(r.report.energy.component("coordinator"), 0.0);
     EXPECT_GT(r.report.energy.component("dram"), 0.0);
     EXPECT_GT(r.report.stats.gauge("dram.bandwidth_utilization"), 0.0);
-    EXPECT_GT(r.avgVertexLatency, 0.0);
+    EXPECT_GT(r.report.stats.gauge("comb.avg_vertex_latency"), 0.0);
     EXPECT_EQ(r.report.platform, "HyGCN");
 }
 

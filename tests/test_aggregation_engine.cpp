@@ -91,10 +91,9 @@ expectIntervalCallMatches(const CscView &view, const WindowPlan &plan,
         ASSERT_EQ(tf.computeCycles, tt.computeCycles);
         now = tf.finish;
     }
-    EXPECT_EQ(functional.stats.counters(), timing.stats.counters());
-    EXPECT_EQ(functional.ledger.components(), timing.ledger.components());
-    EXPECT_EQ(functional.hbm.stats().counters(),
-              timing.hbm.stats().counters());
+    EXPECT_EQ(functional.stats, timing.stats);
+    EXPECT_EQ(functional.ledger, timing.ledger);
+    EXPECT_EQ(functional.hbm.stats(), timing.hbm.stats());
 }
 
 } // namespace

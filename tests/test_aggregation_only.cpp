@@ -93,8 +93,9 @@ expectMatchesReference(const api::RunResult &run)
 
     EXPECT_EQ(got.cycles, ref.report.cycles);
     EXPECT_EQ(got.dramBytes(), ref.report.dramBytes());
-    for (const auto &[name, v] : ref.report.stats.counters())
+    ref.report.stats.forEachCounter([&](std::string_view name, auto v) {
         EXPECT_EQ(got.stats.get(name), v) << name;
+    });
     for (Energy e : {Energy::AggEngine, Energy::Coordinator})
         EXPECT_EQ(got.energy.component(e), ref.report.energy.component(e));
     EXPECT_EQ(got.stats.gauge(Gauge::PlanSparsityReduction), ref.gridRatio);

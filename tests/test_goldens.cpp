@@ -319,30 +319,26 @@ statsObject(const std::string &json)
     throw std::runtime_error("serve JSON stats object is unterminated");
 }
 
-/** @p value at round-trip precision, so equal text means equal bits. */
-std::string
-exactNumber(double value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    return buf;
-}
-
 /** Every number of a SimReport as one flat JSON object: cycles, DRAM
- *  bytes, joules, counters, gauges and energy components. */
+ *  bytes, joules, counters, gauges and energy components. Doubles are
+ *  exact, so equal text means equal bits. */
 std::string
 exactReport(const SimReport &report)
 {
-    std::string out = "{\"cycles\":" + std::to_string(report.cycles) +
-                      ",\"dram_bytes\":" + std::to_string(report.dramBytes()) +
-                      ",\"joules\":" + exactNumber(report.joules());
-    for (const auto &[name, v] : report.stats.counters())
-        out += ",\"" + name + "\":" + std::to_string(v);
-    for (const auto &[name, v] : report.stats.gauges())
-        out += ",\"" + name + "\":" + exactNumber(v);
-    for (const auto &[name, pj] : report.energy.components())
-        out += ",\"pj." + name + "\":" + exactNumber(pj);
-    return out + "}";
+    JsonWriter w;
+    w.beginObject()
+        .field("cycles", report.cycles)
+        .field("dram_bytes", report.dramBytes())
+        .key("joules")
+        .exact(report.joules());
+    report.stats.forEachCounter(
+        [&](std::string_view name, std::uint64_t v) { w.field(name, v); });
+    report.stats.forEachGauge(
+        [&](std::string_view name, double v) { w.key(name).exact(v); });
+    report.energy.forEach([&](std::string_view name, PicoJoule pj) {
+        w.key("pj." + std::string(name)).exact(pj);
+    });
+    return w.endObject().str();
 }
 
 } // namespace

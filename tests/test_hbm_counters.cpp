@@ -30,7 +30,7 @@ struct Tally
     HbmConfig config;
     /** Open row per (channel, bank); absent = closed. */
     std::map<BankId, std::uint64_t> openRows;
-    std::map<std::string, std::uint64_t> counters;
+    StatGroup counters;
 
     void add(const MemRequest &req)
     {
@@ -46,25 +46,20 @@ struct Tally
 
         auto open = openRows.find({channel, bank});
         if (open != openRows.end() && open->second == row) {
-            counters["dram.row_hits"] += 1;
+            counters.add(Counter::DramRowHits);
         } else {
-            counters["dram.row_misses"] += 1;
+            counters.add(Counter::DramRowMisses);
             openRows[{channel, bank}] = row;
         }
-        counters["dram.requests"] += 1;
-        counters["dram.busy_cycles"] +=
-            (req.bytes + config.bytesPerCycle - 1) / config.bytesPerCycle;
-        if (req.isWrite)
-            counters["dram.write_bytes"] += req.bytes;
-        else
-            counters["dram.read_bytes"] += req.bytes;
-        // Per-channel byte keys appear once they are non-zero.
-        if (req.bytes != 0) {
-            char name[32];
-            const auto ch = static_cast<unsigned>(channel);
-            std::snprintf(name, sizeof(name), "dram.ch%02u.bytes", ch);
-            counters[name] += req.bytes;
-        }
+        counters.add(Counter::DramRequests);
+        counters.add(Counter::DramBusyCycles,
+                     (req.bytes + config.bytesPerCycle - 1) /
+                         config.bytesPerCycle);
+        counters.add(req.isWrite ? Counter::DramWriteBytes
+                                 : Counter::DramReadBytes,
+                     req.bytes);
+        counters.addChannelBytes(static_cast<std::uint32_t>(channel),
+                                 req.bytes);
     }
 };
 
@@ -84,13 +79,6 @@ mixedStream(std::size_t n, std::uint64_t seed, bool with_writes)
     return reqs;
 }
 
-/** The model's "dram.*" counters (the group holds nothing else). */
-std::map<std::string, std::uint64_t>
-dramCounters(const HbmModel &hbm)
-{
-    return hbm.stats().counters();
-}
-
 } // namespace
 
 TEST(HbmCounters, MixedStreamMatchesHandTallyAtEveryRead)
@@ -104,13 +92,13 @@ TEST(HbmCounters, MixedStreamMatchesHandTallyAtEveryRead)
         tally.add(reqs[i]);
         // The counters match the tally part-way, too.
         if (i == 0 || i == 999 || i == 3001) {
-            EXPECT_EQ(dramCounters(hbm), tally.counters) << "after " << i;
+            EXPECT_EQ(hbm.stats(), tally.counters) << "after " << i;
         }
     }
-    EXPECT_EQ(dramCounters(hbm), tally.counters);
-    EXPECT_GT(tally.counters["dram.row_hits"], 0u);
-    EXPECT_GT(tally.counters["dram.row_misses"], 0u);
-    EXPECT_GT(tally.counters["dram.write_bytes"], 0u);
+    EXPECT_EQ(hbm.stats(), tally.counters);
+    EXPECT_GT(tally.counters.get(Counter::DramRowHits), 0u);
+    EXPECT_GT(tally.counters.get(Counter::DramRowMisses), 0u);
+    EXPECT_GT(tally.counters.get(Counter::DramWriteBytes), 0u);
 }
 
 TEST(HbmCounters, ReadOnlyStreamHasNoWriteKey)
@@ -126,7 +114,7 @@ TEST(HbmCounters, ReadOnlyStreamHasNoWriteKey)
 TEST(HbmCounters, KeyAppearsOnceItsEventHappensEvenAtZero)
 {
     HbmModel hbm(HbmConfig{});
-    EXPECT_TRUE(hbm.stats().counters().empty());
+    EXPECT_EQ(hbm.stats(), StatGroup());
 
     // One zero-byte write: a request, a row miss, no bytes.
     hbm.serviceOne({0, 0, true, RequestType::OutputFeature}, 0);
@@ -159,5 +147,7 @@ TEST(HbmCounters, OnChipBufferReportsPerNameByteKeys)
     EXPECT_EQ(stats.get("buf.input.write_bytes"), 64u);
     EXPECT_EQ(stats.get("buf.output.write_bytes"), 7u);
     EXPECT_FALSE(stats.has("buf.output.read_bytes"));
-    EXPECT_EQ(stats.counters().size(), 3u);
+    int written = 0;
+    stats.forEachCounter([&](std::string_view, auto) { ++written; });
+    EXPECT_EQ(written, 3);
 }

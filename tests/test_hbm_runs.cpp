@@ -14,8 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -51,8 +49,8 @@ class ReferenceHbm
         return finish;
     }
 
-    /** "dram.*" counters; a key appears once its event has happened. */
-    std::map<std::string, std::uint64_t> counters;
+    /** "dram.*" counters; a row is written once its event happens. */
+    StatGroup counters;
     std::vector<std::uint64_t> channelBytes;
 
   private:
@@ -79,10 +77,10 @@ class ReferenceHbm
 
         Cycle cas_issue = std::max(start, ready_[b]);
         if (openRow_[b] == row) {
-            counters["dram.row_hits"] += 1;
+            counters.add(Counter::DramRowHits);
         } else {
             cas_issue += config_.tRP + config_.tRCD;
-            counters["dram.row_misses"] += 1;
+            counters.add(Counter::DramRowMisses);
             openRow_[b] = row;
         }
         const Cycle burst =
@@ -93,16 +91,13 @@ class ReferenceHbm
         busFree_[channel] = end;
         ready_[b] = cas_issue + burst;
 
-        counters["dram.requests"] += 1;
-        counters["dram.busy_cycles"] += burst;
-        counters[is_write ? "dram.write_bytes" : "dram.read_bytes"] += bytes;
+        counters.add(Counter::DramRequests);
+        counters.add(Counter::DramBusyCycles, burst);
+        counters.add(is_write ? Counter::DramWriteBytes
+                              : Counter::DramReadBytes,
+                     bytes);
         channelBytes[channel] += bytes;
-        if (bytes != 0) {
-            char name[32];
-            std::snprintf(name, sizeof(name), "dram.ch%02u.bytes",
-                          static_cast<unsigned>(channel));
-            counters[name] += bytes;
-        }
+        counters.addChannelBytes(static_cast<std::uint32_t>(channel), bytes);
         return end;
     }
 
@@ -177,7 +172,7 @@ void
 expectSameCounters(HbmModel &hbm, const ReferenceHbm &ref,
                    const std::string &where)
 {
-    EXPECT_EQ(hbm.stats().counters(), ref.counters) << where;
+    EXPECT_EQ(hbm.stats(), ref.counters) << where;
     for (std::uint32_t ch = 0; ch < hbm.config().channels; ++ch)
         EXPECT_EQ(hbm.stats().channelBytes(ch), ref.channelBytes[ch])
             << where << " channel " << ch;
@@ -327,11 +322,9 @@ TEST(HbmRuns, CoordinatorRunsMatchTheirExpandedLines)
                 ASSERT_EQ(runs_coord.issueBatch(runs, start),
                           lines_coord.issueBatch(expandLines(runs), start))
                     << where;
-                EXPECT_EQ(runs_coord.stats().counters(),
-                          lines_coord.stats().counters())
+                EXPECT_EQ(runs_coord.stats(), lines_coord.stats())
                     << where;
-                EXPECT_EQ(hbm_runs.stats().counters(),
-                          hbm_lines.stats().counters())
+                EXPECT_EQ(hbm_runs.stats(), hbm_lines.stats())
                     << where;
             }
         }

@@ -440,7 +440,8 @@ TEST(Platform, RunResultMatchesAcceleratorResult)
                                   .runOne();
     EXPECT_EQ(direct.report.cycles, via_api.report.cycles);
     EXPECT_EQ(toJson(direct.report), toJson(via_api.report));
-    EXPECT_DOUBLE_EQ(direct.avgVertexLatency, via_api.avgVertexLatency);
+    EXPECT_DOUBLE_EQ(direct.report.stats.gauge(Gauge::CombAvgVertexLatency),
+                     via_api.report.stats.gauge(Gauge::CombAvgVertexLatency));
     ASSERT_EQ(direct.layerOutputs.size(), via_api.layerOutputs.size());
     for (std::size_t i = 0; i < direct.layerOutputs.size(); ++i)
         EXPECT_TRUE(Matrix::bytesEqual(direct.layerOutputs[i],
