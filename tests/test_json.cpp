@@ -90,7 +90,9 @@ TEST(Json, NumberFormats)
     EXPECT_NE(std::strtod(rounded.str().c_str(), nullptr), 1.0 / 3.0);
 }
 
-TEST(Json, ReportChannelsSortLikeStdMap)
+// The report's counters in std::map order: the table rows with the
+// channel counters merged in, channel 100 between 10 and 11.
+TEST(StatSchema, CountersSortByNameWithChannels)
 {
     SimReport report;
     report.stats.add(Counter::DramReadBytes, 1);
