@@ -31,26 +31,21 @@ def fail(msg):
 def summarize_sweep(path, aggregates):
     print(f"{path}: {len(aggregates)} sweep point(s)")
     for agg in aggregates:
-        # Off-default config fields are omitted from the JSON echo, so
-        # fall back to the serve defaults when labeling.
-        config = agg.get("config", {})
-        label = (
-            f"{config.get('policy', 'fifo')}"
-            f"/b{config.get('max_batch', '?')}"
-        )
-        arrival = config.get("arrival", {})
-        if "process" in arrival:
-            label += f" [{arrival['process']}]"
-        p99 = agg.get("p99_latency_cycles", {})
-        slo = agg.get("slo_violations", {})
-        seeds = agg.get("seeds", [])
-        print(
-            f"  {label}: seeds={len(seeds)}"
-            f" p99={p99.get('mean', 0.0):.0f}"
-            f"+/-{p99.get('stddev', 0.0):.0f}cyc"
-            f" slo_miss={slo.get('mean', 0.0):.1f}"
-            f"+/-{slo.get('stddev', 0.0):.1f}"
-        )
+        try:
+            config = agg["config"]
+            label = (
+                f"{config['policy']}/b{config['max_batch']}"
+                f" [{config['arrival']['process']}]"
+            )
+            p99 = agg["p99_latency_cycles"]
+            slo = agg["slo_violations"]
+            print(
+                f"  {label}: seeds={len(agg['seeds'])}"
+                f" p99={p99['mean']:.0f}+/-{p99['stddev']:.0f}cyc"
+                f" slo_miss={slo['mean']:.1f}+/-{slo['stddev']:.1f}"
+            )
+        except (KeyError, TypeError) as exc:
+            fail(f"{path}: sweep point lacks {exc}")
 
 
 def summarize_trace(path, lines):

@@ -178,9 +178,8 @@ struct ServeStats
      */
     std::uint64_t deadlineCapsAvoided = 0;
 
-    // --- Routing accounting (all zero with RoutingSpec defaults —
-    // --- lookahead off, no affinity — so default-config JSON stays
-    // --- byte-identical).
+    // --- Routing accounting (all zero with RoutingSpec defaults:
+    // --- lookahead off, no affinity).
 
     /** Dispatch rounds lookahead routing held a ready batch for a
      *  busy-but-cheaper class instead of dispatching to a free one
@@ -198,7 +197,8 @@ struct ServeStats
     /** Process-wide PricedScenarioCache lookups this run's own
      *  pricing served from cache / priced fresh, nested unit and
      *  co-batch lookups included (0/0 for runs on an injected
-     *  platform, which price in a run-local cache). */
+     *  platform, which price in a run-local cache). They depend on
+     *  what the process priced before, so toJson leaves them out. */
     std::uint64_t pricedCacheHits = 0;
     std::uint64_t pricedCacheMisses = 0;
 
@@ -209,7 +209,7 @@ struct ServeStats
     std::vector<ClassStats> classStats;
 
     // --- Control-plane accounting (all zero/empty with the control
-    // --- plane off, so default-config JSON stays byte-identical).
+    // --- plane off).
 
     /** Batches whose dispatch the cluster-wide power cap deferred
      *  (counted once per batch, however long it waited). */

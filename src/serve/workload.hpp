@@ -224,10 +224,6 @@ struct RoutingSpec
      * default) disables retention entirely.
      */
     double affinityMargin = 0.0;
-
-    /** Lookahead or affinity engaged? (Selects the routing stats the
-     *  serve JSON emits.) */
-    bool enabled() const { return lookahead || affinityMargin > 0.0; }
 };
 
 /** Stats-collection knobs, grouped: whether per-request records
@@ -368,8 +364,7 @@ struct ControlPlaneSpec
     std::uint32_t minInstances = 0;
     std::uint32_t maxInstances = 0;
 
-    /** Any control feature engaged? False for the defaults; selects
-     *  the control block and stats the serve JSON emits. */
+    /** Any control feature engaged? False for the defaults. */
     bool enabled() const
     {
         return scalingPolicy != "static" || powerCapWatts > 0.0 ||

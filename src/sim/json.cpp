@@ -80,6 +80,14 @@ JsonWriter::exact(double number)
 
 namespace {
 
+/** @p v, or none (written as null) where it equals @p none. */
+template <class T>
+std::optional<T>
+orNull(const T &v, const T &none)
+{
+    return v == none ? std::nullopt : std::optional<T>(v);
+}
+
 void
 put(JsonWriter &w, const HyGCNConfig &c)
 {
@@ -112,16 +120,9 @@ put(JsonWriter &w, const SimReport &report)
 {
     w.beginObject()
         .field("platform", report.platform)
-        .field("cycles", report.cycles);
-    // Phase breakdown emits only when the platform has the phase, so
-    // reports of phase-less platforms (and their goldens) are
-    // byte-stable.
-    if (const std::uint64_t cycles =
-            report.stats.get(Counter::CombWeightLoadCycles))
-        w.field("comb_weight_load_cycles", cycles);
-    if (report.combWeightLoadEnergyPj != 0.0)
-        w.field("comb_weight_load_energy_pj", report.combWeightLoadEnergyPj);
-    w.field("seconds", report.seconds())
+        .field("cycles", report.cycles)
+        .field("comb_weight_load_energy_pj", report.combWeightLoadEnergyPj)
+        .field("seconds", report.seconds())
         .field("joules", report.joules())
         .field("dram_bytes", report.dramBytes());
     const auto entry = [&](std::string_view name, auto v) {
@@ -142,37 +143,21 @@ put(JsonWriter &w, const api::RunSpec &spec)
     w.beginObject()
         .field("platform", spec.platform)
         .field("dataset", datasetAbbrev(spec.dataset))
-        .field("model", modelAbbrev(spec.model));
-    // Registered custom names override the built-in ids; emitted only
-    // when set so id-addressed specs (and their goldens) are
-    // byte-stable.
-    if (!spec.datasetName.empty())
-        w.field("dataset_name", spec.datasetName);
-    if (!spec.modelName.empty())
-        w.field("model_name", spec.modelName);
-    w.field("num_layers", spec.numLayers)
+        .field("model", modelAbbrev(spec.model))
+        .field("dataset_name", orNull(spec.datasetName, std::string()))
+        .field("model_name", orNull(spec.modelName, std::string()))
+        .field("num_layers", spec.numLayers)
         .field("seed", spec.seed)
         .field("dataset_seed", spec.datasetSeed)
         .field("dataset_scale", spec.datasetScale)
         .field("functional", spec.functional)
         .field("with_readout", spec.withReadout)
-        .field("sample_factor", spec.sampleFactor);
-    // Emitted only off-default so unbatched specs (goldens, cache
-    // keys) keep their exact serialized form; != 1 (not > 1) so an
-    // invalid 0 can never alias the default's serialized form.
-    if (spec.batchCopies != 1)
-        w.field("batch_copies", spec.batchCopies);
-    // Off-default only, like batch_copies: thread count never changes
-    // results (kernels are bit-exact under parallelism), so default
-    // specs — and the goldens/cache keys derived from them — keep
-    // their exact serialized form.
-    if (spec.threads != 0)
-        w.field("threads", spec.threads);
-
-    // Full accelerator config, so runs differing only via a custom
-    // base config (not a vary() axis) stay distinguishable. Applies
-    // to the hygcn* platforms; inert for the pyg baselines.
-    w.key("hygcn_config");
+        .field("sample_factor", spec.sampleFactor)
+        .field("batch_copies", spec.batchCopies)
+        .field("threads", spec.threads)
+        .key("hygcn_config");
+    // The full accelerator config, so specs differing only in a custom
+    // base config (not a vary() axis) stay distinct; inert for pyg.
     put(w, spec.hygcn);
 
     // Dedupe by key (last application wins) so re-varied parameters
@@ -191,205 +176,157 @@ put(JsonWriter &w, const api::RunResult &result)
 {
     w.beginObject().key("spec");
     put(w, result.spec);
-    w.field("avg_vertex_latency",
-            result.report.stats.gauge(Gauge::CombAvgVertexLatency))
-        .key("report");
+    w.key("report");
     put(w, result.report);
     w.endObject();
 }
 
+/** The selected process, then every process's parameters in one
+ *  object named after it. */
 void
 put(JsonWriter &w, const workload::ArrivalSpec &arrival)
 {
-    w.beginObject().field("process", arrival.process);
-    if (arrival.process == "diurnal") {
-        w.field("amplitude", arrival.diurnalAmplitude)
-            .field("period_cycles", arrival.diurnalPeriodCycles);
-    } else if (arrival.process == "flash-crowd") {
-        w.field("amplitude", arrival.burstAmplitude)
-            .field("start_cycle", arrival.burstStartCycle)
-            .field("duration_cycles", arrival.burstDurationCycles)
-            .field("ramp_cycles", arrival.burstRampCycles)
-            .field("period_cycles", arrival.burstPeriodCycles);
-    } else if (arrival.process == "mmpp") {
-        w.field("rate_multipliers", arrival.mmppRateMultipliers)
-            .field("mean_dwell_cycles", arrival.mmppMeanDwellCycles);
-    } else if (arrival.process == "heavy-tail") {
-        w.field("dist", arrival.heavyTailDist);
-        if (arrival.heavyTailDist == "lognormal")
-            w.field("sigma", arrival.lognormalSigma);
-        else
-            w.field("alpha", arrival.paretoAlpha);
-    } else if (arrival.process == "correlated") {
-        w.field("burst_multiplier", arrival.correlatedBurstMultiplier)
-            .field("mean_dwell_cycles", arrival.correlatedMeanDwellCycles)
-            .field("correlation", arrival.correlation);
-    } else if (arrival.process == "trace") {
-        w.field("trace_file", arrival.traceFile);
-    }
-    w.endObject();
+    w.beginObject()
+        .field("process", arrival.process)
+        .key("diurnal")
+        .beginObject()
+        .field("amplitude", arrival.diurnalAmplitude)
+        .field("period_cycles", arrival.diurnalPeriodCycles)
+        .endObject()
+        .key("flash-crowd")
+        .beginObject()
+        .field("amplitude", arrival.burstAmplitude)
+        .field("start_cycle", arrival.burstStartCycle)
+        .field("duration_cycles", arrival.burstDurationCycles)
+        .field("ramp_cycles", arrival.burstRampCycles)
+        .field("period_cycles", arrival.burstPeriodCycles)
+        .endObject()
+        .key("mmpp")
+        .beginObject()
+        .field("rate_multipliers", arrival.mmppRateMultipliers)
+        .field("mean_dwell_cycles", arrival.mmppMeanDwellCycles)
+        .endObject()
+        .key("heavy-tail")
+        .beginObject()
+        .field("dist", arrival.heavyTailDist)
+        .field("alpha", arrival.paretoAlpha)
+        .field("sigma", arrival.lognormalSigma)
+        .endObject()
+        .key("correlated")
+        .beginObject()
+        .field("burst_multiplier", arrival.correlatedBurstMultiplier)
+        .field("mean_dwell_cycles", arrival.correlatedMeanDwellCycles)
+        .field("correlation", arrival.correlation)
+        .endObject()
+        .key("trace")
+        .beginObject()
+        .field("trace_file", orNull(arrival.traceFile, std::string()))
+        .endObject()
+        .endObject();
 }
 
 void
 put(JsonWriter &w, const serve::ControlPlaneSpec &control)
 {
-    w.beginObject().field("scaling_policy", control.scalingPolicy);
-    if (control.intervalCycles != 0)
-        w.field("interval_cycles", control.intervalCycles);
-    if (control.scalingPolicy != "static") {
-        if (control.warmupCycles != 0)
-            w.field("warmup_cycles", control.warmupCycles);
-        if (control.drainCycles != 0)
-            w.field("drain_cycles", control.drainCycles);
-        w.field("queue_depth_high", control.queueDepthHigh)
-            .field("queue_depth_low", control.queueDepthLow)
-            .field("slo_burn_high", control.sloBurnHigh);
-        if (!control.schedule.empty()) {
-            w.key("schedule").beginArray();
-            for (const auto &entry : control.schedule)
-                w.beginObject()
-                    .field("at_cycle", entry.atCycle)
-                    .field("replicas", entry.replicas)
-                    .endObject();
-            w.endArray();
-        }
-        if (control.minInstances != 0)
-            w.field("min_instances", control.minInstances);
-        if (control.maxInstances != 0)
-            w.field("max_instances", control.maxInstances);
-    }
-    if (control.powerCapWatts > 0.0)
-        w.field("power_cap_watts", control.powerCapWatts);
-    if (control.preemption)
-        w.field("preemption", true)
-            .field("preemption_overhead_fraction",
-                   control.preemptionOverheadFraction);
-    w.endObject();
+    w.beginObject()
+        .field("scaling_policy", control.scalingPolicy)
+        .field("interval_cycles", control.intervalCycles)
+        .field("warmup_cycles", control.warmupCycles)
+        .field("drain_cycles", control.drainCycles)
+        .field("queue_depth_high", control.queueDepthHigh)
+        .field("queue_depth_low", control.queueDepthLow)
+        .field("slo_burn_high", control.sloBurnHigh)
+        .key("schedule")
+        .beginArray();
+    for (const auto &entry : control.schedule)
+        w.beginObject()
+            .field("at_cycle", entry.atCycle)
+            .field("replicas", entry.replicas)
+            .endObject();
+    w.endArray()
+        .field("min_instances", control.minInstances)
+        .field("max_instances", control.maxInstances)
+        .field("power_cap_watts", orNull(control.powerCapWatts, 0.0))
+        .field("preemption", control.preemption)
+        .field("preemption_overhead_fraction",
+               control.preemptionOverheadFraction)
+        .endObject();
 }
 
 void
 put(JsonWriter &w, const serve::ServeConfig &config)
 {
-    w.beginObject().field("platform", config.platform);
-
-    // New-in-PR-3 fields emit only off their defaults so FIFO-policy
-    // homogeneous configs — including the checked-in serve golden —
-    // stay byte-identical.
-    if (config.policy != "fifo")
-        w.field("policy", config.policy);
-    if (!config.cluster.empty()) {
-        w.key("cluster").beginArray();
-        for (const serve::ClusterSpec::InstanceClass &cls :
-             config.cluster.classes) {
-            w.beginObject()
-                .field("platform", cls.platform)
-                .field("label", cls.label())
-                .field("count", cls.count);
-            // Autoscaling bounds emit only when set (0 means "count",
-            // and pre-control-plane goldens stay byte-identical).
-            if (cls.minCount)
-                w.field("min_count", cls.minCount);
-            if (cls.maxCount)
-                w.field("max_count", cls.maxCount);
-            if (cls.hygcn) {
-                w.key("hygcn_config");
-                put(w, *cls.hygcn);
-            }
-            w.endObject();
-        }
-        w.endArray();
+    w.beginObject()
+        .field("platform", config.platform)
+        .field("policy", config.policy)
+        .key("cluster")
+        .beginArray();
+    for (const serve::ClusterSpec::InstanceClass &cls :
+         config.cluster.classes) {
+        w.beginObject()
+            .field("platform", cls.platform)
+            .field("label", cls.label())
+            .field("count", cls.count)
+            .field("min_count", cls.minCount)
+            .field("max_count", cls.maxCount)
+            .key("hygcn_config");
+        if (cls.hygcn)
+            put(w, *cls.hygcn);
+        else
+            w.null();
+        w.endObject();
     }
-
-    w.key("scenarios").beginArray();
+    w.endArray().key("scenarios").beginArray();
     for (const serve::ServeScenario &scenario : config.scenarios) {
         w.beginObject().field("name", scenario.name).key("spec");
         put(w, scenario.spec);
         w.endObject();
     }
-    w.endArray();
-
-    w.key("tenants").beginArray();
-    for (const serve::TenantMix &t : config.tenants) {
+    w.endArray().key("tenants").beginArray();
+    for (const serve::TenantMix &t : config.tenants)
         w.beginObject()
             .field("name", t.name)
             .field("weight", t.weight)
-            .field("scenario_weights", t.scenarioWeights);
-        if (t.sloLatencyCycles != 0)
-            w.field("slo_cycles", t.sloLatencyCycles);
-        if (t.shareQuota != 0.0)
-            w.field("share_quota", t.shareQuota);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.field("num_requests", config.numRequests)
+            .field("scenario_weights", t.scenarioWeights)
+            .field("slo_cycles", orNull(t.sloLatencyCycles, Cycle{0}))
+            .field("share_quota", t.shareQuota)
+            .endObject();
+    // recordPath never emits: recording is an I/O side effect, not
+    // part of what the run answers, so a recorded run and its replay
+    // echo comparable configs.
+    w.endArray()
+        .field("num_requests", config.numRequests)
         .field("mean_interarrival_cycles", config.meanInterarrivalCycles)
         .field("seed", config.seed)
         .field("instances", config.instances)
         .field("max_batch", config.batching.maxBatch)
         .field("batch_timeout_cycles", config.batching.timeoutCycles)
-        .field("batch_marginal_fraction", config.batching.marginalFraction);
-    // Cost-model fields emit only off their defaults so marginal
-    // configs — including the checked-in serve golden and the bench
-    // baseline — stay byte-identical.
-    if (config.batching.costModel != "marginal")
-        w.field("cost_model", config.batching.costModel);
-    // Routing fields emit only off their defaults (greedy "cycles"
-    // free-class routing) so legacy configs — and every checked-in
-    // golden — stay byte-identical.
-    if (config.routing.objective != "cycles")
-        w.field("route_objective", config.routing.objective);
-    if (config.routing.lookahead)
-        w.field("routing_lookahead", true);
-    if (config.routing.affinityMargin > 0.0)
-        w.field("affinity_margin", config.routing.affinityMargin);
-    // Off-default means *false* since the default-on flip; legacy
-    // opt-out configs are the ones that need to say so.
-    if (!config.batching.deadlineAware)
-        w.field("deadline_aware_batching", false);
-    // Streaming-sink knobs emit only when streaming is on (and then
-    // only off-default), so materialized configs — every golden —
-    // stay byte-identical.
-    if (config.stats.streaming) {
-        w.field("streaming_stats", true);
-        if (config.stats.reservoirCapacity != 65536)
-            w.field("stats_reservoir_capacity",
-                    config.stats.reservoirCapacity);
-        if (config.stats.flushEveryRequests != 0)
-            w.field("stats_flush_every_requests",
-                    config.stats.flushEveryRequests);
-    }
-    // The arrival spec emits only off the default "poisson" process
-    // (goldens stay byte-identical), and then only the selected
-    // process's parameters. recordPath never emits: recording is an
-    // I/O side effect, not part of what the run answers, so a
-    // recorded run and its replay echo comparable configs.
-    if (config.arrival.process != "poisson") {
-        w.key("arrival");
-        put(w, config.arrival);
-    }
-    // The control block emits only when the control plane is engaged
-    // (non-static scaling, a power cap, or preemption) — default
-    // configs, and therefore every checked-in golden, skip it — and
-    // then only the engaged halves' knobs.
-    if (config.control.enabled()) {
-        w.key("control");
-        put(w, config.control);
-    }
+        .field("batch_marginal_fraction", config.batching.marginalFraction)
+        .field("cost_model", config.batching.costModel)
+        .field("route_objective", config.routing.objective)
+        .field("routing_lookahead", config.routing.lookahead)
+        .field("affinity_margin", config.routing.affinityMargin)
+        .field("deadline_aware_batching", config.batching.deadlineAware)
+        .field("streaming_stats", config.stats.streaming)
+        .field("stats_reservoir_capacity", config.stats.reservoirCapacity)
+        .field("stats_flush_every_requests",
+               config.stats.flushEveryRequests)
+        .key("arrival");
+    put(w, config.arrival);
+    w.key("control");
+    put(w, config.control);
     w.endObject();
 }
 
 void
 put(JsonWriter &w, const serve::ServeResult &result, bool per_request)
 {
+    // The priced-cache lookups never emit: they count what the
+    // process-wide cache held when the run began, not what the run
+    // answers, so equal configs serialize equally in any process.
     const serve::ServeStats &stats = result.stats;
-    // Energy fields emit only off the default routing objective:
-    // under "cycles" no dispatch ever consulted them, and the
-    // checked-in goldens must stay byte-identical.
-    const bool emit_energy = result.config.routing.objective != "cycles";
     w.beginObject().key("config");
     put(w, result.config);
-
     w.key("stats")
         .beginObject()
         .field("requests", stats.requests)
@@ -406,137 +343,88 @@ put(JsonWriter &w, const serve::ServeResult &result, bool per_request)
         .field("max", stats.maxLatencyCycles)
         .endObject()
         .field("mean_queue_wait_cycles", stats.meanQueueWaitCycles)
-        .field("instance_utilization", stats.instanceUtilization);
-    if (emit_energy)
-        w.field("total_joules", stats.totalJoules)
-            .field("mean_joules_per_request", stats.meanJoulesPerRequest);
-    // The flag is default-on, and the fifo goldens must not grow
-    // the (always-zero) counter — so the counter emits for policies
-    // that size batches (built-in: "edf"), or whenever a custom
-    // policy actually reports caps.
-    if (result.config.batching.deadlineAware &&
-        (result.config.policy == "edf" || stats.deadlineCapsAvoided != 0))
-        w.field("deadline_caps_avoided", stats.deadlineCapsAvoided);
-    // Routing stats emit only when the routing spec is engaged
-    // (lookahead or affinity), so default-routing results — every
-    // golden — stay byte-identical.
-    if (result.config.routing.enabled())
-        w.field("lookahead_holds", stats.lookaheadHolds)
-            .field("affinity_hits", stats.affinityHits)
-            .field("affinity_migrations", stats.affinityMigrations)
-            .field("priced_cache_hits", stats.pricedCacheHits)
-            .field("priced_cache_misses", stats.pricedCacheMisses);
-    // Control-plane stats emit only when the control plane is engaged
-    // (matching the config's "control" block), and then only the
-    // engaged halves' counters.
-    if (result.config.control.enabled()) {
-        const serve::ControlPlaneSpec &control = result.config.control;
-        if (control.powerCapWatts > 0.0)
-            w.field("power_deferred_batches", stats.powerDeferredBatches)
-                .field("peak_cluster_watts", stats.peakClusterWatts)
-                .field("mean_cluster_watts", stats.meanClusterWatts);
-        if (control.preemption)
-            w.field("preemptions", stats.preemptions)
-                .field("preempted_cycles", stats.preemptedCycles);
-        if (control.scalingPolicy != "static") {
-            w.field("scale_up_events", stats.scaleUpEvents)
-                .field("scale_down_events", stats.scaleDownEvents)
-                .key("replica_timelines")
-                .beginArray();
-            for (const auto &timeline : stats.replicaTimelines) {
-                w.beginArray();
-                for (const auto &sample : timeline)
-                    w.beginObject()
-                        .field("cycle", sample.cycle)
-                        .field("replicas", sample.replicas)
-                        .endObject();
-                w.endArray();
-            }
-            w.endArray();
-        }
-    }
-    // Breakdowns emit only when the config declares the dimension
-    // (explicit tenants / an explicit cluster), keeping the default
-    // FIFO homogeneous golden byte-identical.
-    if (!result.config.tenants.empty()) {
-        w.key("tenants").beginArray();
-        for (const serve::TenantStats &t : stats.tenantStats) {
+        .field("instance_utilization", stats.instanceUtilization)
+        .field("total_joules", stats.totalJoules)
+        .field("mean_joules_per_request", stats.meanJoulesPerRequest)
+        .field("deadline_caps_avoided", stats.deadlineCapsAvoided)
+        .field("lookahead_holds", stats.lookaheadHolds)
+        .field("affinity_hits", stats.affinityHits)
+        .field("affinity_migrations", stats.affinityMigrations)
+        .field("power_deferred_batches", stats.powerDeferredBatches)
+        .field("peak_cluster_watts", stats.peakClusterWatts)
+        .field("mean_cluster_watts", stats.meanClusterWatts)
+        .field("preemptions", stats.preemptions)
+        .field("preempted_cycles", stats.preemptedCycles)
+        .field("scale_up_events", stats.scaleUpEvents)
+        .field("scale_down_events", stats.scaleDownEvents)
+        .key("replica_timelines")
+        .beginArray();
+    for (const auto &timeline : stats.replicaTimelines) {
+        w.beginArray();
+        for (const auto &sample : timeline)
             w.beginObject()
-                .field("name", t.name)
-                .field("requests", t.requests)
-                .field("mean_latency_cycles", t.meanLatencyCycles)
-                .field("p99_latency_cycles", t.p99LatencyCycles)
-                .field("slo_violations", t.sloViolations)
-                .field("served_share", t.servedShare);
-            if (emit_energy)
-                w.field("joules", t.joules);
-            w.endObject();
-        }
+                .field("cycle", sample.cycle)
+                .field("replicas", sample.replicas)
+                .endObject();
         w.endArray();
     }
-    if (!result.config.cluster.empty()) {
-        w.key("classes").beginArray();
-        for (const serve::ClassStats &c : stats.classStats) {
-            w.beginObject()
-                .field("label", c.label)
-                .field("instances", c.instances)
-                .field("batches", c.batches)
-                .field("requests", c.requests)
-                .field("busy_cycles", c.busyCycles)
-                .field("utilization", c.utilization);
-            if (emit_energy)
-                w.field("joules", c.joules);
-            w.endObject();
-        }
-        w.endArray();
-    }
-    w.endObject();
-
-    w.field("scenario_unit_cycles", result.scenarioUnitCycles);
-    if (!result.config.cluster.empty())
-        w.field("unit_cycles_by_class", result.unitCyclesByClass);
-    // The full cost curves emit only for non-default cost models:
-    // under "marginal" they are derivable from the unit cycles and
-    // the fraction, and the golden must stay byte-identical.
-    if (result.config.batching.costModel != "marginal")
-        w.field("unit_cycles_by_batch", result.cyclesByBatchByClass);
-    // The energy twins the routing objective scored, per
-    // [class][scenario][batch-1], in joules.
-    if (emit_energy)
-        w.field("joules_by_batch", result.joulesByBatchByClass);
-    w.field("clock_hz", result.clockHz)
+    w.endArray().key("tenants").beginArray();
+    for (const serve::TenantStats &t : stats.tenantStats)
+        w.beginObject()
+            .field("name", t.name)
+            .field("requests", t.requests)
+            .field("mean_latency_cycles", t.meanLatencyCycles)
+            .field("p99_latency_cycles", t.p99LatencyCycles)
+            .field("slo_violations", t.sloViolations)
+            .field("served_share", t.servedShare)
+            .field("joules", t.joules)
+            .endObject();
+    w.endArray().key("classes").beginArray();
+    for (const serve::ClassStats &c : stats.classStats)
+        w.beginObject()
+            .field("label", c.label)
+            .field("instances", c.instances)
+            .field("batches", c.batches)
+            .field("requests", c.requests)
+            .field("busy_cycles", c.busyCycles)
+            .field("utilization", c.utilization)
+            .field("joules", c.joules)
+            .endObject();
+    w.endArray()
+        .endObject()
+        .field("scenario_unit_cycles", result.scenarioUnitCycles)
+        .field("unit_cycles_by_class", result.unitCyclesByClass)
+        .field("unit_cycles_by_batch", result.cyclesByBatchByClass)
+        .field("joules_by_batch", result.joulesByBatchByClass)
+        .field("clock_hz", result.clockHz)
         .field("makespan_cycles", result.makespan);
 
     if (per_request) {
         w.key("requests").beginArray();
-        for (const serve::RequestRecord &r : result.requests) {
+        for (const serve::RequestRecord &r : result.requests)
             w.beginObject()
                 .field("id", r.id)
                 .field("tenant", r.tenant)
                 .field("scenario", r.scenario)
-                .field("arrival", r.arrival);
-            if (r.deadline != serve::kNeverCycle)
-                w.field("deadline", r.deadline);
-            w.field("dispatch", r.dispatch)
+                .field("arrival", r.arrival)
+                .field("deadline", orNull(r.deadline, serve::kNeverCycle))
+                .field("dispatch", r.dispatch)
                 .field("completion", r.completion)
                 .field("instance", r.instance)
                 .field("batch", r.batch)
                 .endObject();
-        }
         w.endArray().key("batches").beginArray();
-        for (const serve::BatchRecord &b : result.batches) {
+        for (const serve::BatchRecord &b : result.batches)
             w.beginObject()
                 .field("id", b.id)
                 .field("scenario", b.scenario)
                 .field("instance", b.instance)
                 .field("dispatch", b.dispatch)
-                .field("completion", b.completion);
-            if (emit_energy)
-                w.field("joules", b.joules);
-            if (b.preempted)
-                w.field("preempted", true);
-            w.field("request_ids", b.requestIds).endObject();
-        }
+                .field("completion", b.completion)
+                .field("joules", b.joules)
+                .field("preempted", b.preempted)
+                .field("request_ids", b.requestIds)
+                .endObject();
         w.endArray();
     }
     w.endObject();

@@ -27,8 +27,8 @@ namespace hygcn::workload {
  * cycle-valued parameter defaulting to 0 resolves against the
  * config's meanInterarrivalCycles at construction, so presets scale
  * with their load level instead of hard-coding horizons. Only the
- * parameters of the selected process are consulted (and echoed into
- * JSON); the rest are inert.
+ * parameters of the selected process are consulted; the rest are
+ * inert, but every one is echoed into JSON.
  */
 struct ArrivalSpec
 {

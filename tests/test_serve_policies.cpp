@@ -516,12 +516,12 @@ TEST(PricedScenarioCache, ConcurrentServeRunsAgree)
 
 // ---- config echo ---------------------------------------------------
 
-TEST(ServeJson, NonDefaultFieldsEmitOnlyWhenSet)
+TEST(ServeJson, ConfigEchoesEveryField)
 {
     const ServeConfig fifo_config = aggConfig();
     const std::string fifo_json = toJson(fifo_config);
-    EXPECT_EQ(fifo_json.find("\"policy\""), std::string::npos);
-    EXPECT_EQ(fifo_json.find("\"cluster\""), std::string::npos);
+    EXPECT_NE(fifo_json.find("\"policy\":\"fifo\""), std::string::npos);
+    EXPECT_NE(fifo_json.find("\"cluster\":[]"), std::string::npos);
 
     ServeConfig config = aggConfig();
     config.policy = "edf";
@@ -531,9 +531,17 @@ TEST(ServeJson, NonDefaultFieldsEmitOnlyWhenSet)
     EXPECT_NE(json.find("\"slo_cycles\":123456"), std::string::npos);
     EXPECT_NE(json.find("\"share_quota\":2.5"), std::string::npos);
 
-    // Deadlines ride the per-request trace only for SLO tenants.
+    // An SLO tenant's requests carry their deadline; requests without
+    // one echo null.
     const ServeResult result = runServe(config);
-    EXPECT_NE(toJson(result).find("\"deadline\""), std::string::npos);
-    EXPECT_EQ(toJson(runServe(fifo_config)).find("\"deadline\""),
+    const std::string slo_json = toJson(result);
+    ASSERT_FALSE(result.requests.empty());
+    const RequestRecord &first = result.requests.front();
+    EXPECT_EQ(first.deadline, first.arrival + 123456);
+    EXPECT_NE(slo_json.find("\"deadline\":" +
+                            std::to_string(first.deadline)),
+              std::string::npos);
+    EXPECT_EQ(slo_json.find("\"deadline\":null"), std::string::npos);
+    EXPECT_NE(toJson(runServe(fifo_config)).find("\"deadline\":null"),
               std::string::npos);
 }

@@ -271,23 +271,18 @@ TEST(StreamingStats, ConfigRejectsZeroCapacityReservoir)
 
 // ---- JSON emission -------------------------------------------------
 
-TEST(StreamingStats, JsonEmitsStreamingKnobsOffDefaultOnly)
+TEST(StreamingStats, JsonEchoesStreamingKnobs)
 {
     ServeConfig config = sinkClusterConfig();
     const std::string defaults = toJson(config);
-    EXPECT_EQ(defaults.find("streaming_stats"), std::string::npos);
-    EXPECT_EQ(defaults.find("stats_reservoir_capacity"),
+    EXPECT_NE(defaults.find("\"streaming_stats\":false,"
+                            "\"stats_reservoir_capacity\":65536,"
+                            "\"stats_flush_every_requests\":0"),
               std::string::npos);
 
     config.stats.streaming = true;
     const std::string streaming = toJson(config);
     EXPECT_NE(streaming.find("\"streaming_stats\":true"),
-              std::string::npos);
-    // Default capacity and flush interval stay silent even when
-    // streaming is on.
-    EXPECT_EQ(streaming.find("stats_reservoir_capacity"),
-              std::string::npos);
-    EXPECT_EQ(streaming.find("stats_flush_every_requests"),
               std::string::npos);
 
     config.stats.reservoirCapacity = 1024;
