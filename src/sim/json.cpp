@@ -9,11 +9,12 @@
 
 namespace hygcn {
 
-std::string
-jsonEscape(std::string_view text)
+namespace {
+
+/** Append @p text to @p out, escaped for a JSON string. */
+void
+appendEscaped(std::string &out, std::string_view text)
 {
-    std::string out;
-    out.reserve(text.size() + 8);
     for (char c : text) {
         switch (c) {
           case '"': out += "\\\""; break;
@@ -31,8 +32,9 @@ jsonEscape(std::string_view text)
             }
         }
     }
-    return out;
 }
+
+} // namespace
 
 JsonWriter &
 JsonWriter::token(std::string_view text)
@@ -48,7 +50,7 @@ JsonWriter &
 JsonWriter::key(std::string_view name)
 {
     token("\"");
-    out_ += jsonEscape(name);
+    appendEscaped(out_, name);
     out_ += "\":";
     return *this;
 }
@@ -57,7 +59,7 @@ JsonWriter &
 JsonWriter::value(std::string_view text)
 {
     token("\"");
-    out_ += jsonEscape(text);
+    appendEscaped(out_, text);
     out_ += '"';
     return *this;
 }

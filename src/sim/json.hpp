@@ -30,9 +30,6 @@ struct ServeResult;
 
 namespace hygcn {
 
-/** Escape a string for inclusion in a JSON document. */
-std::string jsonEscape(std::string_view text);
-
 /**
  * Appends one JSON document to a string. It places the commas and
  * escapes strings; doubles print with %.9g, or with %.17g (an exact

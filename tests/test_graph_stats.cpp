@@ -3,7 +3,6 @@
 #include "graph/dataset.hpp"
 #include "graph/generator.hpp"
 #include "graph/graph_stats.hpp"
-#include "sim/json.hpp"
 #include "sim/rng.hpp"
 
 using namespace hygcn;
@@ -75,30 +74,4 @@ TEST(GraphStats, StorageCountsAdjacencyAndFeatures)
     const std::uint64_t bytes = datasetStorageBytes(g, 64);
     EXPECT_GE(bytes, 100ull * 64 * 4);
     EXPECT_GE(bytes, g.numEdges() * sizeof(VertexId));
-}
-
-TEST(Json, EscapesSpecials)
-{
-    EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-}
-
-TEST(Json, SerializesReport)
-{
-    SimReport r;
-    r.platform = "HyGCN";
-    r.cycles = 1000;
-    r.stats.add(Counter::DramReadBytes, 64);
-    r.stats.set(Gauge::DramBandwidthUtilization, 0.5);
-    r.energy.charge(Energy::Dram, 123.0);
-    const std::string json = toJson(r);
-    EXPECT_NE(json.find("\"platform\":\"HyGCN\""), std::string::npos);
-    EXPECT_NE(json.find("\"cycles\":1000"), std::string::npos);
-    EXPECT_NE(json.find("\"dram.read_bytes\":64"), std::string::npos);
-    EXPECT_NE(json.find("\"dram.bandwidth_utilization\":0.5"),
-              std::string::npos);
-    EXPECT_NE(json.find("\"dram\":123"), std::string::npos);
-    // Crude structural sanity: balanced braces.
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -56,11 +57,14 @@ TEST(Json, EmptyObjectsAndArrays)
     EXPECT_EQ(w.str(), R"([{},[],[],{"o":{}}])");
 }
 
-TEST(Json, EscapesQuotesBackslashesAndControlBytes)
+TEST(Json, EscapesSpecials)
 {
     JsonWriter w;
-    w.beginObject().field("k\"ey", "a\"b\\c\nd\x01").endObject();
-    EXPECT_EQ(w.str(), R"({"k\"ey":"a\"b\\c\nd\u0001"})");
+    w.beginObject()
+        .field("k\"ey", "a\"b\\c\nd\x01")
+        .field("plain", "plain")
+        .endObject();
+    EXPECT_EQ(w.str(), R"({"k\"ey":"a\"b\\c\nd\u0001","plain":"plain"})");
 }
 
 TEST(Json, NumberFormats)
@@ -88,6 +92,26 @@ TEST(Json, NumberFormats)
     JsonWriter rounded;
     rounded.value(1.0 / 3.0);
     EXPECT_NE(std::strtod(rounded.str().c_str(), nullptr), 1.0 / 3.0);
+}
+
+TEST(Json, SerializesReport)
+{
+    SimReport r;
+    r.platform = "HyGCN";
+    r.cycles = 1000;
+    r.stats.add(Counter::DramReadBytes, 64);
+    r.stats.set(Gauge::DramBandwidthUtilization, 0.5);
+    r.energy.charge(Energy::Dram, 123.0);
+    const std::string json = toJson(r);
+    EXPECT_NE(json.find("\"platform\":\"HyGCN\""), std::string::npos);
+    EXPECT_NE(json.find("\"cycles\":1000"), std::string::npos);
+    EXPECT_NE(json.find("\"dram.read_bytes\":64"), std::string::npos);
+    EXPECT_NE(json.find("\"dram.bandwidth_utilization\":0.5"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"dram\":123"), std::string::npos);
+    // Crude structural sanity: balanced braces.
+    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+              std::count(json.begin(), json.end(), '}'));
 }
 
 // The report's counters in std::map order: the table rows with the
