@@ -139,9 +139,26 @@ static_assert(std::ranges::adjacent_find(kStatNames,
                   std::ranges::end(kStatNames),
               "HYGCN_STAT_TABLE rows must be in increasing name order");
 
-/** Each kStatNames row's kind: 'C'ounter, 'G'auge or 'E'nergy. */
-inline constexpr char kStatKinds[] = {
-    HYGCN_STAT_TABLE(HYGCN_STAT_C, HYGCN_STAT_G, HYGCN_STAT_E)};
+/** The names of one kind's rows, indexed by id. */
+template <class Id>
+struct StatNames
+{
+    /** Each kStatNames row's kind: 'C'ounter, 'G'auge or 'E'nergy. */
+    static constexpr char kKinds[] = {
+        HYGCN_STAT_TABLE(HYGCN_STAT_C, HYGCN_STAT_G, HYGCN_STAT_E)};
+    static constexpr char kKind = std::is_same_v<Id, Counter> ? 'C'
+                                  : std::is_same_v<Id, Gauge> ? 'G'
+                                                              : 'E';
+    static constexpr auto all = [] {
+        std::array<std::string_view, std::ranges::count(kKinds, kKind)>
+            names;
+        auto out = names.begin();
+        for (std::size_t row = 0; row < std::size(kStatNames); ++row)
+            if (kKinds[row] == kKind)
+                *out++ = kStatNames[row];
+        return names;
+    }();
+};
 
 #undef HYGCN_STAT_ID
 #undef HYGCN_STAT_NAME
@@ -149,24 +166,6 @@ inline constexpr char kStatKinds[] = {
 #undef HYGCN_STAT_C
 #undef HYGCN_STAT_G
 #undef HYGCN_STAT_E
-
-/** The names of one kind's rows, indexed by id. */
-template <class Id>
-struct StatNames
-{
-    static constexpr char kKind = std::is_same_v<Id, Counter> ? 'C'
-                                  : std::is_same_v<Id, Gauge> ? 'G'
-                                                              : 'E';
-    static constexpr auto all = [] {
-        std::array<std::string_view, std::ranges::count(kStatKinds, kKind)>
-            names;
-        auto out = names.begin();
-        for (std::size_t row = 0; row < std::size(kStatNames); ++row)
-            if (kStatKinds[row] == kKind)
-                *out++ = kStatNames[row];
-        return names;
-    }();
-};
 
 /**
  * One value per row of one kind, plus a presence bit: a row is
