@@ -7,9 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
